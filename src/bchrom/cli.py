@@ -1,7 +1,8 @@
 """Command-line surface: analyze, color, verify, generate.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 precondition/limit refusal.
+3 precondition/limit refusal, 4 internal error (an InvariantViolation: a
+certificate of the construction failed, which is a bug, not a bad input).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
 
@@ -237,6 +239,7 @@ def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = No
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.batch is not None:
         failures = 0
+        internal_errors = 0
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         for index, path in enumerate(paths):
             try:
@@ -250,15 +253,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if not args.json and index:
                     print()
                 _print_record(outcome.record, args.json, extra={"file": path.name})
-            except (ParseError, ValueError, OracleLimitError) as exc:
-                failures += 1
+            except (ParseError, ValueError, OracleLimitError, InvariantViolation) as exc:
+                if isinstance(exc, InvariantViolation):
+                    internal_errors += 1
+                    message = f"internal error: {exc}"
+                else:
+                    failures += 1
+                    message = str(exc)
                 if args.json:
-                    print(json.dumps({"file": path.name, "error": str(exc)}))
+                    print(json.dumps({"file": path.name, "error": message}))
                 else:
                     if index:
                         print()
                     print(f"file {path.name}")
-                    print(f"error {exc}")
+                    print(f"error {message}")
+        if internal_errors:
+            return EXIT_INTERNAL
         return EXIT_INPUT if failures else EXIT_OK
     g = load_graph(args.input, args.format)
     outcome = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
@@ -398,3 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -221,35 +221,84 @@ def to_edge_list(g: Graph) -> str:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ACYCLIC for forests.
 
-    BFS from every vertex of degree >= 2; the first non-tree edge met closes
-    a candidate cycle of length dist(u) + dist(v) + 1.  The minimum over all
-    roots is exact, and in a simple graph every shortest cycle is induced.
+    1. Peel vertices of degree <= 1 until only the 2-core is left, in
+       O(n + m).  Every cycle lies in the 2-core, so a forest stops here.
+    2. A core component whose vertices all have core degree 2 is a plain
+       cycle; its length is its vertex count.
+    3. A cycle with no core vertex of core degree >= 3 is a whole core
+       component (each of its vertices has only its two cycle neighbors
+       left), so every other cycle passes through such a branch vertex.  A
+       BFS over the core from a vertex on a shortest cycle finds that cycle
+       exactly: the first non-tree edge met closes a candidate of length
+       dist(u) + dist(v) + 1, and no candidate is shorter than the girth.
+       So BFS runs from the branch vertices only (Itai & Rodeh 1978), each
+       one stopping once it can no longer beat the best cycle so far.
+    4. ``dist``/``parent`` are allocated once.  After each root only the
+       ``dist`` entries that BFS touched are reset; ``parent`` needs no
+       reset, since it is written when a vertex is reached, before any read.
+
+    O(n + m) on forests; the BFS phase costs O(m) per branch vertex at worst.
     """
-    best: int | float = ACYCLIC
     adj = g.adj
-    for start in range(g.n):
-        if len(adj[start]) < 2:
+    n = g.n
+    core_degree = [len(nbrs) for nbrs in adj]
+    in_core = [True] * n
+    leaves = [u for u in range(n) if core_degree[u] <= 1]
+    for u in leaves:  # grows while peeling
+        in_core[u] = False
+        for v in adj[u]:
+            if in_core[v]:
+                core_degree[v] -= 1
+                if core_degree[v] == 1:
+                    leaves.append(v)
+    if len(leaves) == n:
+        return ACYCLIC
+
+    best: int | float = ACYCLIC
+    branch: list[int] = []
+    seen = [False] * n
+    for start in range(n):
+        if not in_core[start] or seen[start]:
             continue
-        dist = [-1] * g.n
-        parent = [-1] * g.n
+        seen[start] = True
+        component = [start]
+        for u in component:  # grows while searching
+            for v in adj[u]:
+                if in_core[v] and not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        roots = [u for u in component if core_degree[u] >= 3]
+        if roots:
+            branch.extend(roots)
+        elif len(component) < best:
+            best = len(component)
+
+    dist = [-1] * n
+    parent = [-1] * n
+    for start in branch:
+        if best == 3:
+            break
         dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        touched = [start]
+        for u in touched:  # BFS queue; grows while searching
             du = dist[u]
             if 2 * du + 1 >= best:
                 break
+            pu = parent[u]
             for v in adj[u]:
-                if dist[v] < 0:
+                if not in_core[v]:
+                    continue
+                dv = dist[v]
+                if dv < 0:
                     dist[v] = du + 1
                     parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    candidate = du + dist[v] + 1
+                    touched.append(v)
+                elif v != pu:
+                    candidate = du + dv + 1
                     if candidate < best:
                         best = candidate
-        if best == 3:
-            break
+        for u in touched:
+            dist[u] = -1
     return best
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 from bchrom import Graph
@@ -176,6 +177,39 @@ def brute_force_girth(g: Graph) -> int | float:
 
     for start in range(g.n):
         extend(start, start, {start}, 0)
+    return best
+
+
+def all_roots_girth(g: Graph) -> int | float:
+    """Itai-Rodeh girth: early-exit BFS from every vertex of degree >= 2.
+
+    The first non-tree edge met closes a candidate cycle of length
+    dist(u) + dist(v) + 1; the minimum over all roots is exact.  Quadratic on
+    forests, but polynomial, so it serves where brute_force_girth is too slow.
+    """
+    best: int | float = math.inf
+    adj = g.adj
+    for start in range(g.n):
+        if len(adj[start]) < 2:
+            continue
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = du + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif parent[u] != v:
+                    best = min(best, du + dist[v] + 1)
+        if best == 3:
+            break
     return best
 
 

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from bchrom import run_pipeline
-from bchrom.cli import main
+import bchrom.cli
+import bchrom.coloring
+import bchrom.graph
+from bchrom import InvariantViolation, run_pipeline
+from bchrom.cli import EXIT_INTERNAL, main
 
 from helpers import cycle_graph, encircled_tree, path_graph, star_of_stars
 
@@ -226,3 +229,59 @@ def test_run_pipeline_no_chi_b_skips_coloring():
     assert outcome.record.chi_b is None
     assert outcome.coloring is None
     assert outcome.record.has_good_set is True
+
+
+@pytest.fixture
+def girth_calls(monkeypatch):
+    """Count girth() calls through every module binding that can reach it."""
+    calls = []
+    real = bchrom.graph.girth
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    for module in (bchrom.cli, bchrom.graph, bchrom.coloring):
+        monkeypatch.setattr(module, "girth", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text", [C9_TEXT, P5_TEXT], ids=["girth-9", "tree"])
+def test_girth_computed_once_per_op(tmp_path, capsys, girth_calls, text):
+    graph_path = write_graph(tmp_path, "g.txt", text)
+    coloring_path = str(tmp_path / "g.coloring")
+    assert main(["color", graph_path, "-o", coloring_path]) == 0
+    assert len(girth_calls) == 1
+    girth_calls.clear()
+    assert main(["analyze", graph_path, "--chi-b"]) == 0
+    assert "chi-b-method construction" in capsys.readouterr().out
+    assert len(girth_calls) == 1
+    girth_calls.clear()
+    assert main(["verify", graph_path, coloring_path]) == 0
+    assert girth_calls == []
+
+
+def _broken_construction(*args, **kwargs):
+    raise InvariantViolation("anchor lost its b-vertex property", step="completion", vertex=2)
+
+
+def test_invariant_violation_exits_with_internal_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bchrom.cli, "b_coloring_with_good_set", _broken_construction)
+    path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    assert main(["color", path, "-o", str(tmp_path / "x")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: anchor lost its b-vertex property")
+    assert "step=completion" in err and "vertex=2" in err
+    assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
+    assert "internal error:" in capsys.readouterr().err
+
+
+def test_batch_mode_records_internal_error_and_continues(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bchrom.cli, "b_coloring_with_good_set", _broken_construction)
+    write_graph(tmp_path, "a_p5.txt", P5_TEXT)
+    write_graph(tmp_path, "b_c5.txt", C5_TEXT)  # girth 5: the oracle answers, no construction
+    assert main(["analyze", "--batch", str(tmp_path), "--chi-b", "--json"]) == EXIT_INTERNAL
+    lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert lines[0]["file"] == "a_p5.txt"
+    assert lines[0]["error"].startswith("internal error: ") and "step=completion" in lines[0]["error"]
+    assert lines[1]["file"] == "b_c5.txt" and lines[1]["chi_b_method"] == "oracle"

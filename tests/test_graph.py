@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bchrom import (
     ACYCLIC,
@@ -17,7 +17,15 @@ from bchrom import (
     to_edge_list,
 )
 
-from helpers import brute_force_girth, cycle_graph, path_graph, petersen_graph, random_tree, star_graph
+from helpers import (
+    all_roots_girth,
+    brute_force_girth,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    random_tree,
+    star_graph,
+)
 
 
 def test_parse_path():
@@ -133,6 +141,131 @@ def test_girth_matches_brute_force(n, extra, seed):
     rng.shuffle(pairs)
     g = Graph(n, pairs[: min(extra, len(pairs))])
     assert girth(g) == brute_force_girth(g)
+
+
+def _relabeled(n: int, edges: list[tuple[int, int]], rng: random.Random) -> Graph:
+    """The graph on a random vertex numbering, so roots are met in any order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _grow(edges: list[tuple[int, int]], n: int, extra: int, rng: random.Random, lo: int = 0) -> int:
+    """Add vertices n .. n + extra - 1, each joined to a random earlier vertex >= lo."""
+    for new in range(n, n + extra):
+        if new > lo:
+            edges.append((rng.randrange(lo, new), new))
+    return n + extra
+
+
+def _ring(edges: list[tuple[int, int]], first: int, length: int) -> int:
+    edges.extend((first + i, first + (i + 1) % length) for i in range(length))
+    return first + length
+
+
+def _pendant_cycles(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A random tree, cycles glued onto it at one vertex each, pendant trees everywhere."""
+    edges: list[tuple[int, int]] = []
+    n = _grow(edges, 0, rng.randrange(1, 8), rng)
+    for _ in range(rng.randrange(1, 4)):
+        first = n
+        n = _ring(edges, first, rng.randrange(3, 9))
+        edges.append((rng.randrange(first), first + rng.randrange(n - first)))
+    return _grow(edges, n, rng.randrange(0, 8), rng), edges
+
+
+def _rings_and_branchy(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Disjoint rings beside a tree with a few chords; often a ring is the shortest cycle."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(rng.randrange(1, 4)):
+        n = _ring(edges, n, rng.randrange(3, 10))
+    first = n
+    n = _grow(edges, n, rng.randrange(3, 16), rng, lo=first)
+    present = set(edges)
+    for _ in range(rng.randrange(1, 4)):
+        chord = tuple(sorted(rng.sample(range(first, n), 2)))
+        if chord not in present:
+            present.add(chord)
+            edges.append(chord)
+    return n, edges
+
+
+def _theta(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Two vertices joined by three internally disjoint paths, at most one of them an edge."""
+    lengths = sorted(rng.randrange(1, 8) for _ in range(3))
+    lengths[1] = max(lengths[1], 2)
+    lengths[2] = max(lengths[2], 2)
+    edges: list[tuple[int, int]] = []
+    n = 2
+    for length in lengths:
+        path = [0] + list(range(n, n + length - 1)) + [1]
+        n += length - 1
+        edges.extend(zip(path, path[1:]))
+    return _grow(edges, n, rng.randrange(0, 5), rng), edges
+
+
+def _forest(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Several trees plus isolated vertices."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(rng.randrange(1, 4)):
+        tree = random_tree(rng.randrange(1, 12), rng)
+        edges.extend((n + u, n + v) for u, v in tree.edges())
+        n += tree.n
+    return n + rng.randrange(0, 4), edges
+
+
+GIRTH_SHAPES = {
+    "pendant-cycles": _pendant_cycles,
+    "rings-and-branchy": _rings_and_branchy,
+    "theta": _theta,
+    "forest": _forest,
+    "tiny": lambda rng: (rng.randrange(2), []),
+}
+
+
+@st.composite
+def girth_shapes(draw):
+    """Graphs that reach every branch of girth(): peeling, ring components, branch-vertex BFS."""
+    shape = draw(st.sampled_from(sorted(GIRTH_SHAPES)))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    n, edges = GIRTH_SHAPES[shape](rng)
+    return _relabeled(n, edges, rng)
+
+
+@given(girth_shapes())
+@settings(max_examples=300)
+def test_girth_matches_brute_force_on_shaped_graphs(g):
+    assert girth(g) == brute_force_girth(g)
+
+
+def test_girth_ring_beside_branchy_component():
+    # rings next to a theta graph whose shortest cycle has length 6
+    ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    theta = [(4, 5), (5, 6), (6, 7), (4, 8), (8, 9), (9, 7), (4, 10), (10, 11), (11, 12), (12, 7)]
+    assert girth(Graph(13, ring + theta)) == 4
+    assert girth(Graph(13, theta)) == 6
+    assert girth(Graph(13, [(0, 1), (1, 2), (2, 0)] + theta)) == 3
+
+
+@given(st.integers(9, 300), st.integers(3, 10), st.integers(0, 2**30))
+@settings(max_examples=60)
+def test_girth_matches_all_roots_on_generated_graphs(n, min_girth, seed):
+    g = generate_girth_constrained(n, min_girth, n + n // 8, seed=seed)
+    assert girth(g) == all_roots_girth(g)
+
+
+@given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2**30))
+@settings(max_examples=60)
+def test_girth_matches_all_roots_on_trees_with_extra_edges(n, extra, seed):
+    rng = random.Random(seed)
+    edges = set(random_tree(n, rng).edges())
+    for _ in range(extra):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph(n, sorted(edges))
+    assert girth(g) == all_roots_girth(g)
 
 
 @given(st.integers(1, 10), st.integers(0, 2**30))
