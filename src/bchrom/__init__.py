@@ -7,30 +7,10 @@ one, chi_b = m(G) - 1 is exact.  A brute-force oracle provides ground truth
 on small instances.
 """
 
-from .coloring import (
-    BResult,
-    LinkStructure,
-    PartialColoring,
-    TraceEvent,
-    b_coloring_with_good_set,
-    classify_links,
-    color_links,
-    complete_b_vertices,
-    derange_assign,
-    greedy_extend,
-)
+from .coloring import BResult, TraceEvent, b_coloring_with_good_set
 from .density import DensityProfile, density_profile
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
-from .goodset import (
-    GoodSet,
-    GoodSetViolation,
-    check_good_set,
-    encircles,
-    find_encircled_vertex,
-    find_good_set,
-    has_good_set,
-    is_good_set,
-)
+from .goodset import GoodSet, GoodSetViolation, check_good_set, find_good_set
 from .graph import (
     ACYCLIC,
     Graph,
@@ -38,7 +18,6 @@ from .graph import (
     girth,
     parse_dimacs,
     parse_edge_list,
-    restricted_neighbors,
     to_edge_list,
 )
 from .oracle import (
@@ -63,10 +42,8 @@ __all__ = [
     "GoodSetViolation",
     "Graph",
     "InvariantViolation",
-    "LinkStructure",
     "OracleLimitError",
     "ParseError",
-    "PartialColoring",
     "PipelineOutcome",
     "PreconditionError",
     "TraceEvent",
@@ -75,24 +52,14 @@ __all__ = [
     "b_coloring_with_good_set",
     "check_b_coloring",
     "check_good_set",
-    "classify_links",
-    "color_links",
-    "complete_b_vertices",
     "density_profile",
-    "derange_assign",
-    "encircles",
     "exact_b_chromatic",
     "find_b_coloring_exact",
-    "find_encircled_vertex",
     "find_good_set",
     "generate_girth_constrained",
     "girth",
-    "greedy_extend",
-    "has_good_set",
-    "is_good_set",
     "parse_dimacs",
     "parse_edge_list",
-    "restricted_neighbors",
     "run_pipeline",
     "to_edge_list",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import TraceEvent, b_coloring_with_good_set
@@ -102,18 +102,22 @@ def run_pipeline(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     force_oracle: bool = False,
     need_coloring: bool = False,
-    girth_value: int | float | None = None,
 ) -> PipelineOutcome:
     """Analyze a graph and, on request, compute chi_b with a witness.
 
     Dispatch: girth >= 9 (or forest) with a good set -> chi_b = m(G) by
     construction; without one -> chi_b = m(G) - 1, witnessed by the oracle
     when the graph is small enough.  Below girth 9 the oracle decides when
-    it fits, otherwise only the bound chi_b <= m(G) is reported.
+    it fits, otherwise only the bound chi_b <= m(G) is reported.  A coloring
+    below girth 9 is refused unless the oracle is forced.
     """
-    profile = density_profile(g)
-    gv = girth(g) if girth_value is None else girth_value
+    gv = girth(g)
     high_girth = gv >= 9
+    if need_coloring and not force_oracle and not high_girth:
+        raise PreconditionError(
+            f"girth {gv} is below 9, outside the constructive theory; pass --oracle for exhaustive search"
+        )
+    profile = density_profile(g)
     characterizable = gv >= 8
     good = find_good_set(g, profile, girth_value=gv) if characterizable else None
     record = AnalysisRecord(
@@ -186,7 +190,11 @@ def format_coloring_file(g: Graph, coloring: dict[int, int], k: int, basis: dict
 
 
 def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
-    """Read a coloring file back as (k, vertex-id -> color)."""
+    """Read a coloring file back as (k, vertex-id -> color).
+
+    A b-coloring has k nonempty classes, so a header with k above the vertex
+    count can never be valid and is refused as a parse error.
+    """
     k: int | None = None
     coloring: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -199,6 +207,8 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
                 if k is not None:
                     raise ParseError("duplicate coloring header", lineno)
                 k = int(header.group(1))
+                if k > g.n:
+                    raise ParseError(f"k={k} exceeds the graph's {g.n} vertices", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -278,18 +288,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     g = load_graph(args.input, args.format)
-    gv = girth(g)
-    if gv < 9 and not args.oracle:
-        raise PreconditionError(
-            f"girth {gv} is below 9, outside the constructive theory; pass --oracle for exhaustive search"
-        )
     outcome = run_pipeline(
         g,
         compute_chi_b=True,
         need_coloring=True,
         oracle_limit=args.oracle_limit,
         force_oracle=args.oracle,
-        girth_value=gv,
     )
     if outcome.coloring is None or outcome.basis is None:
         raise PreconditionError("no coloring method applies to this input")

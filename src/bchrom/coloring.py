@@ -17,9 +17,10 @@ A violation raises InvariantViolation: on a girth->=9 input that is a bug.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import oracle
 from .density import DensityProfile, density_profile
 from .errors import InvariantViolation
 from .goodset import GoodSet, check_good_set
@@ -349,8 +350,6 @@ def b_coloring_with_good_set(
     The finished coloring is re-validated with the independent checker
     before being returned.
     """
-    from .oracle import check_b_coloring
-
     if profile is None:
         profile = density_profile(g)
     gv = girth_value if girth_value is not None else girth(g)
@@ -362,7 +361,7 @@ def b_coloring_with_good_set(
     pc = color_links(g, anchors, links, girth_value=gv)
     complete_b_vertices(g, anchors, pc)
     total = greedy_extend(g, pc, profile.m)
-    report = check_b_coloring(g, total, profile.m)
+    report = oracle.check_b_coloring(g, total, profile.m)
     if report.basis is None:
         raise InvariantViolation("constructed coloring failed the validity check")
     basis = {i + 1: v for i, v in enumerate(anchors.members)}

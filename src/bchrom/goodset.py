@@ -108,39 +108,28 @@ def check_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) ->
     return None
 
 
-def is_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) -> bool:
-    return check_good_set(g, members, profile) is None
-
-
-def has_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> bool:
-    """Decide good-set existence on girth >= 8 inputs without searching.
-
-    False exactly when the dense set has size m(G) and encircles a vertex.
-    """
-    ensure_min_girth(g, 8, girth_value)
-    if len(profile.dense) != profile.m:
-        return True
-    return find_encircled_vertex(g, profile.dense, profile) is None
-
-
 def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet | None:
     """Return a good set, or None when none exists (girth >= 8 required).
 
     Backtracking over the dense vertices in descending-degree order (ties by
     id): high-degree picks can never serve as encirclement witnesses, so they
     disqualify condition (a) fastest.  Condition (b) is pruned with a
-    last-helper index; the full (a)/(b) check runs at the leaves.  Existence
-    is certified up front, so exhaustion indicates a bug.
+    last-helper index; the full (a)/(b) check runs at the leaves.  When
+    |M(G)| = m(G) the dense set is the only candidate, and one check decides
+    existence: it is good, or it encircles a vertex and no good set exists.
+    Otherwise the girth-8 characterization promises one, so exhaustion
+    indicates a bug.
     """
-    gv = ensure_min_girth(g, 8, girth_value)
-    if not has_good_set(g, profile, girth_value=gv):
-        return None
+    ensure_min_girth(g, 8, girth_value)
     m = profile.m
     if len(profile.dense) == m:
         members = tuple(sorted(profile.dense))
-        if check_good_set(g, members, profile) is not None:
-            raise InvariantViolation("the dense set itself must be good when it has size m(G)")
-        return GoodSet(members)
+        violation = check_good_set(g, members, profile)
+        if violation is None:
+            return GoodSet(members)
+        if violation.kind == "encircles":
+            return None
+        raise InvariantViolation("a dense set of size m(G) can fail to be good only by encircling a vertex")
     candidates = sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))
     position = {v: i for i, v in enumerate(candidates)}
     high = [x for x in range(g.n) if len(g.adj[x]) >= m]

@@ -1,4 +1,4 @@
-"""Immutable simple graphs: parsing, girth, restricted neighborhoods, generation.
+"""Immutable simple graphs: parsing, girth, generation.
 
 Vertices are dense 0-based ids internally; the arbitrary nonnegative integer
 labels found in input files are kept on the side so output can be written in
@@ -18,6 +18,10 @@ from .errors import ParseError, PreconditionError
 #: Girth value reported for forests.  Compares greater than any finite bound,
 #: so ``girth(g) >= k`` reads naturally.
 ACYCLIC = math.inf
+
+#: Largest vertex count a "# n=" header or a "p edge" line may declare.  A
+#: one-line file must not be able to allocate an unbounded graph.
+MAX_VERTICES = 10**6
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
@@ -62,25 +66,8 @@ class Graph:
         if not (0 <= u < self.n):
             raise ValueError(f"unknown vertex id {u}")
 
-    def degree(self, u: int) -> int:
-        self.check_vertex(u)
-        return len(self.adj[u])
-
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adj]
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        self.check_vertex(u)
-        return self.adj[u]
-
-    def neighbor_set(self, u: int) -> frozenset[int]:
-        self.check_vertex(u)
-        return self.adj_sets[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return v in self.adj_sets[u]
 
     @property
     def edge_count(self) -> int:
@@ -92,10 +79,6 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield u, v
-
-    def label_of(self, u: int) -> int:
-        self.check_vertex(u)
-        return self.labels[u]
 
     def id_of(self, label: int) -> int:
         try:
@@ -112,17 +95,27 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _add_edge(edges: set[tuple[int, int]], u: int, v: int, lineno: int) -> None:
+    """Add edge {u, v} as (min, max); a self-loop or a repeat is a ParseError."""
+    if u == v:
+        raise ParseError(f"self-loop at vertex {u}", lineno)
+    key = (min(u, v), max(u, v))
+    if key in edges:
+        raise ParseError(f"duplicate edge {u} {v}", lineno)
+    edges.add(key)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" lines into a canonical Graph.
 
     Lines starting with '#' are comments, except a "# n=<count>" header which
     declares the total vertex count (the only way to express isolated
-    vertices).  Self-loops and duplicate edges are rejected outright so that
-    corpus bugs surface instead of being silently normalized away.
+    vertices); it may declare at most MAX_VERTICES.  Self-loops and duplicate
+    edges are rejected outright so that corpus bugs surface instead of being
+    silently normalized away.
     """
     declared_n: int | None = None
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -133,6 +126,8 @@ def parse_edge_list(text: str) -> Graph:
                 if declared_n is not None:
                     raise ParseError("duplicate '# n=' header", lineno)
                 declared_n = int(header.group(1))
+                if declared_n > MAX_VERTICES:
+                    raise ParseError(f"'# n=' declares {declared_n} vertices, above the limit {MAX_VERTICES}", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -143,13 +138,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"non-integer vertex label in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError("vertex labels must be nonnegative", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {u} {v}", lineno)
-        seen.add(key)
-        edges.append(key)
+        _add_edge(edges, u, v, lineno)
     label_set = {lab for edge in edges for lab in edge}
     if declared_n is not None:
         label_set.update(range(declared_n))
@@ -159,10 +148,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse a DIMACS ".col" instance ("p edge n m" / "e u v", 1-based labels)."""
+    """Parse a DIMACS ".col" instance ("p edge n m" / "e u v", 1-based labels).
+
+    The problem line may declare at most MAX_VERTICES vertices.
+    """
     n: int | None = None
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -177,6 +168,8 @@ def parse_dimacs(text: str) -> Graph:
                 n = int(parts[2])
             except ValueError:
                 raise ParseError("non-integer vertex count", lineno) from None
+            if n > MAX_VERTICES:
+                raise ParseError(f"problem line declares {n} vertices, above the limit {MAX_VERTICES}", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)
@@ -188,13 +181,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("non-integer endpoint", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint outside 1..{n}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(f"duplicate edge {u} {v}", lineno)
-            seen.add(key)
-            edges.append(key)
+            _add_edge(edges, u, v, lineno)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
@@ -308,13 +295,6 @@ def ensure_min_girth(g: Graph, bound: int, girth_value: int | float | None = Non
     if value < bound:
         raise PreconditionError(f"requires girth >= {bound} (or a forest); this graph has girth {value}")
     return value
-
-
-def restricted_neighbors(g: Graph, u: int, subset: Iterable[int]) -> set[int]:
-    """N(u) intersected with the given vertex set."""
-    g.check_vertex(u)
-    allowed = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    return {v for v in g.adj[u] if v in allowed}
 
 
 def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:

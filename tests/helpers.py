@@ -217,7 +217,7 @@ def naive_m(g: Graph) -> int:
     """Definition check: largest k with at least k vertices of degree >= k - 1."""
     best = 0
     for k in range(1, g.n + 1):
-        if sum(1 for u in range(g.n) if g.degree(u) >= k - 1) >= k:
+        if sum(1 for u in range(g.n) if len(g.adj[u]) >= k - 1) >= k:
             best = k
     return best
 
@@ -226,10 +226,10 @@ def naive_encircles(g: Graph, members, u: int, m: int) -> bool:
     """Literal quantifier translation of the encirclement definition."""
     members = set(members)
     for v in members:
-        if g.has_edge(v, u):
+        if u in g.adj_sets[v]:
             continue
         if not any(
-            w in members and g.has_edge(w, v) and g.has_edge(w, u) and g.degree(w) == m - 1
+            w in members and v in g.adj_sets[w] and u in g.adj_sets[w] and len(g.adj[w]) == m - 1
             for w in range(g.n)
         ):
             return False
@@ -244,9 +244,9 @@ def naive_is_good_set(g: Graph, members, m: int, dense) -> bool:
         if u not in members and naive_encircles(g, members, u, m):
             return False
     for x in range(g.n):
-        if x in members or g.degree(x) < m:
+        if x in members or len(g.adj[x]) < m:
             continue
-        if not any(g.has_edge(x, w) for w in members):
+        if not any(w in g.adj_sets[x] for w in members):
             return False
     return True
 
@@ -281,7 +281,7 @@ def chromatic_number(g: Graph) -> int:
     """Small brute-force chromatic number (for sanity bounds only)."""
     if g.n == 0:
         return 0
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+    order = sorted(range(g.n), key=lambda v: -len(g.adj[v]))
     color: dict[int, int] = {}
 
     def feasible(k: int, pos: int) -> bool:

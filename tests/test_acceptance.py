@@ -17,8 +17,6 @@ from bchrom import (
     find_good_set,
     generate_girth_constrained,
     girth,
-    has_good_set,
-    is_good_set,
     run_pipeline,
 )
 
@@ -100,8 +98,9 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_goodset_characterization_vs_enumeration():
-    """has_good_set agrees with exhaustive enumeration of all m-subsets of
-    the dense vertices on every corpus graph with girth >= 8, |M| <= 18."""
+    """find_good_set finds a good set exactly when exhaustive enumeration of
+    all m-subsets of the dense vertices does, on every corpus graph with
+    girth >= 8, |M| <= 18."""
     corpus = [
         path_graph(5),
         cycle_graph(8),
@@ -131,7 +130,6 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
             naive_is_good_set(g, subset, profile.m, profile.dense)
             for subset in combinations(sorted(profile.dense), profile.m)
         )
-        assert has_good_set(g, profile) is expected
         found = find_good_set(g, profile)
         assert (found is not None) is expected
         if found is not None:
@@ -144,11 +142,11 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
 def test_criterion_4_named_instances():
     """P_5, C_9, the star of stars, and the encircled 11-vertex tree."""
     p5 = path_graph(5)
-    assert has_good_set(p5, density_profile(p5)) is True
+    assert find_good_set(p5, density_profile(p5)) is not None
     assert run_pipeline(p5, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(p5)
 
     c9 = cycle_graph(9)
-    assert has_good_set(c9, density_profile(c9)) is True
+    assert find_good_set(c9, density_profile(c9)) is not None
     assert run_pipeline(c9, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(c9)
 
     sos = star_of_stars()
@@ -157,7 +155,7 @@ def test_criterion_4_named_instances():
     t_enc = encircled_tree()
     profile = density_profile(t_enc)
     assert profile.m == 4
-    assert has_good_set(t_enc, profile) is False
+    assert find_good_set(t_enc, profile) is None
     outcome = run_pipeline(t_enc, compute_chi_b=True)
     assert outcome.record.chi_b == 3 == profile.m - 1
     assert outcome.record.chi_b_method == "oracle"

@@ -5,7 +5,7 @@ import pytest
 import bchrom.cli
 import bchrom.coloring
 import bchrom.graph
-from bchrom import InvariantViolation, run_pipeline
+from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline
 from bchrom.cli import EXIT_INTERNAL, main
 
 from helpers import cycle_graph, encircled_tree, path_graph, star_of_stars
@@ -183,6 +183,19 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_verify_refuses_k_above_vertex_count(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    out_path = tmp_path / "p5.coloring"
+    assert main(["color", graph_path, "-o", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines()
+    for k, code in ((10**12, 2), (6, 2), (5, 1)):
+        lines[0] = f"# k={k} basis="
+        out_path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", graph_path, str(out_path)]) == code
+    err = capsys.readouterr().err
+    assert "line 1: k=1000000000000 exceeds the graph's 5 vertices" in err
+
+
 def test_exit_code_on_missing_file(capsys):
     assert main(["analyze", "/no/such/file.txt"]) == 2
     capsys.readouterr()
@@ -229,6 +242,14 @@ def test_run_pipeline_no_chi_b_skips_coloring():
     assert outcome.record.chi_b is None
     assert outcome.coloring is None
     assert outcome.record.has_good_set is True
+
+
+def test_run_pipeline_refuses_low_girth_coloring_unless_oracle_forced():
+    c8 = cycle_graph(8)
+    with pytest.raises(PreconditionError, match="girth 8 is below 9"):
+        run_pipeline(c8, compute_chi_b=True, need_coloring=True)
+    outcome = run_pipeline(c8, compute_chi_b=True, need_coloring=True, force_oracle=True)
+    assert check_b_coloring(c8, outcome.coloring, outcome.record.chi_b).valid
 
 
 @pytest.fixture

@@ -7,21 +7,22 @@ from hypothesis import given, strategies as st
 from bchrom import (
     GoodSet,
     InvariantViolation,
-    PartialColoring,
     PreconditionError,
     b_coloring_with_good_set,
     check_b_coloring,
+    check_good_set,
+    density_profile,
+    exact_b_chromatic,
+    find_good_set,
+)
+from bchrom.coloring import (
+    PartialColoring,
     classify_links,
     color_links,
     complete_b_vertices,
-    density_profile,
     derange_assign,
-    exact_b_chromatic,
-    find_good_set,
     greedy_extend,
-    is_good_set,
 )
-from bchrom.coloring import LinkStructure
 
 from helpers import (
     cycle_graph,
@@ -301,7 +302,7 @@ def test_completion_colors_high_degree_leftover():
     profile = density_profile(g)
     assert profile.m == 4
     anchors = GoodSet((0, 1, 2, 3))
-    assert is_good_set(g, anchors.members, profile)
+    assert check_good_set(g, anchors.members, profile) is None
     result = b_coloring_with_good_set(g, anchors)
     assert check_b_coloring(g, result.coloring, 4).valid
     # vertex 7 has degree m and must not be left to the greedy pass
@@ -316,7 +317,7 @@ def test_greedy_trap_is_defused_by_completion():
     profile = density_profile(g)
     assert profile.m == 4
     anchors = GoodSet((0, 1, 2, 3))
-    assert is_good_set(g, anchors.members, profile)
+    assert check_good_set(g, anchors.members, profile) is None
     result = b_coloring_with_good_set(g, anchors)
     assert check_b_coloring(g, result.coloring, 4).valid
     by_vertex = {event.vertex: event.step for event in result.trace}

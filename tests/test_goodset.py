@@ -4,16 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from bchrom import (
-    GoodSet,
-    PreconditionError,
-    check_good_set,
-    density_profile,
-    encircles,
-    find_good_set,
-    has_good_set,
-    is_good_set,
-)
+from bchrom import GoodSet, PreconditionError, check_good_set, density_profile, find_good_set
+from bchrom.goodset import encircles
 
 from helpers import (
     cycle_graph,
@@ -62,7 +54,7 @@ def test_is_good_set_path_five():
     g = path_graph(5)
     profile = density_profile(g)
     assert naive_is_good_set(g, {1, 2, 3}, profile.m, profile.dense)
-    assert is_good_set(g, {1, 2, 3}, profile)
+    assert check_good_set(g, {1, 2, 3}, profile) is None
 
 
 def test_is_good_set_reports_encircled_vertex():
@@ -79,7 +71,7 @@ def test_is_good_set_star_of_stars():
     profile = density_profile(g)
     assert profile.m == 3
     assert naive_is_good_set(g, {0, 1, 2}, profile.m, profile.dense)
-    assert is_good_set(g, {0, 1, 2}, profile)
+    assert check_good_set(g, {0, 1, 2}, profile) is None
 
 
 def test_is_good_set_wrong_size_and_not_dense():
@@ -105,27 +97,25 @@ def test_uncovered_high_degree_reason():
 
 def test_has_good_set_examples():
     t_enc = encircled_tree()
-    assert has_good_set(t_enc, density_profile(t_enc)) is False
+    assert find_good_set(t_enc, density_profile(t_enc)) is None
 
     c9 = cycle_graph(9)
     profile = density_profile(c9)
     assert profile.m == 3
     assert len(profile.dense) == 9
-    assert has_good_set(c9, profile) is True
+    assert find_good_set(c9, profile) is not None
 
     p5 = path_graph(5)
-    assert has_good_set(p5, density_profile(p5)) is True
+    assert find_good_set(p5, density_profile(p5)) is not None
 
 
 def test_has_good_set_requires_girth_eight():
     c5 = cycle_graph(5)
     with pytest.raises(PreconditionError):
-        has_good_set(c5, density_profile(c5))
-    with pytest.raises(PreconditionError):
         find_good_set(c5, density_profile(c5))
     # girth exactly 8 is allowed
     c8 = cycle_graph(8)
-    assert has_good_set(c8, density_profile(c8)) is True
+    assert find_good_set(c8, density_profile(c8)) is not None
 
 
 def test_find_good_set_path_five():
@@ -133,7 +123,7 @@ def test_find_good_set_path_five():
     profile = density_profile(g)
     found = find_good_set(g, profile)
     assert found is not None
-    assert is_good_set(g, found.members, profile)
+    assert check_good_set(g, found.members, profile) is None
 
 
 def test_find_good_set_none_for_encircled_tree():
@@ -152,7 +142,6 @@ def test_characterization_matches_exhaustive_enumeration(n, seed):
     g = random_tree(n, rng)
     profile = density_profile(g)
     expected = naive_has_good_set(g, profile.m, profile.dense)
-    assert has_good_set(g, profile) is expected
     found = find_good_set(g, profile)
     if expected:
         assert found is not None
@@ -167,7 +156,7 @@ def test_more_dense_than_m_implies_good_set(n, seed):
     g = random_tree(n, rng)
     profile = density_profile(g)
     if len(profile.dense) > profile.m:
-        assert has_good_set(g, profile) is True
+        assert find_good_set(g, profile) is not None
 
 
 def test_find_good_set_agrees_with_enumeration_on_every_subset():

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bchrom.graph
 from bchrom import (
     ACYCLIC,
     Graph,
@@ -13,7 +14,6 @@ from bchrom import (
     girth,
     parse_dimacs,
     parse_edge_list,
-    restricted_neighbors,
     to_edge_list,
 )
 
@@ -24,7 +24,6 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_tree,
-    star_graph,
 )
 
 
@@ -55,7 +54,7 @@ def test_parse_comments_and_sparse_labels():
     g = parse_edge_list("# a comment\n10 40\n40 7\n")
     assert g.n == 3
     assert g.labels == (7, 10, 40)
-    assert g.has_edge(g.id_of(10), g.id_of(40))
+    assert g.id_of(40) in g.adj_sets[g.id_of(10)]
 
 
 def test_parse_n_header_declares_isolated_vertices():
@@ -88,6 +87,22 @@ def test_dimacs_rejects_bad_lines():
         parse_dimacs("p edge 2 1\ne 1 3\n")  # endpoint out of range
     with pytest.raises(ParseError):
         parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")  # duplicate edge
+    with pytest.raises(ParseError, match="self-loop"):
+        parse_dimacs("p edge 2 1\ne 2 2\n")
+
+
+def test_declared_vertex_count_is_capped(monkeypatch):
+    with pytest.raises(ParseError, match="line 2: '# n=' declares 1000000000000 vertices"):
+        parse_edge_list("0 1\n# n=1000000000000\n")
+    with pytest.raises(ParseError, match="line 2: problem line declares 1000000000000 vertices"):
+        parse_dimacs("c big\np edge 1000000000000 0\n")
+    monkeypatch.setattr(bchrom.graph, "MAX_VERTICES", 3)
+    assert parse_edge_list("# n=3\n").n == 3
+    assert parse_dimacs("p edge 3 0\n").n == 3
+    with pytest.raises(ParseError, match="above the limit 3"):
+        parse_edge_list("# n=4\n")
+    with pytest.raises(ParseError, match="above the limit 3"):
+        parse_dimacs("p edge 4 0\n")
 
 
 def test_serialize_round_trip_with_header():
@@ -122,16 +137,6 @@ def test_girth_two_cycles_sharing_a_vertex():
     # C_3 and C_5 glued at vertex 0
     g = Graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)])
     assert girth(g) == 3
-
-
-def test_restricted_neighbors():
-    p3 = path_graph(3)
-    assert restricted_neighbors(p3, 1, {0}) == {0}
-    assert restricted_neighbors(p3, 1, set()) == set()
-    star = star_graph(4)
-    assert restricted_neighbors(star, 0, {1, 2, 3, 4}) == {1, 2, 3, 4}
-    with pytest.raises(ValueError):
-        restricted_neighbors(p3, 7, {0})
 
 
 @given(st.integers(0, 9), st.integers(0, 40), st.integers(0, 2**30))
@@ -273,7 +278,7 @@ def test_edge_list_round_trip(n, seed):
     rng = random.Random(seed)
     pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.4]
     g = Graph(n, pairs)
-    if any(g.degree(u) == 0 for u in range(n)):
+    if any(len(g.adj[u]) == 0 for u in range(n)):
         assert parse_edge_list(to_edge_list(g)) == g
     else:
         # also exercise exotic labels when no header is needed

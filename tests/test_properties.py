@@ -9,8 +9,8 @@ from bchrom import (
     density_profile,
     exact_b_chromatic,
     generate_girth_constrained,
+    find_good_set,
     girth,
-    has_good_set,
     run_pipeline,
     ACYCLIC,
 )
@@ -55,7 +55,7 @@ def test_characterization_on_generated_high_girth_graphs(n, seed):
     g = generate_girth_constrained(n, 8, n + 2, seed=seed)
     profile = density_profile(g)
     expected = naive_has_good_set(g, profile.m, profile.dense)
-    assert has_good_set(g, profile) is expected
+    assert (find_good_set(g, profile) is not None) is expected
 
 
 @given(st.integers(1, 40), st.integers(0, 2**30))
