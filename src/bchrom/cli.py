@@ -27,6 +27,22 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
+#: Exceptions the CLI reports as an exit code instead of a traceback.
+#: ParseError, PreconditionError and UnicodeDecodeError are ValueErrors.
+_REPORTED_ERRORS = (
+    ValueError, OracleLimitError, InvariantViolation, FileNotFoundError, IsADirectoryError, PermissionError
+)
+
+
+def _exit_status(exc: BaseException) -> tuple[int, str]:
+    """Exit code and message prefix for one of _REPORTED_ERRORS."""
+    if isinstance(exc, InvariantViolation):
+        return EXIT_INTERNAL, "internal error"
+    if isinstance(exc, (PreconditionError, OracleLimitError)):
+        return EXIT_REFUSED, "refused"
+    return EXIT_INPUT, "error"
+
+
 _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
 
 
@@ -133,42 +149,39 @@ def run_pipeline(
     if not (compute_chi_b or need_coloring):
         return outcome
 
-    if not force_oracle and high_girth:
-        if good is not None:
-            built = b_coloring_with_good_set(g, good, profile=profile, girth_value=gv)
-            record.chi_b = built.chi_b
-            record.chi_b_method = "construction"
-            outcome.coloring = built.coloring
-            outcome.basis = built.basis
-            outcome.trace = built.trace
-        else:
-            record.chi_b = profile.m - 1
-            if g.n <= oracle_limit:
-                witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
-                if witness is None:
-                    raise InvariantViolation("an (m-1)-color b-coloring must exist when no good set does")
-                record.chi_b_method = "oracle"
-                outcome.coloring = witness
-                outcome.basis = check_b_coloring(g, witness, record.chi_b).basis
-            else:
-                record.chi_b_method = "nogoodset-theorem"
-                if need_coloring:
-                    raise OracleLimitError(
-                        f"chi_b = {record.chi_b} is exact, but a witness coloring needs the exact search "
-                        f"(n = {g.n} exceeds the oracle limit {oracle_limit})"
-                    )
+    theory = high_girth and not force_oracle
+    if theory and good is not None:
+        built = b_coloring_with_good_set(g, good, profile=profile, girth_value=gv)
+        record.chi_b = built.chi_b
+        record.chi_b_method = "construction"
+        outcome.coloring = built.coloring
+        outcome.basis = built.basis
+        outcome.trace = built.trace
         return outcome
 
-    # oracle territory: forced, or the girth theory does not apply
     if g.n > oracle_limit:
+        if theory:
+            record.chi_b = profile.m - 1
+            record.chi_b_method = "nogoodset-theorem"
+            if need_coloring:
+                raise OracleLimitError(
+                    f"chi_b = {record.chi_b} is exact, but a witness coloring needs the exact search "
+                    f"(n = {g.n} exceeds the oracle limit {oracle_limit})"
+                )
+            return outcome
         if force_oracle or need_coloring:
             raise OracleLimitError(f"n = {g.n} exceeds the oracle limit {oracle_limit}")
         record.chi_b_method = "bounds-only"
         record.chi_b_upper = profile.m
         return outcome
-    record.chi_b = exact_b_chromatic(g, limit=oracle_limit)
+
+    # the exact search witnesses m(G) - 1 when no good set exists, and
+    # decides chi_b itself when forced or when the girth theory does not apply
+    record.chi_b = profile.m - 1 if theory else exact_b_chromatic(g, limit=oracle_limit)
     record.chi_b_method = "oracle"
     witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
+    if witness is None:
+        raise InvariantViolation(f"the exact search found no b-coloring with chi_b = {record.chi_b} colors")
     outcome.coloring = witness
     outcome.basis = check_b_coloring(g, witness, record.chi_b).basis
     return outcome
@@ -197,6 +210,7 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
     """
     k: int | None = None
     coloring: dict[int, int] = {}
+    vertex_of = {label: v for v, label in enumerate(g.labels)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -217,7 +231,9 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
             label, color = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"non-integer token in {line!r}", lineno) from None
-        vertex = g.id_of(label)
+        vertex = vertex_of.get(label)
+        if vertex is None:
+            raise ValueError(f"unknown vertex label {label}")
         if vertex in coloring:
             raise ParseError(f"vertex {label} colored twice", lineno)
         coloring[vertex] = color
@@ -248,8 +264,7 @@ def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = No
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.batch is not None:
-        failures = 0
-        internal_errors = 0
+        worst = EXIT_OK
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         for index, path in enumerate(paths):
             try:
@@ -263,13 +278,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if not args.json and index:
                     print()
                 _print_record(outcome.record, args.json, extra={"file": path.name})
-            except (ParseError, ValueError, OracleLimitError, InvariantViolation) as exc:
-                if isinstance(exc, InvariantViolation):
-                    internal_errors += 1
-                    message = f"internal error: {exc}"
-                else:
-                    failures += 1
-                    message = str(exc)
+            except _REPORTED_ERRORS as exc:
+                code, prefix = _exit_status(exc)
+                worst = max(worst, code)
+                message = f"{prefix}: {exc}" if code == EXIT_INTERNAL else str(exc)
                 if args.json:
                     print(json.dumps({"file": path.name, "error": message}))
                 else:
@@ -277,9 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                         print()
                     print(f"file {path.name}")
                     print(f"error {message}")
-        if internal_errors:
-            return EXIT_INTERNAL
-        return EXIT_INPUT if failures else EXIT_OK
+        return worst
     g = load_graph(args.input, args.format)
     outcome = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
     _print_record(outcome.record, args.json)
@@ -400,18 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PreconditionError, OracleLimitError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except _REPORTED_ERRORS as exc:
+        code, prefix = _exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code

@@ -24,7 +24,7 @@ from . import oracle
 from .density import DensityProfile, density_profile
 from .errors import InvariantViolation
 from .goodset import GoodSet, check_good_set
-from .graph import Graph, ensure_min_girth, girth
+from .graph import Graph, ensure_min_girth
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ class BResult:
 
 
 class PartialColoring:
-    """Mutable vertex -> color map that records provenance and recolorings."""
+    """Mutable vertex -> color map that traces every assignment and recoloring."""
 
     def __init__(self):
         self.colors: dict[int, int] = {}
-        self.provenance: dict[int, str] = {}
         self.trace: list[TraceEvent] = []
         self._recolored: set[int] = set()
 
@@ -72,7 +71,6 @@ class PartialColoring:
         if v in self.colors:
             raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
         self.colors[v] = color
-        self.provenance[v] = step
         self.trace.append(TraceEvent(step, v, color))
 
     def recolor(self, v: int, color: int, step: str) -> None:
@@ -83,7 +81,6 @@ class PartialColoring:
         self._recolored.add(v)
         old = self.colors[v]
         self.colors[v] = color
-        self.provenance[v] = step
         self.trace.append(TraceEvent(step, v, color, recolored_from=old))
 
 
@@ -163,14 +160,11 @@ def _assert_anchor_slack(g: Graph, pc: PartialColoring, anchors: GoodSet) -> Non
             )
 
 
-def color_links(
-    g: Graph,
-    anchors: GoodSet,
-    links: LinkStructure,
-    *,
-    girth_value: int | float | None = None,
-) -> PartialColoring:
+def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColoring:
     """Anchor W and run the four link-coloring passes, each to exhaustion.
+
+    The passes are sound for girth >= 9 only; b_coloring_with_good_set
+    checks the girth before calling them.
 
     1. A link vertex x with a link neighbor x' takes the color of one of
        x' own anchors.
@@ -186,7 +180,6 @@ def color_links(
        neither touches x nor shares with x a witness neighbor; condition (a)
        of the good set guarantees such an anchor exists.
     """
-    ensure_min_girth(g, 9, girth_value)
     members = anchors.members
     m = len(members)
     anchor_color = {v: i + 1 for i, v in enumerate(members)}
@@ -352,13 +345,12 @@ def b_coloring_with_good_set(
     """
     if profile is None:
         profile = density_profile(g)
-    gv = girth_value if girth_value is not None else girth(g)
-    ensure_min_girth(g, 9, gv)
+    ensure_min_girth(g, 9, girth_value)
     violation = check_good_set(g, anchors.members, profile)
     if violation is not None:
         raise ValueError(f"anchors are not a good set: {violation.kind}")
     links = classify_links(g, anchors)
-    pc = color_links(g, anchors, links, girth_value=gv)
+    pc = color_links(g, anchors, links)
     complete_b_vertices(g, anchors, pc)
     total = greedy_extend(g, pc, profile.m)
     report = oracle.check_b_coloring(g, total, profile.m)

@@ -41,18 +41,19 @@ class GoodSetViolation:
     witness: int | None = None
 
 
-def encircles(g: Graph, members: Iterable[int], u: int, profile: DensityProfile) -> bool:
+def encircles(g: Graph, members: Iterable[int], u: int, m: int) -> bool:
     """True iff every v in W is adjacent to u or shares with u a common
-    neighbor w in W of degree exactly m(G) - 1.
+    neighbor w in W of degree exactly m - 1.
 
-    Evaluates the pure definition for any W (the empty set encircles
+    m is m(G) for the good-set check and the color count k for the oracle's
+    prune.  Evaluates the pure definition for any W (the empty set encircles
     everything vacuously); size constraints belong to the good-set check.
     """
     w_set = set(members)
     g.check_vertex(u)
     if u in w_set:
         raise ValueError(f"vertex {u} is a member of the candidate set")
-    target = profile.m - 1
+    target = m - 1
     nu = g.adj_sets[u]
     witness_pool = [w for w in w_set if w in nu and len(g.adj[w]) == target]
     for v in w_set:
@@ -64,26 +65,26 @@ def encircles(g: Graph, members: Iterable[int], u: int, profile: DensityProfile)
     return True
 
 
-def find_encircled_vertex(g: Graph, members: Iterable[int], profile: DensityProfile) -> int | None:
-    """Smallest vertex outside W that W encircles, or None.
+def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | None:
+    """Smallest vertex outside W that W encircles with witness degree m - 1, or None.
 
-    Only vertices adjacent to the first member, or adjacent to one of its
-    degree-(m-1) co-members, can possibly be encircled, which keeps the scan
-    local on sparse graphs.
+    m is as in ``encircles``.  Only vertices adjacent to the first member, or
+    adjacent to one of its degree-(m-1) co-members, can possibly be
+    encircled, which keeps the scan local on sparse graphs.
     """
     w_sorted = sorted(set(members))
     if not w_sorted:
         raise ValueError("candidate set must be nonempty")
     v0 = w_sorted[0]
     w_set = set(w_sorted)
-    target = profile.m - 1
+    target = m - 1
     candidates = set(g.adj_sets[v0])
     for w in g.adj_sets[v0]:
         if w in w_set and len(g.adj[w]) == target:
             candidates |= g.adj_sets[w]
     candidates -= w_set
     for u in sorted(candidates):
-        if encircles(g, w_sorted, u, profile):
+        if encircles(g, w_sorted, u, m):
             return u
     return None
 
@@ -96,7 +97,7 @@ def check_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) ->
     for v in w:
         if v not in profile.dense:
             return GoodSetViolation("not-dense", v)
-    u = find_encircled_vertex(g, w, profile)
+    u = find_encircled_vertex(g, w, profile.m)
     if u is not None:
         return GoodSetViolation("encircles", u)
     w_set = set(w)

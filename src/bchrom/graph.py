@@ -34,7 +34,7 @@ class Graph:
     structure is immutable afterwards (safe to share between threads).
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "labels", "_label_to_id")
+    __slots__ = ("n", "adj", "adj_sets", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
         if n < 0:
@@ -60,7 +60,6 @@ class Graph:
         if len(set(label_tuple)) != n:
             raise ValueError("labels must be distinct")
         self.labels: tuple[int, ...] = label_tuple
-        self._label_to_id = {lab: i for i, lab in enumerate(label_tuple)}
 
     def check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -79,12 +78,6 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield u, v
-
-    def id_of(self, label: int) -> int:
-        try:
-            return self._label_to_id[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex label {label}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -289,12 +282,11 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def ensure_min_girth(g: Graph, bound: int, girth_value: int | float | None = None) -> int | float:
+def ensure_min_girth(g: Graph, bound: int, girth_value: int | float | None = None) -> None:
     """Raise PreconditionError unless the graph is acyclic or has girth >= bound."""
     value = girth(g) if girth_value is None else girth_value
     if value < bound:
         raise PreconditionError(f"requires girth >= {bound} (or a forest); this graph has girth {value}")
-    return value
 
 
 def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:

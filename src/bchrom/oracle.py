@@ -149,9 +149,16 @@ def find_b_coloring_exact(
     Iterates over candidate bases (k vertices of degree >= k - 1; the i-th
     smallest is pinned to color i + 1, which is lossless up to renaming
     colors) and backtracks over the remaining vertices with counting-based
-    forward checking.  When k = m(G), any candidate basis that encircles an
-    outside vertex can never witness a b-coloring and is skipped; the prune
-    can be disabled to test that it never changes answers.
+    forward checking.
+
+    A candidate basis that encircles an outside vertex, with k - 1 as the
+    witness degree, is skipped at every k.  It can never be a basis: if u
+    is outside a basis W and encircled by it, the b-vertex of u's color is
+    not adjacent to u, so it shares with u a neighbor w in W of degree
+    k - 1.  As a b-vertex, w needs k - 1 distinct colors on its k - 1
+    neighbors, yet two of them, u and that b-vertex, carry u's color.  The
+    prune therefore never changes the returned coloring; it can be disabled
+    to test exactly that.
     """
     cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
     if g.n > cap:
@@ -163,12 +170,8 @@ def find_b_coloring_exact(
     eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
     if len(eligible) < k:
         return None
-    prune = False
-    if use_encirclement_prune and g.n > 0:
-        profile = density_profile(g)
-        prune = k == profile.m
     for basis in combinations(eligible, k):
-        if prune and find_encircled_vertex(g, basis, profile) is not None:
+        if use_encirclement_prune and find_encircled_vertex(g, basis, k) is not None:
             continue
         result = _extend_basis(g, basis, k)
         if result is not None:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 import bchrom.cli
-import bchrom.coloring
 import bchrom.graph
 from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline
 from bchrom.cli import EXIT_INTERNAL, main
@@ -196,6 +195,13 @@ def test_verify_refuses_k_above_vertex_count(tmp_path, capsys):
     assert "line 1: k=1000000000000 exceeds the graph's 5 vertices" in err
 
 
+def test_verify_refuses_unknown_label(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    coloring_path = write_graph(tmp_path, "p5.coloring", "# k=3 basis=\n0 1\n7 2\n")
+    assert main(["verify", graph_path, coloring_path]) == 2
+    assert "error: unknown vertex label 7" in capsys.readouterr().err
+
+
 def test_exit_code_on_missing_file(capsys):
     assert main(["analyze", "/no/such/file.txt"]) == 2
     capsys.readouterr()
@@ -230,6 +236,22 @@ def test_batch_mode_reports_file_errors(tmp_path, capsys):
     assert "error" in lines[1]
 
 
+def test_batch_mode_exits_with_the_refusal_code(tmp_path, capsys):
+    write_graph(tmp_path, "a_p5.txt", P5_TEXT)
+    argv = ["--chi-b", "--oracle", "--oracle-limit", "3", "--json"]
+    assert main(["analyze", str(tmp_path / "a_p5.txt"), *argv]) == 3
+    capsys.readouterr()
+    assert main(["analyze", "--batch", str(tmp_path), *argv]) == 3
+    lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert lines == [{"file": "a_p5.txt", "error": "n = 5 exceeds the oracle limit 3"}]
+    # a parse error (exit 2) read first does not lower the batch's code
+    write_graph(tmp_path, "0_bad.txt", "0 0\n")
+    assert main(["analyze", "--batch", str(tmp_path), *argv]) == 3
+    lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert [line["file"] for line in lines] == ["0_bad.txt", "a_p5.txt"]
+    assert lines[0]["error"].startswith("line 1: self-loop")
+
+
 def test_color_refuses_large_no_good_set_instance(tmp_path, capsys):
     path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
     # the value m-1 is known exactly, but a witness needs the oracle
@@ -262,7 +284,7 @@ def girth_calls(monkeypatch):
         calls.append(g.n)
         return real(g)
 
-    for module in (bchrom.cli, bchrom.graph, bchrom.coloring):
+    for module in (bchrom.cli, bchrom.graph):
         monkeypatch.setattr(module, "girth", counting)
     return calls
 
@@ -295,6 +317,14 @@ def test_invariant_violation_exits_with_internal_code(tmp_path, capsys, monkeypa
     assert "step=completion" in err and "vertex=2" in err
     assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
     assert "internal error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [T_ENC_TEXT, C5_TEXT], ids=["no-good-set", "low-girth"])
+def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", lambda *args, **kwargs: None)
+    path = write_graph(tmp_path, "g.txt", text)
+    assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
+    assert "internal error: the exact search found no b-coloring" in capsys.readouterr().err
 
 
 def test_batch_mode_records_internal_error_and_continues(tmp_path, capsys, monkeypatch):

@@ -38,6 +38,11 @@ from helpers import (
 )
 
 
+def last_step(pc: PartialColoring, v: int) -> str:
+    """The step of the last trace event that colored or recolored v."""
+    return next(event.step for event in reversed(pc.trace) if event.vertex == v)
+
+
 # ------------------------------------------------------------ link scan
 
 
@@ -139,7 +144,7 @@ def test_color_links_anchor_only_when_no_links():
     anchors = GoodSet((0, 1, 2))
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert pc.colors == {0: 1, 1: 2, 2: 3}
-    assert all(step == "anchor" for step in pc.provenance.values())
+    assert all(event.step == "anchor" for event in pc.trace)
 
 
 def test_color_links_nine_cycle_golden():
@@ -148,16 +153,7 @@ def test_color_links_nine_cycle_golden():
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert pc.colors == {0: 1, 3: 2, 6: 3, 1: 2, 2: 1, 4: 3, 5: 2, 7: 1, 8: 3}
     for x in (1, 2, 4, 5, 7, 8):
-        assert pc.provenance[x] == "step1"
-
-
-def test_color_links_requires_girth_nine():
-    g = cycle_graph(8)
-    profile = density_profile(g)
-    anchors = find_good_set(g, profile)
-    assert anchors is not None
-    with pytest.raises(PreconditionError):
-        color_links(g, anchors, classify_links(g, anchors))
+        assert last_step(pc, x) == "step1"
 
 
 def test_derangement_pass_golden():
@@ -167,8 +163,8 @@ def test_derangement_pass_golden():
     anchors = find_good_set(g, profile)
     assert anchors.members == (0, 1, 2, 3)
     pc = color_links(g, anchors, classify_links(g, anchors))
-    assert pc.provenance[4] == "step2"
-    assert pc.provenance[5] == "step2"
+    assert last_step(pc, 4) == "step2"
+    assert last_step(pc, 5) == "step2"
     assert pc.colors[4] == 3 and pc.colors[5] == 2
 
 
@@ -179,9 +175,9 @@ def test_steal_pass_golden_trace():
     anchors = find_good_set(g, profile)
     assert anchors.members == (0, 1, 2)
     pc = color_links(g, anchors, classify_links(g, anchors))
-    assert pc.colors[4] == 2 and pc.provenance[4] == "step3-recolor"
-    assert pc.colors[3] == 3 and pc.provenance[3] == "step3-new"
-    assert pc.colors[5] == 1 and pc.provenance[5] == "step1"
+    assert pc.colors[4] == 2 and last_step(pc, 4) == "step3-recolor"
+    assert pc.colors[3] == 3 and last_step(pc, 3) == "step3-new"
+    assert pc.colors[5] == 1 and last_step(pc, 5) == "step1"
     recolors = [event for event in pc.trace if event.recolored_from is not None]
     assert len(recolors) == 1
     assert recolors[0].vertex == 4 and recolors[0].recolored_from == 3
@@ -193,7 +189,7 @@ def test_fallback_pass_golden():
     anchors = find_good_set(g, profile)
     assert anchors.members == (0, 1, 2)
     pc = color_links(g, anchors, classify_links(g, anchors))
-    assert pc.colors[3] == 3 and pc.provenance[3] == "step4"
+    assert pc.colors[3] == 3 and last_step(pc, 3) == "step4"
 
 
 # ------------------------------------------------ completion and greedy
@@ -205,8 +201,8 @@ def test_completion_path_five_golden():
     pc = color_links(g, anchors, classify_links(g, anchors))
     complete_b_vertices(g, anchors, pc)
     assert pc.colors == {0: 3, 1: 1, 2: 2, 3: 3, 4: 1}
-    assert pc.provenance[0] == "completion"
-    assert pc.provenance[4] == "completion"
+    assert last_step(pc, 0) == "completion"
+    assert last_step(pc, 4) == "completion"
 
 
 def test_completion_star_of_stars_golden():
@@ -292,9 +288,14 @@ def test_construction_rejects_non_good_set():
 
 
 def test_construction_refuses_low_girth():
-    g = cycle_graph(7)
     with pytest.raises(PreconditionError):
-        b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
+        b_coloring_with_good_set(cycle_graph(7), GoodSet((0, 1, 2)))
+    # C8 has a good set, so only its girth of 8 can be refused
+    c8 = cycle_graph(8)
+    anchors = find_good_set(c8, density_profile(c8))
+    assert anchors is not None
+    with pytest.raises(PreconditionError, match="girth >= 9"):
+        b_coloring_with_good_set(c8, anchors)
 
 
 def test_completion_colors_high_degree_leftover():

@@ -25,7 +25,7 @@ def test_encircles_path_five():
     w = {1, 2, 3}
     # independent definition check first, then the implementation
     assert naive_encircles(g, w, 0, profile.m) is False
-    assert encircles(g, w, 0, profile) is False
+    assert encircles(g, w, 0, profile.m) is False
 
 
 def test_encircles_encircled_tree():
@@ -34,20 +34,20 @@ def test_encircles_encircled_tree():
     assert profile.m == 4
     assert profile.dense == frozenset({1, 2, 3, 4})
     assert naive_encircles(g, profile.dense, 0, profile.m) is True
-    assert encircles(g, profile.dense, 0, profile) is True
+    assert encircles(g, profile.dense, 0, profile.m) is True
 
 
 def test_encircles_empty_set_is_vacuous():
     g = path_graph(3)
     profile = density_profile(g)
-    assert encircles(g, set(), 0, profile) is True
+    assert encircles(g, set(), 0, profile.m) is True
 
 
 def test_encircles_rejects_member():
     g = path_graph(5)
     profile = density_profile(g)
     with pytest.raises(ValueError):
-        encircles(g, {1, 2, 3}, 2, profile)
+        encircles(g, {1, 2, 3}, 2, profile.m)
 
 
 def test_is_good_set_path_five():

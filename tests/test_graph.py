@@ -54,7 +54,7 @@ def test_parse_comments_and_sparse_labels():
     g = parse_edge_list("# a comment\n10 40\n40 7\n")
     assert g.n == 3
     assert g.labels == (7, 10, 40)
-    assert g.id_of(40) in g.adj_sets[g.id_of(10)]
+    assert g.labels.index(40) in g.adj_sets[g.labels.index(10)]
 
 
 def test_parse_n_header_declares_isolated_vertices():

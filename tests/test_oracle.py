@@ -112,6 +112,30 @@ def test_prune_soundness_small_sweep():
         assert with_prune == without
 
 
+def assert_prune_keeps_witness(g: Graph, k: int) -> None:
+    pruned = find_b_coloring_exact(g, k)
+    assert pruned == find_b_coloring_exact(g, k, use_encirclement_prune=False)
+
+
+@given(st.integers(1, 9), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
+def test_prune_keeps_the_witness_at_every_k_on_graphs(n, edge_prob, seed):
+    g = random_simple_graph(n, edge_prob, random.Random(seed))
+    for k in range(1, density_profile(g).m + 1):
+        assert_prune_keeps_witness(g, k)
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30))
+def test_prune_keeps_the_witness_at_every_k_on_trees(n, seed):
+    g = random_tree(n, random.Random(seed))
+    for k in range(1, density_profile(g).m + 1):
+        assert_prune_keeps_witness(g, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_prune_keeps_the_witness_on_the_encircled_tree(k):
+    assert_prune_keeps_witness(encircled_tree(), k)
+
+
 @given(st.integers(1, 9), st.integers(0, 2**30))
 def test_returned_colorings_always_validate(n, seed):
     rng = random.Random(seed)
