@@ -156,6 +156,21 @@ def test_color_links_nine_cycle_golden():
         assert last_step(pc, x) == "step1"
 
 
+def test_color_links_requires_girth_nine(monkeypatch):
+    # the link passes are sound for girth >= 9 only; C8 has a good set, so
+    # only its girth of 8 can be refused, and before color_links runs
+    g = cycle_graph(8)
+    anchors = find_good_set(g, density_profile(g))
+    assert anchors is not None
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("color_links ran on a graph of girth 8")
+
+    monkeypatch.setattr("bchrom.coloring.color_links", unreachable)
+    with pytest.raises(PreconditionError, match="girth >= 9"):
+        b_coloring_with_good_set(g, anchors)
+
+
 def test_derangement_pass_golden():
     g = two_fan_tree()
     profile = density_profile(g)
@@ -290,12 +305,6 @@ def test_construction_rejects_non_good_set():
 def test_construction_refuses_low_girth():
     with pytest.raises(PreconditionError):
         b_coloring_with_good_set(cycle_graph(7), GoodSet((0, 1, 2)))
-    # C8 has a good set, so only its girth of 8 can be refused
-    c8 = cycle_graph(8)
-    anchors = find_good_set(c8, density_profile(c8))
-    assert anchors is not None
-    with pytest.raises(PreconditionError, match="girth >= 9"):
-        b_coloring_with_good_set(c8, anchors)
 
 
 def test_completion_colors_high_degree_leftover():
