@@ -2,10 +2,13 @@
 """Cross-check the pipeline against the exhaustive oracle on small inputs.
 
 Random labeled trees plus random high-girth graphs, all within the oracle
-cap, compared at tolerance zero.
+cap, compared at tolerance zero.  Random trees with 11 to 14 vertices are
+drawn until a fixed number of them have no good set, so the oracle path
+(the exact witness with m(G) - 1 colors) is cross-checked too; it exits 1
+if that path never ran.  Every witness coloring must pass check_b_coloring.
 
 Usage:
-    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
+    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --no-good-set-trees 20 --seed 7
 """
 
 from __future__ import annotations
@@ -13,8 +16,17 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from collections import Counter
 
-from bchrom import Graph, exact_b_chromatic, generate_girth_constrained, run_pipeline
+from bchrom import (
+    Graph,
+    check_b_coloring,
+    density_profile,
+    exact_b_chromatic,
+    find_good_set,
+    generate_girth_constrained,
+    run_pipeline,
+)
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -41,21 +53,29 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=500)
     parser.add_argument("--graphs", type=int, default=200)
+    parser.add_argument("--no-good-set-trees", type=int, default=20)
     parser.add_argument("--max-n", type=int, default=13)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
     mismatches = 0
+    invalid = 0
+    methods: Counter[str] = Counter()
     start = time.perf_counter()
 
     def compare(g, tag, index):
-        nonlocal mismatches
+        nonlocal mismatches, invalid
         expected = exact_b_chromatic(g)
-        got = run_pipeline(g, compute_chi_b=True).record.chi_b
+        outcome = run_pipeline(g, compute_chi_b=True)
+        got = outcome.record.chi_b
+        methods[outcome.record.chi_b_method] += 1
         if got != expected:
             mismatches += 1
             print(f"MISMATCH {tag} #{index}: pipeline={got} oracle={expected} n={g.n}")
+        if outcome.coloring is not None and not check_b_coloring(g, outcome.coloring, got).valid:
+            invalid += 1
+            print(f"INVALID WITNESS {tag} #{index}: {outcome.record.chi_b_method} n={g.n}")
 
     for index in range(args.trees):
         compare(random_tree(rng.randint(1, 10), rng), "tree", index)
@@ -63,15 +83,28 @@ def main() -> int:
         n = rng.randint(1, args.max_n)
         g = generate_girth_constrained(n, 9, n + 3, seed=rng.randrange(2**32))
         compare(g, "graph", index)
+    drawn = 0
+    for index in range(args.no_good_set_trees):
+        while True:
+            drawn += 1
+            g = random_tree(rng.randint(11, 14), rng)
+            if find_good_set(g, density_profile(g)) is None:
+                break
+        compare(g, "no-good-set tree", index)
 
     elapsed = time.perf_counter() - start
-    total = args.trees + args.graphs
-    print(f"instances  {total}")
+    total = args.trees + args.graphs + args.no_good_set_trees
+    print(f"instances  {total} ({drawn} trees drawn to find {args.no_good_set_trees} without a good set)")
     print(f"elapsed    {elapsed:.2f}s")
-    if mismatches:
-        print(f"FAILED: {mismatches} mismatches")
+    for method, count in sorted(methods.items()):
+        print(f"method {method:<18} {count}")
+    if mismatches or invalid:
+        print(f"FAILED: {mismatches} mismatches, {invalid} invalid witnesses")
         return 1
-    print("crosscheck OK: pipeline equals the oracle everywhere")
+    if not methods["oracle"]:
+        print("FAILED: no instance took the oracle path")
+        return 1
+    print("crosscheck OK: pipeline equals the oracle everywhere, every witness is valid")
     return 0
 
 

@@ -206,7 +206,8 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
     """Read a coloring file back as (k, vertex-id -> color).
 
     A b-coloring has k nonempty classes, so a header with k above the vertex
-    count can never be valid and is refused as a parse error.
+    count can never be valid and is refused as a parse error, and so is a
+    file that leaves a vertex uncolored (named by its label).
     """
     k: int | None = None
     coloring: dict[int, int] = {}
@@ -239,6 +240,9 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
         coloring[vertex] = color
     if k is None:
         raise ParseError("missing '# k=... basis=...' header")
+    if len(coloring) < g.n:
+        missing = next(v for v in range(g.n) if v not in coloring)
+        raise ParseError(f"coloring is partial: vertex {g.labels[missing]} has no color")
     return k, coloring
 
 

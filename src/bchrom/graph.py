@@ -30,7 +30,8 @@ class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
     The constructor canonicalizes and validates: self-loops and duplicate
-    edges are rejected, adjacency is stored strictly increasing, and the
+    edges are rejected (a duplicate is named as (u, v) with u < v, for the
+    lowest such u), adjacency is stored strictly increasing, and the
     structure is immutable afterwards (safe to share between threads).
     """
 
@@ -39,19 +40,23 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+        neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in neighbor_sets[u]:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        adj_sets = tuple(frozenset(nbrs) for nbrs in neighbors)
+        for u, nbrs in enumerate(neighbors):
+            nbrs.sort()
+            if len(adj_sets[u]) != len(nbrs):  # u lists a neighbor twice
+                v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in neighbor_sets)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(nbrs) for nbrs in neighbors)
+        self.adj_sets: tuple[frozenset[int], ...] = adj_sets
         if labels is None:
             labels = range(n)
         label_tuple = tuple(labels)

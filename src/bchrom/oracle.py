@@ -44,43 +44,51 @@ class ValidityReport:
 
 
 def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityReport:
-    """Validate a total coloring as a b-coloring with exactly k colors."""
+    """Validate a total coloring as a b-coloring with exactly k colors.
+
+    One pass over the edges finds the monochromatic ones, and one sweep over
+    the vertices in id order finds each class's b-vertex, so the check costs
+    O(n + m).  The b-vertex reported for a class is its lowest-id one.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    for u in range(g.n):
-        if u not in coloring:
-            raise ValueError(f"coloring is partial: vertex {u} has no color")
+    try:
+        colors = [coloring[u] for u in range(g.n)]
+    except KeyError:
+        missing = next(u for u in range(g.n) if u not in coloring)
+        raise ValueError(f"coloring is partial: vertex {missing} has no color") from None
+    adj = g.adj
     violations: list[Violation] = []
-    proper = True
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            violations.append(Violation("monochromatic-edge", (u, v)))
-            proper = False
+    for u, nbrs in enumerate(adj):
+        cu = colors[u]
+        for v in nbrs:
+            if u < v and colors[v] == cu:
+                violations.append(Violation("monochromatic-edge", (u, v)))
+    proper = not violations
     expected = set(range(1, k + 1))
-    used = {coloring[u] for u in range(g.n)}
+    used = set(colors)
     for c in sorted(used - expected):
         violations.append(Violation("color-gap", c))
     for c in sorted(expected - used):
         violations.append(Violation("color-gap", c))
+    # a vertex whose degree is below k - 1 cannot see the k - 1 other colors
     basis: dict[int, int] = {}
-    for c in range(1, k + 1):
-        found = None
-        for u in range(g.n):
-            if coloring[u] != c:
-                continue
-            seen = {coloring[v] for v in g.adj[u]}
-            if expected - {c} <= seen:
-                found = u
+    for u, nbrs in enumerate(adj):
+        c = colors[u]
+        if c in basis or len(nbrs) < k - 1 or not 1 <= c <= k:
+            continue
+        seen = {colors[v] for v in nbrs}
+        seen.add(c)
+        if expected <= seen:
+            basis[c] = u
+            if len(basis) == k:
                 break
-        if found is not None:
-            basis[c] = found
-        elif c in used:
-            violations.append(Violation("class-without-b-vertex", c))
-    report_basis = basis if (proper and not violations and len(basis) == k) else None
+    for c in sorted(used.intersection(expected).difference(basis)):
+        violations.append(Violation("class-without-b-vertex", c))
     return ValidityReport(
         proper=proper,
         colors_used=len(used),
-        basis=report_basis,
+        basis=None if violations else dict(sorted(basis.items())),
         violations=tuple(violations),
     )
 

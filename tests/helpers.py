@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from collections.abc import Mapping
 from itertools import combinations
 
-from bchrom import Graph
+from bchrom import Graph, ValidityReport, Violation
 
 # ---------------------------------------------------------------- builders
 
@@ -211,6 +212,49 @@ def all_roots_girth(g: Graph) -> int | float:
         if best == 3:
             break
     return best
+
+
+def naive_check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityReport:
+    """Reference checker, O(k·n): one scan of every vertex per color finds
+    that class's lowest-id b-vertex."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    for u in range(g.n):
+        if u not in coloring:
+            raise ValueError(f"coloring is partial: vertex {u} has no color")
+    violations: list[Violation] = []
+    proper = True
+    for u, v in g.edges():
+        if coloring[u] == coloring[v]:
+            violations.append(Violation("monochromatic-edge", (u, v)))
+            proper = False
+    expected = set(range(1, k + 1))
+    used = {coloring[u] for u in range(g.n)}
+    for c in sorted(used - expected):
+        violations.append(Violation("color-gap", c))
+    for c in sorted(expected - used):
+        violations.append(Violation("color-gap", c))
+    basis: dict[int, int] = {}
+    for c in range(1, k + 1):
+        found = None
+        for u in range(g.n):
+            if coloring[u] != c:
+                continue
+            seen = {coloring[v] for v in g.adj[u]}
+            if expected - {c} <= seen:
+                found = u
+                break
+        if found is not None:
+            basis[c] = found
+        elif c in used:
+            violations.append(Violation("class-without-b-vertex", c))
+    report_basis = basis if (proper and not violations and len(basis) == k) else None
+    return ValidityReport(
+        proper=proper,
+        colors_used=len(used),
+        basis=report_basis,
+        violations=tuple(violations),
+    )
 
 
 def naive_m(g: Graph) -> int:

@@ -202,6 +202,14 @@ def test_verify_refuses_unknown_label(tmp_path, capsys):
     assert "error: unknown vertex label 7" in capsys.readouterr().err
 
 
+def test_verify_names_the_label_of_an_uncolored_vertex(tmp_path, capsys):
+    # label 20 is internal id 1; the message must use the label
+    graph_path = write_graph(tmp_path, "sparse.txt", "10 20\n20 30\n")
+    coloring_path = write_graph(tmp_path, "sparse.coloring", "# k=2 basis=\n10 1\n30 1\n")
+    assert main(["verify", graph_path, coloring_path]) == 2
+    assert capsys.readouterr().err == "error: coloring is partial: vertex 20 has no color\n"
+
+
 def test_exit_code_on_missing_file(capsys):
     assert main(["analyze", "/no/such/file.txt"]) == 2
     capsys.readouterr()

@@ -64,12 +64,20 @@ def test_parse_n_header_declares_isolated_vertices():
 
 
 def test_constructor_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
         Graph(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(2, 4\)$"):
+        Graph(5, [(4, 2), (0, 1), (1, 3), (2, 4)])
+    with pytest.raises(ValueError, match=r"^edge \(0, 5\) out of range for n=2$"):
         Graph(2, [(0, 5)])
+
+
+def test_constructor_sorts_each_adjacency():
+    g = Graph(5, [(4, 2), (0, 3), (3, 2), (1, 3), (2, 0)])
+    assert g.adj == ((2, 3), (3,), (0, 3, 4), (0, 1, 2), (2,))
+    assert g.adj_sets == tuple(frozenset(nbrs) for nbrs in g.adj)
 
 
 def test_dimacs_round_trip_semantics():

@@ -17,6 +17,7 @@ from helpers import (
     chromatic_number,
     cycle_graph,
     encircled_tree,
+    naive_check_b_coloring,
     path_graph,
     proper_coloring_ok,
     random_simple_graph,
@@ -59,6 +60,62 @@ def test_check_color_gap_and_missing_b_vertex():
 def test_check_rejects_partial():
     with pytest.raises(ValueError, match="partial"):
         check_b_coloring(path_graph(3), {0: 1, 1: 2}, 2)
+
+
+def test_check_picks_the_lowest_id_b_vertex_of_each_class():
+    # class 1 is {0, 2, 4} with b-vertices 2 and 4 (0 is isolated);
+    # class 2 is {1, 3, 5} with b-vertices 3 and 5
+    g = Graph(6, [(2, 3), (4, 5)])
+    coloring = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}
+    report = check_b_coloring(g, coloring, 2)
+    assert report.valid
+    assert list(report.basis.items()) == [(1, 2), (2, 3)]
+    assert report == naive_check_b_coloring(g, coloring, 2)
+
+
+def draw_coloring(g: Graph, mode: str, rng: random.Random) -> tuple[dict[int, int], int]:
+    """A coloring of g and a k to check it against.
+
+    "random" colors are drawn from -1..k+2, so they may clash, leave gaps
+    and fall outside 1..k; "greedy" is a proper first-fit coloring checked
+    against a k from one below to two above its color count; "witness" is
+    an exact b-coloring where the search finds one.  Half the time one
+    vertex is then recolored at random.
+    """
+    if mode == "random":
+        k = rng.randint(1, g.n + 2)
+        coloring = {u: rng.randint(-1, k + 2) for u in range(g.n)}
+    else:
+        coloring = None
+        if mode == "witness" and g.n <= 9:
+            k = rng.randint(1, density_profile(g).m) if g.n else 1
+            coloring = find_b_coloring_exact(g, k)
+        if coloring is None:
+            coloring = {}
+            for u in rng.sample(range(g.n), g.n):
+                taken = {coloring[v] for v in g.adj[u] if v in coloring}
+                coloring[u] = min(c for c in range(1, g.n + 2) if c not in taken)
+            k = max(1, max(coloring.values(), default=0) + rng.randint(-1, 2))
+    if g.n and rng.random() < 0.5:
+        coloring[rng.randrange(g.n)] = rng.randint(0, k + 1)
+    return coloring, k
+
+
+@given(
+    st.integers(0, 30),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.sampled_from(["random", "greedy", "witness"]),
+    st.integers(0, 2**30),
+)
+def test_check_matches_the_naive_checker(n, edge_prob, mode, seed):
+    rng = random.Random(seed)
+    g = random_simple_graph(n, edge_prob, rng)
+    coloring, k = draw_coloring(g, mode, rng)
+    report = check_b_coloring(g, coloring, k)
+    expected = naive_check_b_coloring(g, coloring, k)
+    assert report == expected
+    if report.basis is not None:
+        assert list(report.basis.items()) == list(expected.basis.items())
 
 
 def test_find_exact_examples():
