@@ -8,7 +8,7 @@ drawn until a fixed number of them have no good set, so the oracle path
 if that path never ran.  Every witness coloring must pass check_b_coloring.
 
 Usage:
-    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --no-good-set-trees 20 --seed 7
+    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from bchrom import (
     generate_girth_constrained,
     run_pipeline,
 )
+
+# about 1 in 80 random trees with 11-14 vertices has no good set
+NO_GOOD_SET_TREES = 20
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -53,7 +56,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=500)
     parser.add_argument("--graphs", type=int, default=200)
-    parser.add_argument("--no-good-set-trees", type=int, default=20)
     parser.add_argument("--max-n", type=int, default=13)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
@@ -84,7 +86,7 @@ def main() -> int:
         g = generate_girth_constrained(n, 9, n + 3, seed=rng.randrange(2**32))
         compare(g, "graph", index)
     drawn = 0
-    for index in range(args.no_good_set_trees):
+    for index in range(NO_GOOD_SET_TREES):
         while True:
             drawn += 1
             g = random_tree(rng.randint(11, 14), rng)
@@ -93,8 +95,8 @@ def main() -> int:
         compare(g, "no-good-set tree", index)
 
     elapsed = time.perf_counter() - start
-    total = args.trees + args.graphs + args.no_good_set_trees
-    print(f"instances  {total} ({drawn} trees drawn to find {args.no_good_set_trees} without a good set)")
+    total = args.trees + args.graphs + NO_GOOD_SET_TREES
+    print(f"instances  {total} ({drawn} trees drawn to find {NO_GOOD_SET_TREES} without a good set)")
     print(f"elapsed    {elapsed:.2f}s")
     for method, count in sorted(methods.items()):
         print(f"method {method:<18} {count}")

@@ -57,13 +57,9 @@ def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityR
     except KeyError:
         missing = next(u for u in range(g.n) if u not in coloring)
         raise ValueError(f"coloring is partial: vertex {missing} has no color") from None
-    adj = g.adj
-    violations: list[Violation] = []
-    for u, nbrs in enumerate(adj):
-        cu = colors[u]
-        for v in nbrs:
-            if u < v and colors[v] == cu:
-                violations.append(Violation("monochromatic-edge", (u, v)))
+    violations = [
+        Violation("monochromatic-edge", (u, v)) for u, v in g.edges() if colors[u] == colors[v]
+    ]
     proper = not violations
     expected = set(range(1, k + 1))
     used = set(colors)
@@ -73,7 +69,7 @@ def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityR
         violations.append(Violation("color-gap", c))
     # a vertex whose degree is below k - 1 cannot see the k - 1 other colors
     basis: dict[int, int] = {}
-    for u, nbrs in enumerate(adj):
+    for u, nbrs in enumerate(g.adj):
         c = colors[u]
         if c in basis or len(nbrs) < k - 1 or not 1 <= c <= k:
             continue
