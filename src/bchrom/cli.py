@@ -18,7 +18,16 @@ from .coloring import TraceEvent, b_coloring_with_good_set
 from .density import density_profile
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
 from .goodset import find_good_set
-from .graph import ACYCLIC, Graph, generate_girth_constrained, girth, parse_dimacs, parse_edge_list, to_edge_list
+from .graph import (
+    ACYCLIC,
+    Graph,
+    generate_girth_constrained,
+    girth,
+    parse_dimacs,
+    parse_edge_list,
+    plain_pair_lines,
+    to_edge_list,
+)
 from .oracle import DEFAULT_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic, find_b_coloring_exact
 
 EXIT_OK = 0
@@ -44,6 +53,9 @@ def _exit_status(exc: BaseException) -> tuple[int, str]:
 
 
 _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
+
+#: The only header line the bulk coloring read accepts; see ``parse_coloring_file``.
+_PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
 
 
 @dataclass
@@ -207,11 +219,41 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
 
     A b-coloring has k nonempty classes, so a header with k above the vertex
     count can never be valid and is refused as a parse error, and so is a
-    file that leaves a vertex uncolored (named by its label).
+    file that leaves a vertex uncolored (named by its label), a label the
+    graph lacks, and a vertex colored twice.
+
+    A file that is a plain header line followed by "label color" lines of
+    unsigned ASCII decimals, separated by spaces or tabs and each ended by
+    "\\n", and that colors every vertex once, is read in bulk.  Any other
+    file goes to the line-by-line reader, so an error always names its line.
     """
+    vertex_of = dict(zip(g.labels, range(g.n)))
+    parsed = _coloring_bulk(text, g, vertex_of)
+    return parsed if parsed is not None else _coloring_lines(text, g, vertex_of)
+
+
+def _coloring_bulk(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]] | None:
+    """The bulk read of ``parse_coloring_file``; None leaves the text to the line loop."""
+    header = _PLAIN_COLORING_HEADER.match(text)
+    if header is None or not plain_pair_lines(text, header.end()):
+        return None
+    tokens = text[header.end():].encode().split()  # ASCII: see _edge_list_bulk
+    try:
+        k = int(header.group(1))
+        coloring = dict(zip(map(vertex_of.get, map(int, tokens[0::2])), map(int, tokens[1::2])))
+    except ValueError:  # more digits than int() converts
+        return None
+    # n lines that color n distinct known vertices color each vertex once
+    if k > g.n or len(tokens) != 2 * g.n or len(coloring) != g.n or None in coloring:
+        return None
+    return k, coloring
+
+
+def _coloring_lines(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The line-by-line read of ``parse_coloring_file``: accepts every valid
+    file and names the line of the first error."""
     k: int | None = None
     coloring: dict[int, int] = {}
-    vertex_of = {label: v for v, label in enumerate(g.labels)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -234,7 +276,7 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
             raise ParseError(f"non-integer token in {line!r}", lineno) from None
         vertex = vertex_of.get(label)
         if vertex is None:
-            raise ValueError(f"unknown vertex label {label}")
+            raise ParseError(f"unknown vertex label {label}", lineno)
         if vertex in coloring:
             raise ParseError(f"vertex {label} colored twice", lineno)
         coloring[vertex] = color

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import oracle
 from .density import DensityProfile, density_profile
 from .errors import InvariantViolation
-from .goodset import GoodSet, check_good_set
+from .goodset import GoodSet, check_good_set, encirclement_cover
 from .graph import Graph, ensure_min_girth
 
 
@@ -87,13 +87,11 @@ class PartialColoring:
 def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
     """Scan all anchor-to-anchor paths of length 2 or 3 with free interiors."""
     w_set = frozenset(anchors.members)
-    anchor_nbrs: dict[int, frozenset[int]] = {}
-    for x in range(g.n):
-        if x in w_set:
-            continue
-        near = g.adj_sets[x] & w_set
-        if near:
-            anchor_nbrs[x] = near
+    anchor_nbrs: dict[int, set[int]] = {}  # outside vertex -> its anchor neighbors
+    for v in anchors.members:
+        for x in g.adj[v]:
+            if x not in w_set:
+                anchor_nbrs.setdefault(x, set()).add(v)
     link: set[int] = set()
     for x, near_x in anchor_nbrs.items():
         if len(near_x) >= 2:
@@ -104,7 +102,7 @@ def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
             if len(near_x | anchor_nbrs[y]) >= 2:
                 link.add(x)
                 link.add(y)
-    chained = frozenset(x for x in link if g.adj_sets[x] & link)
+    chained = frozenset(x for x in link if not link.isdisjoint(g.adj[x]))
     multi = frozenset(x for x in link if len(anchor_nbrs[x]) >= 2)
     return LinkStructure(vertices=frozenset(link), chained=chained, multi_anchored=multi)
 
@@ -191,24 +189,24 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
 
     # pass 1: chained link vertices copy an anchor color from across the chain
     for x in sorted(links.chained):
-        x2 = min(g.adj_sets[x] & link_set)
-        anchors_of_x2 = g.adj_sets[x2] & w_set
-        if not anchors_of_x2:
+        x2 = next(y for y in g.adj[x] if y in link_set)
+        anchor_of_x2 = next((v for v in g.adj[x2] if v in w_set), None)
+        if anchor_of_x2 is None:
             raise InvariantViolation("link vertex without an anchor neighbor", step="step1", vertex=x2)
-        pc.assign(x, anchor_color[min(anchors_of_x2)], "step1")
+        pc.assign(x, anchor_color[anchor_of_x2], "step1")
     _assert_proper(g, pc, "step1")
 
     # pass 2: deranged second-anchor colors around each anchor
     for v_i in members:
-        star = sorted(g.adj_sets[v_i] & links.multi_anchored)
+        star = [x for x in g.adj[v_i] if x in links.multi_anchored]
         if len(star) <= 1:
             continue
         forbidden: list[int] = []
         for x in star:
-            others = (g.adj_sets[x] & w_set) - {v_i}
-            if not others:
+            other = next((v for v in g.adj[x] if v in w_set and v != v_i), None)
+            if other is None:
                 raise InvariantViolation("doubly anchored vertex lost its second anchor", step="step2", vertex=x)
-            forbidden.append(anchor_color[min(others)])
+            forbidden.append(anchor_color[other])
         if len(set(forbidden)) != len(forbidden):
             raise InvariantViolation("second-anchor colors collide around an anchor", step="step2", vertex=v_i)
         pinned = {pc.colors[x] for x in star if x in pc.colors}
@@ -225,36 +223,35 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     _assert_proper(g, pc, "step2")
 
     # pass 3: steal a chained neighbor's color, then move that neighbor
+    first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor
+    for y in sorted(links.chained):
+        for v in g.adj[y]:
+            if v in w_set:
+                first_chained.setdefault(v, y)
     for x in sorted(links.multi_anchored):
         if x in pc.colors:
             continue
-        eligible = [v for v in sorted(g.adj_sets[x] & w_set) if g.adj_sets[v] & links.chained]
-        if not eligible:
+        v_i = next((v for v in g.adj[x] if v in first_chained), None)
+        if v_i is None:
             continue
-        v_i = eligible[0]
-        y = min(g.adj_sets[v_i] & links.chained)
+        y = first_chained[v_i]
         pc.assign(x, pc.colors[y], "step3-new")
-        others = sorted((g.adj_sets[x] & w_set) - {v_i})
-        if not others:
+        other = next((v for v in g.adj[x] if v in w_set and v != v_i), None)
+        if other is None:
             raise InvariantViolation("doubly anchored vertex lost its second anchor", step="step3", vertex=x)
-        pc.recolor(y, anchor_color[others[0]], "step3-recolor")
+        pc.recolor(y, anchor_color[other], "step3-recolor")
     _assert_proper(g, pc, "step3")
 
-    # pass 4: an unencircled vertex always has a safe anchor color left
-    target_degree = m - 1
+    # pass 4: an unencircled vertex always has a safe anchor color left,
+    # that of an anchor outside its encirclement cover
     for x in sorted(links.multi_anchored):
         if x in pc.colors:
             continue
-        nx = g.adj_sets[x]
-        options = [
-            v
-            for v in members
-            if v not in nx
-            and not any(w in nx and len(g.adj[w]) == target_degree for w in g.adj_sets[v] & w_set)
-        ]
-        if not options:
+        cover = encirclement_cover(g, w_set, x, m)
+        option = next((v for v in members if v not in cover), None)
+        if option is None:
             raise InvariantViolation("uncolored doubly anchored vertex is encircled", step="step4", vertex=x)
-        pc.assign(x, anchor_color[options[0]], "step4")
+        pc.assign(x, anchor_color[option], "step4")
     _assert_proper(g, pc, "step4")
 
     leftovers = sorted(x for x in link_set if x not in pc.colors)
@@ -277,10 +274,10 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     fringe = sorted({u for v in members for u in g.adj[v] if u not in pc.colors})
     fringe_set = set(fringe)
     for u in fringe:
-        clash = g.adj_sets[u] & fringe_set
-        if clash:
+        if not fringe_set.isdisjoint(g.adj[u]):
+            clash = next(z for z in g.adj[u] if z in fringe_set)
             raise InvariantViolation(
-                f"uncolored anchor neighbors {u} and {min(clash)} are adjacent",
+                f"uncolored anchor neighbors {u} and {clash} are adjacent",
                 step="completion",
                 vertex=u,
             )

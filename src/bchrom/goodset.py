@@ -10,7 +10,7 @@ search below.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 
 from .density import DensityProfile
@@ -53,16 +53,21 @@ def encircles(g: Graph, members: Iterable[int], u: int, m: int) -> bool:
     g.check_vertex(u)
     if u in w_set:
         raise ValueError(f"vertex {u} is a member of the candidate set")
-    target = m - 1
-    nu = g.adj_sets[u]
-    witness_pool = [w for w in w_set if w in nu and len(g.adj[w]) == target]
-    for v in w_set:
-        if v in nu:
-            continue
-        nv = g.adj_sets[v]
-        if not any(w in nv for w in witness_pool):
-            return False
-    return True
+    return w_set <= encirclement_cover(g, w_set, u, m)
+
+
+def encirclement_cover(g: Graph, w_set: Set[int], u: int, m: int) -> set[int]:
+    """N(u) together with N(w) for every w in W and N(u) of degree m - 1.
+
+    W encircles u exactly when W is a subset of this set; a member of W
+    outside it is adjacent to u through no witness.
+    """
+    adj = g.adj
+    cover = set(adj[u])
+    for w in adj[u]:
+        if w in w_set and len(adj[w]) == m - 1:
+            cover.update(adj[w])
+    return cover
 
 
 def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | None:
@@ -78,13 +83,13 @@ def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | Non
     v0 = w_sorted[0]
     w_set = set(w_sorted)
     target = m - 1
-    candidates = set(g.adj_sets[v0])
-    for w in g.adj_sets[v0]:
+    candidates = set(g.adj[v0])
+    for w in g.adj[v0]:
         if w in w_set and len(g.adj[w]) == target:
-            candidates |= g.adj_sets[w]
+            candidates.update(g.adj[w])
     candidates -= w_set
     for u in sorted(candidates):
-        if encircles(g, w_sorted, u, m):
+        if w_set <= encirclement_cover(g, w_set, u, m):
             return u
     return None
 
@@ -104,7 +109,7 @@ def check_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) ->
     for x in range(g.n):
         if x in w_set or len(g.adj[x]) < profile.m:
             continue
-        if not (g.adj_sets[x] & w_set):
+        if w_set.isdisjoint(g.adj[x]):
             return GoodSetViolation("uncovered-high-degree", x)
     return None
 
@@ -136,14 +141,14 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
     high = [x for x in range(g.n) if len(g.adj[x]) >= m]
     last_helper = {}
     for x in high:
-        spots = [position[y] for y in (set(g.adj_sets[x]) | {x}) if y in position]
+        spots = [position[y] for y in (x, *g.adj[x]) if y in position]
         last_helper[x] = max(spots) if spots else -1
     chosen: list[int] = []
     chosen_set: set[int] = set()
 
     def coverable(index: int) -> bool:
         for x in high:
-            if x in chosen_set or (g.adj_sets[x] & chosen_set):
+            if x in chosen_set or not chosen_set.isdisjoint(g.adj[x]):
                 continue
             if last_helper[x] <= index:
                 return False

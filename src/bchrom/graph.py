@@ -25,46 +25,58 @@ MAX_VERTICES = 10**6
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
+#: Start of a line that is not two unsigned decimals separated by blanks.
+_NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
+
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph: ``n`` vertices, sorted adjacency, labels.
 
-    The constructor canonicalizes and validates: self-loops and duplicate
-    edges are rejected (a duplicate is named as (u, v) with u < v, for the
-    lowest such u), adjacency is stored strictly increasing, and the
-    structure is immutable afterwards (safe to share between threads).
+    A graph exposes ``n``, ``adj`` (one strictly increasing tuple of
+    neighbor ids per vertex) and ``labels`` (the input label of each id),
+    and is immutable afterwards (safe to share between threads).
+
+    The public constructor validates: an edge out of range, a self-loop, a
+    duplicate edge (named as (u, v) with u < v, for the lowest such u, and
+    found on the sorted adjacency lists) and repeated labels are each a
+    ValueError.  The parsers build through ``_trusted``, which skips these
+    checks because every parser has already made them on its input.
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "labels")
+    __slots__ = ("n", "adj", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        neighbors: list[list[int]] = [[] for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        adj_sets = tuple(frozenset(nbrs) for nbrs in neighbors)
-        for u, nbrs in enumerate(neighbors):
-            nbrs.sort()
-            if len(adj_sets[u]) != len(nbrs):  # u lists a neighbor twice
-                v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
-                raise ValueError(f"duplicate edge ({u}, {v})")
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(nbrs) for nbrs in neighbors)
-        self.adj_sets: tuple[frozenset[int], ...] = adj_sets
-        if labels is None:
-            labels = range(n)
-        label_tuple = tuple(labels)
+        adj = _sorted_adjacency(n, edges)
+        for u, nbrs in enumerate(adj):
+            for v, w in zip(nbrs, nbrs[1:]):
+                if v == w:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+        label_tuple = tuple(range(n) if labels is None else labels)
         if len(label_tuple) != n:
             raise ValueError("labels must cover every vertex")
         if len(set(label_tuple)) != n:
             raise ValueError("labels must be distinct")
+        self.n = n
+        self.adj: tuple[tuple[int, ...], ...] = adj
         self.labels: tuple[int, ...] = label_tuple
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[tuple[int, int]], labels: Iterable[int]) -> Graph:
+        """Build from input the caller has checked: ids in range, no
+        self-loop, no duplicate edge, one distinct label per vertex."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = _sorted_adjacency(n, edges)
+        g.labels = tuple(labels)
+        return g
 
     def check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -93,6 +105,27 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def plain_pair_lines(text: str, start: int = 0) -> bool:
+    """True iff ``text[start:]`` is made only of lines of two unsigned ASCII
+    decimals separated by spaces or tabs, each line ended by "\\n".
+
+    The text is searched for the first line of another shape.  One match of
+    a repeated line pattern would keep backtracking state for every line,
+    megabytes on a large file; the search keeps none.
+    """
+    return text.endswith("\n") and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is None
+
+
+def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    for nbrs in neighbors:
+        nbrs.sort()
+    return tuple(map(tuple, neighbors))
+
+
 def _add_edge(edges: set[tuple[int, int]], u: int, v: int, lineno: int) -> None:
     """Add edge {u, v} as (min, max); a self-loop or a repeat is a ParseError."""
     if u == v:
@@ -111,7 +144,41 @@ def parse_edge_list(text: str) -> Graph:
     vertices); it may declare at most MAX_VERTICES.  Self-loops and duplicate
     edges are rejected outright so that corpus bugs surface instead of being
     silently normalized away.
+
+    A text made only of "u v" lines (unsigned ASCII decimals, separated by
+    spaces or tabs, each line ended by "\\n") is read in bulk: one split, one
+    int conversion and one set of edges.  Any other text, and any anomaly the
+    bulk read meets, goes to the line-by-line parser, so an error always
+    names its line.
     """
+    g = _edge_list_bulk(text)
+    return g if g is not None else _edge_list_lines(text)
+
+
+def _edge_list_bulk(text: str) -> Graph | None:
+    """The bulk read of ``parse_edge_list``; None leaves the text to the line loop."""
+    if not plain_pair_lines(text):
+        return None
+    try:  # the text is ASCII; int() reads bytes tokens faster than str ones
+        ends = list(map(int, text.encode().split()))
+    except ValueError:  # more digits than int() converts
+        return None
+    heads = ends[0::2]
+    tails = ends[1::2]
+    pairs = set(zip(heads, tails))
+    # a repeated line shrinks the set; an edge given both ways, or a
+    # self-loop (its own reverse), meets itself reversed
+    if len(pairs) != len(heads) or not pairs.isdisjoint(zip(tails, heads)):
+        return None
+    labels = sorted(set(ends))
+    index = dict(zip(labels, range(len(labels))))
+    ids = map(index.__getitem__, ends)
+    return Graph._trusted(len(labels), zip(ids, ids), labels)
+
+
+def _edge_list_lines(text: str) -> Graph:
+    """The line-by-line read of ``parse_edge_list``: accepts every valid text
+    and names the line of the first error."""
     declared_n: int | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,7 +209,7 @@ def parse_edge_list(text: str) -> Graph:
         label_set.update(range(declared_n))
     labels = sorted(label_set)
     index = {lab: i for i, lab in enumerate(labels)}
-    return Graph(len(labels), [(index[a], index[b]) for a, b in edges], labels=labels)
+    return Graph._trusted(len(labels), [(index[a], index[b]) for a, b in edges], labels)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -184,7 +251,7 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' problem line")
-    return Graph(n, [(u - 1, v - 1) for u, v in edges], labels=range(1, n + 1))
+    return Graph._trusted(n, [(u - 1, v - 1) for u, v in edges], range(1, n + 1))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -92,7 +92,6 @@ def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityR
 def _extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | None:
     """Backtracking extension where basis[i] must become a b-vertex of color i+1."""
     color = {v: i + 1 for i, v in enumerate(basis)}
-    basis_set = frozenset(basis)
     full = set(range(1, k + 1))
     missing: list[set[int]] = []
     free: list[int] = []
@@ -103,11 +102,8 @@ def _extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | 
         if len(missing[i]) > free[i]:
             return None
     index = {v: i for i, v in enumerate(basis)}
-    rest = sorted(
-        (v for v in range(g.n) if v not in color),
-        key=lambda v: (-len(g.adj_sets[v] & basis_set), -len(g.adj[v]), v),
-    )
-    basis_nbrs = {v: [index[u] for u in g.adj[v] if u in index] for v in rest}
+    basis_nbrs = {v: [index[u] for u in g.adj[v] if u in index] for v in range(g.n) if v not in color}
+    rest = sorted(basis_nbrs, key=lambda v: (-len(basis_nbrs[v]), -len(g.adj[v]), v))
 
     def backtrack(pos: int) -> bool:
         if pos == len(rest):
@@ -141,13 +137,7 @@ def _extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | 
     return None
 
 
-def find_b_coloring_exact(
-    g: Graph,
-    k: int,
-    *,
-    limit: int | None = None,
-    use_encirclement_prune: bool = True,
-) -> dict[int, int] | None:
+def find_b_coloring_exact(g: Graph, k: int, *, limit: int | None = None) -> dict[int, int] | None:
     """Exhaustive search for a b-coloring with exactly k colors.
 
     Iterates over candidate bases (k vertices of degree >= k - 1; the i-th
@@ -161,8 +151,7 @@ def find_b_coloring_exact(
     not adjacent to u, so it shares with u a neighbor w in W of degree
     k - 1.  As a b-vertex, w needs k - 1 distinct colors on its k - 1
     neighbors, yet two of them, u and that b-vertex, carry u's color.  The
-    prune therefore never changes the returned coloring; it can be disabled
-    to test exactly that.
+    prune therefore never changes the returned coloring.
     """
     cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
     if g.n > cap:
@@ -175,7 +164,7 @@ def find_b_coloring_exact(
     if len(eligible) < k:
         return None
     for basis in combinations(eligible, k):
-        if use_encirclement_prune and find_encircled_vertex(g, basis, k) is not None:
+        if find_encircled_vertex(g, basis, k) is not None:
             continue
         result = _extend_basis(g, basis, k)
         if result is not None:
@@ -183,12 +172,12 @@ def find_b_coloring_exact(
     return None
 
 
-def exact_b_chromatic(g: Graph, *, limit: int | None = None, use_encirclement_prune: bool = True) -> int:
+def exact_b_chromatic(g: Graph, *, limit: int | None = None) -> int:
     """Largest k admitting a b-coloring, found by scanning down from m(G)."""
     if g.n == 0:
         raise ValueError("the b-chromatic number is undefined for the empty graph")
     profile = density_profile(g)
     for k in range(profile.m, 0, -1):
-        if find_b_coloring_exact(g, k, limit=limit, use_encirclement_prune=use_encirclement_prune) is not None:
+        if find_b_coloring_exact(g, k, limit=limit) is not None:
             return k
     raise InvariantViolation("no b-coloring at any k; impossible for a nonempty graph")

@@ -2,7 +2,9 @@
 
 Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
-never used to check itself.
+never used to check itself.  The one exception is the unpruned exact search,
+which reuses the oracle's basis extension on purpose: it isolates the
+encirclement prune, the only thing it leaves out.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from collections.abc import Mapping
 from itertools import combinations
 
 from bchrom import Graph, ValidityReport, Violation
+from bchrom.oracle import _extend_basis
 
 # ---------------------------------------------------------------- builders
 
@@ -257,6 +260,24 @@ def naive_check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> Val
     )
 
 
+def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:
+    """The oracle's exact search without its encirclement prune: every
+    candidate basis is extended, so it shows what the prune may skip."""
+    if k > g.n:
+        return None
+    eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+    for basis in combinations(eligible, k):
+        result = _extend_basis(g, basis, k)
+        if result is not None:
+            return result
+    return None
+
+
+def exact_b_chromatic_unpruned(g: Graph) -> int:
+    """Largest k at which the unpruned search finds a b-coloring."""
+    return next(k for k in range(naive_m(g), 0, -1) if find_b_coloring_unpruned(g, k) is not None)
+
+
 def naive_m(g: Graph) -> int:
     """Definition check: largest k with at least k vertices of degree >= k - 1."""
     best = 0
@@ -270,10 +291,10 @@ def naive_encircles(g: Graph, members, u: int, m: int) -> bool:
     """Literal quantifier translation of the encirclement definition."""
     members = set(members)
     for v in members:
-        if u in g.adj_sets[v]:
+        if u in g.adj[v]:
             continue
         if not any(
-            w in members and v in g.adj_sets[w] and u in g.adj_sets[w] and len(g.adj[w]) == m - 1
+            w in members and v in g.adj[w] and u in g.adj[w] and len(g.adj[w]) == m - 1
             for w in range(g.n)
         ):
             return False
@@ -290,7 +311,7 @@ def naive_is_good_set(g: Graph, members, m: int, dense) -> bool:
     for x in range(g.n):
         if x in members or len(g.adj[x]) < m:
             continue
-        if not any(w in g.adj_sets[x] for w in members):
+        if not any(w in g.adj[x] for w in members):
             return False
     return True
 

@@ -1,0 +1,141 @@
+"""The bulk reads of the edge-list and coloring parsers against their line loops.
+
+Each parser reads a plain file in bulk and hands every other text to a
+line-by-line loop.  Whatever the text, the result must be the loop's: the
+same Graph or coloring, or the same ParseError message and line.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bchrom import Graph, ParseError, parse_edge_list
+from bchrom.cli import _coloring_bulk, _coloring_lines, parse_coloring_file
+from bchrom.graph import _edge_list_bulk, _edge_list_lines
+
+# labels 0..6 keep self-loops, duplicates and unknown labels frequent
+plain_numbers = st.integers(0, 6).map(str)
+odd_numbers = st.sampled_from(["+5", "1_000", "007", "٣", "５", "-1", "x"])
+separators = st.sampled_from([" ", " ", "\t", "  ", " \t"])
+line_ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " "])
+odd_lines = st.sampled_from(["", "   ", "# a comment", "# n=4", "# n=9", "#n=2", "# k=2 basis=", "1 2 3", "7"])
+plain_pairs = st.builds("{}{}{}".format, plain_numbers, separators, plain_numbers)
+odd_pairs = st.builds(
+    "{}{}{}{}".format,
+    st.one_of(plain_numbers, odd_numbers),
+    separators,
+    st.one_of(plain_numbers, odd_numbers),
+    st.sampled_from(["", "", " ", "\t"]),
+)
+any_lines = st.one_of(plain_pairs, plain_pairs, odd_pairs, odd_lines)
+
+
+def join(draw, lines: list[str]) -> str:
+    """Plain ("\\n" after every line, the shape the bulk reads accept) or mixed
+    line ends, sometimes without a final one."""
+    if draw(st.booleans()):
+        return "".join(line + "\n" for line in lines)
+    text = "".join(line + draw(line_ends) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@st.composite
+def edge_texts(draw):
+    if draw(st.booleans()):
+        lines = draw(st.lists(plain_pairs, max_size=12))
+    else:
+        lines = draw(st.lists(any_lines, max_size=12))
+    return join(draw, lines)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.line
+
+
+@settings(max_examples=400)
+@given(edge_texts())
+@example("0 1\n1 2\n2 2\n")  # self-loop on line 3
+@example("0 1\n1 2\n2 1\n")  # duplicate on line 3
+@example("0 1\n1 2\n0 1\n")  # repeat on line 3
+@example("0 1 1 2\n")
+@example("0 1\r\n1 2\r\n")
+@example("0 1\x0b1 2\n")
+@example("0\x0c1\n")
+@example("+5 1\n")
+@example("0 1\n1 2")
+def test_edge_list_bulk_read_matches_line_loop(text):
+    assert outcome(parse_edge_list, text) == outcome(_edge_list_lines, text)
+
+
+GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=[2, 3, 5, 6])
+
+
+@st.composite
+def coloring_texts(draw):
+    """A header, then one line per vertex in a drawn order, sometimes broken:
+    a line dropped, or one more line added (a repeat, an unknown label or
+    an odd line)."""
+    headers = ["# k=2 basis=", "# k=3 basis=2:1,3:2", "#k=2\tbasis= ", "# k=5 basis=", "# k=٢ basis="]
+    header = draw(st.sampled_from(headers))
+    labels = draw(st.permutations(GRAPH.labels))
+    lines = [f"{label}{draw(separators)}{draw(st.integers(1, 3))}" for label in labels]
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(any_lines))
+    return join(draw, [header, *lines])
+
+
+def vertex_of(g: Graph) -> dict[int, int]:
+    return dict(zip(g.labels, range(g.n)))
+
+
+@settings(max_examples=400)
+@given(coloring_texts())
+@example("# k=2 basis=\n2 1\n3 2\n7 1\n6 2\n")  # unknown label on line 4
+@example("# k=2 basis=\n2 1\n3 2\n2 1\n5 1\n6 2\n")  # repeated vertex on line 4
+@example("# k=2 basis=\n2 1\n3 2\n5 1\n")  # partial
+@example("# k=5 basis=\n2 1\n3 2\n5 1\n6 2\n")  # k > n on line 1
+@example("# k=2 basis=\x0b2 1\n3 2\n5 1\n6 2\n")
+@example("#\x1ck=2 basis=\n2 1\n3 2\n5 1\n6 2\n")
+def test_coloring_bulk_read_matches_line_loop(text):
+    expected = outcome(_coloring_lines, text, GRAPH, vertex_of(GRAPH))
+    assert outcome(parse_coloring_file, text, GRAPH) == expected
+
+
+def test_plain_texts_take_the_bulk_read():
+    text = "10 40\n40 7\n7\t3\n"
+    assert _edge_list_bulk(text) == _edge_list_lines(text)
+    coloring = "# k=2 basis=1:2,2:3\n2 1\n3 2\n5 1\n6 2\n"
+    assert _coloring_bulk(coloring, GRAPH, vertex_of(GRAPH)) == (2, {0: 1, 1: 2, 2: 1, 3: 2})
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("0 1\n1 2\n2 2\n", "line 3: self-loop at vertex 2"),
+        ("0 1\n1 2\n2 1\n", "line 3: duplicate edge 2 1"),
+        ("0 1\n1 2\n0 1\n", "line 3: duplicate edge 0 1"),
+    ],
+)
+def test_edge_list_anomaly_in_a_plain_text_names_its_line(text, message):
+    assert _edge_list_bulk(text) is None
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("# k=2 basis=\n2 1\n3 2\n7 1\n6 2\n", "line 4: unknown vertex label 7"),
+        ("# k=2 basis=\n2 1\n3 2\n2 1\n5 1\n", "line 4: vertex 2 colored twice"),
+        ("# k=2 basis=\n2 1\n3 2\n5 1\n", "coloring is partial: vertex 6 has no color"),
+        ("# k=5 basis=\n2 1\n3 2\n5 1\n6 2\n", "line 1: k=5 exceeds the graph's 4 vertices"),
+    ],
+)
+def test_coloring_anomaly_in_a_plain_text_names_its_line(text, message):
+    assert _coloring_bulk(text, GRAPH, vertex_of(GRAPH)) is None
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_coloring_file(text, GRAPH)

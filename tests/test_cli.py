@@ -199,7 +199,7 @@ def test_verify_refuses_unknown_label(tmp_path, capsys):
     graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
     coloring_path = write_graph(tmp_path, "p5.coloring", "# k=3 basis=\n0 1\n7 2\n")
     assert main(["verify", graph_path, coloring_path]) == 2
-    assert "error: unknown vertex label 7" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: line 3: unknown vertex label 7\n"
 
 
 def test_verify_names_the_label_of_an_uncolored_vertex(tmp_path, capsys):

@@ -54,7 +54,7 @@ def test_parse_comments_and_sparse_labels():
     g = parse_edge_list("# a comment\n10 40\n40 7\n")
     assert g.n == 3
     assert g.labels == (7, 10, 40)
-    assert g.labels.index(40) in g.adj_sets[g.labels.index(10)]
+    assert g.labels.index(40) in g.adj[g.labels.index(10)]
 
 
 def test_parse_n_header_declares_isolated_vertices():
@@ -77,7 +77,6 @@ def test_constructor_validates():
 def test_constructor_sorts_each_adjacency():
     g = Graph(5, [(4, 2), (0, 3), (3, 2), (1, 3), (2, 0)])
     assert g.adj == ((2, 3), (3,), (0, 3, 4), (0, 1, 2), (2,))
-    assert g.adj_sets == tuple(frozenset(nbrs) for nbrs in g.adj)
 
 
 def test_dimacs_round_trip_semantics():

@@ -17,6 +17,8 @@ from helpers import (
     chromatic_number,
     cycle_graph,
     encircled_tree,
+    exact_b_chromatic_unpruned,
+    find_b_coloring_unpruned,
     naive_check_b_coloring,
     path_graph,
     proper_coloring_ok,
@@ -155,8 +157,8 @@ def test_encircled_basis_never_witnesses_m_colors():
     # vertex 0, so it cannot be a basis; exhaustive search over the same
     # basis (prune disabled) reaches the same dead end
     g = encircled_tree()
-    assert find_b_coloring_exact(g, 4, use_encirclement_prune=True) is None
-    assert find_b_coloring_exact(g, 4, use_encirclement_prune=False) is None
+    assert find_b_coloring_exact(g, 4) is None
+    assert find_b_coloring_unpruned(g, 4) is None
 
 
 def test_prune_soundness_small_sweep():
@@ -164,14 +166,14 @@ def test_prune_soundness_small_sweep():
     for _ in range(60):
         n = rng.randint(1, 8)
         g = random_simple_graph(n, 0.35, rng)
-        with_prune = exact_b_chromatic(g, use_encirclement_prune=True)
-        without = exact_b_chromatic(g, use_encirclement_prune=False)
+        with_prune = exact_b_chromatic(g)
+        without = exact_b_chromatic_unpruned(g)
         assert with_prune == without
 
 
 def assert_prune_keeps_witness(g: Graph, k: int) -> None:
     pruned = find_b_coloring_exact(g, k)
-    assert pruned == find_b_coloring_exact(g, k, use_encirclement_prune=False)
+    assert pruned == find_b_coloring_unpruned(g, k)
 
 
 @given(st.integers(1, 9), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
