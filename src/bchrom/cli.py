@@ -21,6 +21,7 @@ from .goodset import find_good_set
 from .graph import (
     ACYCLIC,
     Graph,
+    declared_count,
     generate_girth_constrained,
     girth,
     parse_dimacs,
@@ -194,8 +195,11 @@ def run_pipeline(
     witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
     if witness is None:
         raise InvariantViolation(f"the exact search found no b-coloring with chi_b = {record.chi_b} colors")
+    basis = check_b_coloring(g, witness, record.chi_b).basis
+    if basis is None:
+        raise InvariantViolation(f"the exact search's coloring with {record.chi_b} colors failed the validity check")
     outcome.coloring = witness
-    outcome.basis = check_b_coloring(g, witness, record.chi_b).basis
+    outcome.basis = basis
     return outcome
 
 
@@ -217,10 +221,10 @@ def format_coloring_file(g: Graph, coloring: dict[int, int], k: int, basis: dict
 def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
     """Read a coloring file back as (k, vertex-id -> color).
 
-    A b-coloring has k nonempty classes, so a header with k above the vertex
-    count can never be valid and is refused as a parse error, and so is a
-    file that leaves a vertex uncolored (named by its label), a label the
-    graph lacks, and a vertex colored twice.
+    A b-coloring has k >= 1 nonempty classes, so a header with k = 0 or k
+    above the vertex count can never be valid and is refused as a parse
+    error, and so is a file that leaves a vertex uncolored (named by its
+    label), a label the graph lacks, and a vertex colored twice.
 
     A file that is a plain header line followed by "label color" lines of
     unsigned ASCII decimals, separated by spaces or tabs and each ended by
@@ -244,7 +248,7 @@ def _coloring_bulk(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int,
     except ValueError:  # more digits than int() converts
         return None
     # n lines that color n distinct known vertices color each vertex once
-    if k > g.n or len(tokens) != 2 * g.n or len(coloring) != g.n or None in coloring:
+    if not 1 <= k <= g.n or len(tokens) != 2 * g.n or len(coloring) != g.n or None in coloring:
         return None
     return k, coloring
 
@@ -263,9 +267,11 @@ def _coloring_lines(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int
             if header:
                 if k is not None:
                     raise ParseError("duplicate coloring header", lineno)
-                k = int(header.group(1))
+                k = declared_count(header.group(1))
+                if k < 1:
+                    raise ParseError(f"k={header.group(1)}: a b-coloring has at least one color", lineno)
                 if k > g.n:
-                    raise ParseError(f"k={k} exceeds the graph's {g.n} vertices", lineno)
+                    raise ParseError(f"k={header.group(1)} exceeds the graph's {g.n} vertices", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -351,8 +357,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         oracle_limit=args.oracle_limit,
         force_oracle=args.oracle,
     )
-    if outcome.coloring is None or outcome.basis is None:
-        raise PreconditionError("no coloring method applies to this input")
     if args.trace:
         for event in outcome.trace:
             line = f"step={event.step} vertex={g.labels[event.vertex]} color={event.color}"

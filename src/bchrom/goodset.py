@@ -1,11 +1,11 @@
-"""Good sets: encirclement tests, verification, existence, and search.
+"""Good sets: encirclement tests, verification, existence, and selection.
 
 A set W of m(G) dense vertices is *good* when (a) it encircles no outside
 vertex and (b) every outside vertex of degree >= m(G) has a neighbor in W.
 For graphs of girth at least 8 (forests included), a good set fails to exist
-exactly when M(G) itself has size m(G) and encircles some vertex; that
-characterization both decides existence and certifies the backtracking
-search below.
+exactly when M(G) itself has size m(G) and encircles some vertex.
+``find_good_set`` makes the other half constructive: the first m(G) dense
+vertices by (-degree, id), or one swap from them, are good.
 """
 
 from __future__ import annotations
@@ -41,21 +41,6 @@ class GoodSetViolation:
     witness: int | None = None
 
 
-def encircles(g: Graph, members: Iterable[int], u: int, m: int) -> bool:
-    """True iff every v in W is adjacent to u or shares with u a common
-    neighbor w in W of degree exactly m - 1.
-
-    m is m(G) for the good-set check and the color count k for the oracle's
-    prune.  Evaluates the pure definition for any W (the empty set encircles
-    everything vacuously); size constraints belong to the good-set check.
-    """
-    w_set = set(members)
-    g.check_vertex(u)
-    if u in w_set:
-        raise ValueError(f"vertex {u} is a member of the candidate set")
-    return w_set <= encirclement_cover(g, w_set, u, m)
-
-
 def encirclement_cover(g: Graph, w_set: Set[int], u: int, m: int) -> set[int]:
     """N(u) together with N(w) for every w in W and N(u) of degree m - 1.
 
@@ -73,9 +58,10 @@ def encirclement_cover(g: Graph, w_set: Set[int], u: int, m: int) -> set[int]:
 def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | None:
     """Smallest vertex outside W that W encircles with witness degree m - 1, or None.
 
-    m is as in ``encircles``.  Only vertices adjacent to the first member, or
-    adjacent to one of its degree-(m-1) co-members, can possibly be
-    encircled, which keeps the scan local on sparse graphs.
+    m is m(G) for the good-set check and the color count k for the oracle's
+    prune.  Only vertices adjacent to the first member, or adjacent to one of
+    its degree-(m-1) co-members, can possibly be encircled, which keeps the
+    scan local on sparse graphs.
     """
     w_sorted = sorted(set(members))
     if not w_sorted:
@@ -117,63 +103,59 @@ def check_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) ->
 def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet | None:
     """Return a good set, or None when none exists (girth >= 8 required).
 
-    Backtracking over the dense vertices in descending-degree order (ties by
-    id): high-degree picks can never serve as encirclement witnesses, so they
-    disqualify condition (a) fastest.  Condition (b) is pruned with a
-    last-helper index; the full (a)/(b) check runs at the leaves.  When
-    |M(G)| = m(G) the dense set is the only candidate, and one check decides
-    existence: it is good, or it encircles a vertex and no good set exists.
-    Otherwise the girth-8 characterization promises one, so exhaustion
-    indicates a bug.
+    Rule: W0 is the first m = m(G) dense vertices by (-degree, id).  Return
+    W0 if it is good, None if |M| = m (M = M(G)), and otherwise the set one
+    swap away, checked once more (a failed check raises InvariantViolation).
+
+    Argument.  The vertices H of degree >= m number at most m and sort
+    first, so W0 holds H and (b) holds: W0 can fail only by encircling.
+    Girth >= 8 makes every ball of radius 3 induce a tree.  Let W, m dense
+    vertices holding H, encircle u.  u is not in H, so deg u <= m - 1 and
+    some member is not adjacent to u; the lowest-id one, c0, has exactly one
+    neighbor p0 in N(u), a member of degree m - 1, so p0 is not in H.  And
+    |W & N(u)| >= 2, or p0's neighbors would be u and the m - 1 others.
+    - (i) Some z in M - W is not u (take the lowest id): W - p0 + z is good.
+      (b) holds, as p0 is not in H.  A vertex the new set encircles is
+      within distance 2 of c0 and of some a in W & N(u) - p0, so on the
+      path a-u-p0-c0 of the tree around u it is u or p0.  u is not: c0's
+      only neighbor in N(u) left the set.  p0 is not: a is not adjacent to
+      p0, and their only common neighbor, u, is outside the set.
+    - (ii) Otherwise M - W = {u}.  With x the lowest-id vertex of
+      W & N(u) - p0, W - x + u is good.  (b) holds, as x's neighbor u joins.
+      A vertex y the new set encircles is within distance 2 of u and of c0,
+      so y is in N(p0) and outside the set.  The members within distance 2
+      of y are then only u, p0 and p0's member neighbors, so p0's m - 1
+      neighbors are u and m - 2 members, and none is left for y.
     """
     ensure_min_girth(g, 8, girth_value)
     m = profile.m
+    first = tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[:m]))
+    violation = check_good_set(g, first, profile)
+    if violation is None:
+        return GoodSet(first)
+    if violation.kind != "encircles":
+        raise InvariantViolation(f"the first {m} dense vertices failed the good-set check as {violation.kind}")
     if len(profile.dense) == m:
-        members = tuple(sorted(profile.dense))
-        violation = check_good_set(g, members, profile)
-        if violation is None:
-            return GoodSet(members)
-        if violation.kind == "encircles":
-            return None
-        raise InvariantViolation("a dense set of size m(G) can fail to be good only by encircling a vertex")
-    candidates = sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))
-    position = {v: i for i, v in enumerate(candidates)}
-    high = [x for x in range(g.n) if len(g.adj[x]) >= m]
-    last_helper = {}
-    for x in high:
-        spots = [position[y] for y in (x, *g.adj[x]) if y in position]
-        last_helper[x] = max(spots) if spots else -1
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    def coverable(index: int) -> bool:
-        for x in high:
-            if x in chosen_set or not chosen_set.isdisjoint(g.adj[x]):
-                continue
-            if last_helper[x] <= index:
-                return False
-        return True
-
-    def search(start: int) -> GoodSet | None:
-        if len(chosen) == m:
-            members = tuple(sorted(chosen))
-            if check_good_set(g, members, profile) is None:
-                return GoodSet(members)
-            return None
-        needed = m - len(chosen)
-        for i in range(start, len(candidates) - needed + 1):
-            v = candidates[i]
-            chosen.append(v)
-            chosen_set.add(v)
-            if coverable(i):
-                found = search(i + 1)
-                if found is not None:
-                    return found
-            chosen.pop()
-            chosen_set.remove(v)
         return None
+    members = _swap(g, profile, first, violation.witness)
+    if check_good_set(g, members, profile) is not None:
+        raise InvariantViolation("the swapped set failed the good-set check", vertex=violation.witness)
+    return GoodSet(members)
 
-    result = search(0)
-    if result is None:
-        raise InvariantViolation("good-set search exhausted although the girth-8 characterization promises one")
-    return result
+
+def _swap(g: Graph, profile: DensityProfile, members: tuple[int, ...], u: int) -> tuple[int, ...]:
+    """The one swap of ``find_good_set`` for a set W (of m dense vertices,
+    every vertex of degree >= m among them) that encircles u."""
+    adj = g.adj
+    around_u = set(adj[u])
+    w_set = set(members)
+    c0 = next(v for v in members if v not in around_u)
+    p0 = next(w for w in adj[c0] if w in around_u)
+    z = min((v for v in profile.dense if v not in w_set and v != u), default=None)
+    if z is not None:  # case (i)
+        w_set.remove(p0)
+        w_set.add(z)
+    else:  # case (ii)
+        w_set.remove(min(w for w in around_u & w_set if w != p0))
+        w_set.add(u)
+    return tuple(sorted(w_set))

@@ -78,10 +78,6 @@ class Graph:
         g.labels = tuple(labels)
         return g
 
-    def check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise ValueError(f"unknown vertex id {u}")
-
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adj]
 
@@ -114,6 +110,18 @@ def plain_pair_lines(text: str, start: int = 0) -> bool:
     megabytes on a large file; the search keeps none.
     """
     return text.endswith("\n") and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is None
+
+
+def declared_count(token: str) -> int | float:
+    """A count read from a header, as int(token); a decimal with more digits
+    than int() converts (4300 in CPython) reads as math.inf, above every
+    limit a count is checked against.  Any other non-integer is a ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        if token.lstrip("+").isdecimal():
+            return math.inf
+        raise
 
 
 def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -190,9 +198,11 @@ def _edge_list_lines(text: str) -> Graph:
             if header:
                 if declared_n is not None:
                     raise ParseError("duplicate '# n=' header", lineno)
-                declared_n = int(header.group(1))
+                declared_n = declared_count(header.group(1))
                 if declared_n > MAX_VERTICES:
-                    raise ParseError(f"'# n=' declares {declared_n} vertices, above the limit {MAX_VERTICES}", lineno)
+                    raise ParseError(
+                        f"'# n=' declares {header.group(1)} vertices, above the limit {MAX_VERTICES}", lineno
+                    )
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -230,11 +240,11 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4:
                 raise ParseError("problem line must read 'p edge <n> <m>'", lineno)
             try:
-                n = int(parts[2])
+                n = declared_count(parts[2])
             except ValueError:
                 raise ParseError("non-integer vertex count", lineno) from None
             if n > MAX_VERTICES:
-                raise ParseError(f"problem line declares {n} vertices, above the limit {MAX_VERTICES}", lineno)
+                raise ParseError(f"problem line declares {parts[2]} vertices, above the limit {MAX_VERTICES}", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)

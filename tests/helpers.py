@@ -2,9 +2,11 @@
 
 Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
-never used to check itself.  The one exception is the unpruned exact search,
-which reuses the oracle's basis extension on purpose: it isolates the
-encirclement prune, the only thing it leaves out.
+never used to check itself.  Two exceptions reuse package code on purpose.
+The unpruned exact search reuses the oracle's basis extension: it isolates
+the encirclement prune, the only thing it leaves out.  The backtracking
+good-set search reuses ``check_good_set`` at its leaves: it is the reference
+for the selection rule of ``find_good_set``, not for the check.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from collections import deque
 from collections.abc import Mapping
 from itertools import combinations
 
-from bchrom import Graph, ValidityReport, Violation
+from bchrom import DensityProfile, GoodSet, Graph, InvariantViolation, ValidityReport, Violation, check_good_set
+from bchrom.graph import ensure_min_girth
 from bchrom.oracle import _extend_basis
 
 # ---------------------------------------------------------------- builders
@@ -129,6 +132,35 @@ def greedy_trap_forest() -> Graph:
         (22, 23),            # z3
     ]
     return Graph(24, edges)
+
+
+def planted_encircling_forest(
+    m: int, witnesses: int, u_dense: bool, extra_stars: int, rng: random.Random
+) -> Graph:
+    """Forest with m(G) = m whose m members of degree m - 1 encircle u.
+
+    ``witnesses`` members (2 <= witnesses <= m - 1) are adjacent to u, and
+    each other member hangs off one of them; leaves pad every member to
+    degree m - 1, and u too when ``u_dense``.  Each of ``extra_stars`` stars
+    adds one more dense vertex, a center with m - 1 leaves.  No vertex has
+    degree >= m, so m(G) = m.  Vertex ids are shuffled with ``rng``.
+    """
+    members = list(range(1, m + 1))
+    edges = [(0, w) for w in members[:witnesses]]
+    for v in members[witnesses:]:
+        open_witnesses = [w for w in members[:witnesses] if sum(w in e for e in edges) < m - 1]
+        edges.append((rng.choice(open_witnesses), v))
+    n = m + 1
+    for v in members + ([0] if u_dense else []):
+        while sum(v in e for e in edges) < m - 1:
+            edges.append((v, n))
+            n += 1
+    for _ in range(extra_stars):
+        edges.extend((n, n + i) for i in range(1, m))
+        n += m
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph(n, [(ids[a], ids[b]) for a, b in edges])
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -319,6 +351,76 @@ def naive_is_good_set(g: Graph, members, m: int, dense) -> bool:
 def naive_has_good_set(g: Graph, m: int, dense) -> bool:
     """Exhaustive enumeration of every m-subset of the dense vertices."""
     return any(naive_is_good_set(g, subset, m, dense) for subset in combinations(sorted(dense), m))
+
+
+# ------------------------------------------------- reference good-set search
+
+
+def backtracking_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet | None:
+    """The good-set search that ``find_good_set`` replaced, kept as a reference.
+
+    Return a good set, or None when none exists (girth >= 8 required).
+
+    Backtracking over the dense vertices in descending-degree order (ties by
+    id): high-degree picks can never serve as encirclement witnesses, so they
+    disqualify condition (a) fastest.  Condition (b) is pruned with a
+    last-helper index; the full (a)/(b) check runs at the leaves.  When
+    |M(G)| = m(G) the dense set is the only candidate, and one check decides
+    existence: it is good, or it encircles a vertex and no good set exists.
+    Otherwise the girth-8 characterization promises one, so exhaustion
+    indicates a bug.
+    """
+    ensure_min_girth(g, 8, girth_value)
+    m = profile.m
+    if len(profile.dense) == m:
+        members = tuple(sorted(profile.dense))
+        violation = check_good_set(g, members, profile)
+        if violation is None:
+            return GoodSet(members)
+        if violation.kind == "encircles":
+            return None
+        raise InvariantViolation("a dense set of size m(G) can fail to be good only by encircling a vertex")
+    candidates = sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))
+    position = {v: i for i, v in enumerate(candidates)}
+    high = [x for x in range(g.n) if len(g.adj[x]) >= m]
+    last_helper = {}
+    for x in high:
+        spots = [position[y] for y in (x, *g.adj[x]) if y in position]
+        last_helper[x] = max(spots) if spots else -1
+    chosen: list[int] = []
+    chosen_set: set[int] = set()
+
+    def coverable(index: int) -> bool:
+        for x in high:
+            if x in chosen_set or not chosen_set.isdisjoint(g.adj[x]):
+                continue
+            if last_helper[x] <= index:
+                return False
+        return True
+
+    def search(start: int) -> GoodSet | None:
+        if len(chosen) == m:
+            members = tuple(sorted(chosen))
+            if check_good_set(g, members, profile) is None:
+                return GoodSet(members)
+            return None
+        needed = m - len(chosen)
+        for i in range(start, len(candidates) - needed + 1):
+            v = candidates[i]
+            chosen.append(v)
+            chosen_set.add(v)
+            if coverable(i):
+                found = search(i + 1)
+                if found is not None:
+                    return found
+            chosen.pop()
+            chosen_set.remove(v)
+        return None
+
+    result = search(0)
+    if result is None:
+        raise InvariantViolation("good-set search exhausted although the girth-8 characterization promises one")
+    return result
 
 
 def naive_link_vertices(g: Graph, members) -> set[int]:

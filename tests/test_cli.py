@@ -195,6 +195,33 @@ def test_verify_refuses_k_above_vertex_count(tmp_path, capsys):
     assert "line 1: k=1000000000000 exceeds the graph's 5 vertices" in err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# k=0 basis=", "line 1: k=0: a b-coloring has at least one color"),
+        ("# k=" + "9" * 5000 + " basis=", "line 1: k=" + "9" * 5000 + " exceeds the graph's 5 vertices"),
+    ],
+    ids=["zero", "5000-digits"],
+)
+def test_verify_refuses_unusable_k(tmp_path, capsys, header, message):
+    graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    coloring_path = write_graph(tmp_path, "p5.coloring", header + "\n0 1\n1 2\n2 1\n3 2\n4 1\n")
+    assert main(["verify", graph_path, coloring_path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_over_long_declared_vertex_counts_name_their_line(tmp_path, capsys):
+    digits = "1" * 5000
+    edge_list = write_graph(tmp_path, "g.txt", f"0 1\n# n={digits}\n")
+    assert main(["analyze", edge_list]) == 2
+    expected = f"error: line 2: '# n=' declares {digits} vertices, above the limit 1000000\n"
+    assert capsys.readouterr().err == expected
+    dimacs = write_graph(tmp_path, "g.col", f"p edge {digits} 1\n")
+    assert main(["analyze", dimacs]) == 2
+    expected = f"error: line 1: problem line declares {digits} vertices, above the limit 1000000\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_verify_refuses_unknown_label(tmp_path, capsys):
     graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
     coloring_path = write_graph(tmp_path, "p5.coloring", "# k=3 basis=\n0 1\n7 2\n")
@@ -333,6 +360,22 @@ def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatc
     path = write_graph(tmp_path, "g.txt", text)
     assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
     assert "internal error: the exact search found no b-coloring" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [T_ENC_TEXT, C5_TEXT], ids=["no-good-set", "low-girth"])
+def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text):
+    # a single color on every vertex: monochromatic edges, no basis
+    monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", lambda g, k, **kwargs: dict.fromkeys(range(g.n), 1))
+    path = write_graph(tmp_path, "g.txt", text)
+    message = "internal error: the exact search's coloring with 3 colors failed the validity check"
+    assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "chi-b" not in captured.out
+    assert captured.err.startswith(message)
+    out_path = tmp_path / "g.coloring"
+    assert main(["color", path, "--oracle", "-o", str(out_path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith(message)
+    assert not out_path.exists()
 
 
 def test_batch_mode_records_internal_error_and_continues(tmp_path, capsys, monkeypatch):

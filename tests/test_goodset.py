@@ -1,21 +1,24 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bchrom import GoodSet, PreconditionError, check_good_set, density_profile, find_good_set
-from bchrom.goodset import encircles
+from bchrom import GoodSet, Graph, PreconditionError, check_good_set, density_profile, find_good_set
+from bchrom.goodset import _swap, encirclement_cover
 
 from helpers import (
+    backtracking_good_set,
     cycle_graph,
     encircled_tree,
     naive_encircles,
     naive_has_good_set,
     naive_is_good_set,
     path_graph,
+    planted_encircling_forest,
     random_tree,
     star_of_stars,
+    tree_from_prufer,
 )
 
 
@@ -25,7 +28,7 @@ def test_encircles_path_five():
     w = {1, 2, 3}
     # independent definition check first, then the implementation
     assert naive_encircles(g, w, 0, profile.m) is False
-    assert encircles(g, w, 0, profile.m) is False
+    assert not w <= encirclement_cover(g, w, 0, profile.m)
 
 
 def test_encircles_encircled_tree():
@@ -34,20 +37,7 @@ def test_encircles_encircled_tree():
     assert profile.m == 4
     assert profile.dense == frozenset({1, 2, 3, 4})
     assert naive_encircles(g, profile.dense, 0, profile.m) is True
-    assert encircles(g, profile.dense, 0, profile.m) is True
-
-
-def test_encircles_empty_set_is_vacuous():
-    g = path_graph(3)
-    profile = density_profile(g)
-    assert encircles(g, set(), 0, profile.m) is True
-
-
-def test_encircles_rejects_member():
-    g = path_graph(5)
-    profile = density_profile(g)
-    with pytest.raises(ValueError):
-        encircles(g, {1, 2, 3}, 2, profile.m)
+    assert profile.dense <= encirclement_cover(g, profile.dense, 0, profile.m)
 
 
 def test_is_good_set_path_five():
@@ -84,8 +74,6 @@ def test_is_good_set_wrong_size_and_not_dense():
 def test_uncovered_high_degree_reason():
     # two disjoint claws: m = 2, and {center, leaf} of one claw leaves the
     # other center (degree 3 >= m) without a neighbor in W
-    from bchrom import Graph
-
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
     profile = density_profile(g)
     assert profile.m == 2
@@ -170,3 +158,118 @@ def test_find_good_set_agrees_with_enumeration_on_every_subset():
         if naive_is_good_set(g, sub, profile.m, profile.dense)
     ]
     assert set(found.members) in accepted
+
+
+def _first_dense(g, profile):
+    """W0: the first m(G) dense vertices by (-degree, id), sorted by id."""
+    return tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[: profile.m]))
+
+
+def test_swap_case_two_on_relabelled_path():
+    # the path 4-0-3-1-2-5: W0 = (0, 1, 2) encircles 3, and M - W0 = {3}
+    g = Graph(6, [(4, 0), (0, 3), (3, 1), (1, 2), (2, 5)])
+    profile = density_profile(g)
+    assert profile.m == 3 and profile.dense == frozenset({0, 1, 2, 3})
+    assert _first_dense(g, profile) == (0, 1, 2)
+    assert naive_encircles(g, {0, 1, 2}, 3, profile.m)
+    found = find_good_set(g, profile)
+    assert found.members == (1, 2, 3)
+    assert naive_is_good_set(g, found.members, profile.m, profile.dense)
+
+
+def test_swap_case_one_on_relabelled_path():
+    # the path 5-0-3-1-2-4-6: W0 = (0, 1, 2) encircles 3; z = 4 replaces p0 = 1
+    g = Graph(7, [(5, 0), (0, 3), (3, 1), (1, 2), (2, 4), (4, 6)])
+    profile = density_profile(g)
+    assert profile.m == 3 and profile.dense == frozenset({0, 1, 2, 3, 4})
+    assert _first_dense(g, profile) == (0, 1, 2)
+    assert naive_encircles(g, {0, 1, 2}, 3, profile.m)
+    found = find_good_set(g, profile)
+    assert found.members == (0, 2, 4)
+    assert naive_is_good_set(g, found.members, profile.m, profile.dense)
+
+
+def test_every_good_set_may_leave_out_a_high_degree_vertex():
+    # H = {4, 7} (degree 3 = m); W0 = (0, 4, 7) encircles 2, and the swap
+    # drops 7, whose neighbor 2 joins the set
+    g = Graph(8, [(0, 2), (0, 4), (1, 4), (2, 7), (3, 4), (5, 7), (6, 7)])
+    profile = density_profile(g)
+    assert profile.m == 3
+    high = {v for v in range(g.n) if len(g.adj[v]) >= profile.m}
+    assert high == {4, 7}
+    good = [
+        sub
+        for sub in combinations(sorted(profile.dense), profile.m)
+        if naive_is_good_set(g, sub, profile.m, profile.dense)
+    ]
+    assert good == [(0, 2, 4), (0, 2, 7)]
+    assert all(not high <= set(sub) for sub in good)
+    assert find_good_set(g, profile).members == (0, 2, 4)
+
+
+def _prufer_trees(max_n):
+    yield Graph(1, [])
+    yield Graph(2, [(0, 1)])
+    for n in range(3, max_n + 1):
+        for seq in product(range(n), repeat=n - 2):
+            yield tree_from_prufer(list(seq))
+
+
+def test_swap_repairs_every_failing_superset_of_the_high_vertices():
+    """On every labelled tree with n <= 7 and |M| > m, every set W of m dense
+    vertices that holds all vertices of degree >= m and encircles some u is
+    made good by the swap for u."""
+    repaired = 0
+    for g in _prufer_trees(7):
+        profile = density_profile(g)
+        m = profile.m
+        if len(profile.dense) == m:
+            continue
+        high = {v for v in range(g.n) if len(g.adj[v]) >= m}
+        rest = sorted(profile.dense - high)
+        for extra in combinations(rest, m - len(high)):
+            members = tuple(sorted(high.union(extra)))
+            for u in range(g.n):
+                if u in members or not naive_encircles(g, members, u, m):
+                    continue
+                swapped = _swap(g, profile, members, u)
+                assert naive_is_good_set(g, swapped, m, profile.dense), (g.adj, members, u)
+                repaired += 1
+    assert repaired == 15840
+
+
+def test_find_good_set_makes_at_most_two_checks(monkeypatch):
+    import bchrom.goodset
+
+    calls = []
+    real = bchrom.goodset.check_good_set
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(bchrom.goodset, "check_good_set", counted)
+    g = Graph(7, [(5, 0), (0, 3), (3, 1), (1, 2), (2, 4), (4, 6)])
+    assert find_good_set(g, density_profile(g)).members == (0, 2, 4)
+    assert calls == [(0, 1, 2), (0, 2, 4)]
+
+
+@given(
+    st.integers(3, 7),
+    st.integers(0, 2**30),
+    st.booleans(),
+    st.integers(0, 2),
+    st.integers(2, 12),
+)
+def test_find_good_set_agrees_with_backtracking_reference(m, seed, u_dense, extra_stars, tree_n):
+    rng = random.Random(seed)
+    witnesses = rng.randint(2, m - 1)
+    for g in (planted_encircling_forest(m, witnesses, u_dense, extra_stars, rng), random_tree(tree_n, rng)):
+        profile = density_profile(g)
+        found = find_good_set(g, profile)
+        reference = backtracking_good_set(g, profile)
+        assert (found is None) == (reference is None)
+        if found is not None:
+            assert naive_is_good_set(g, found.members, profile.m, profile.dense)
+        if check_good_set(g, _first_dense(g, profile), profile) is None:
+            assert found == reference
