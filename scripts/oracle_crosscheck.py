@@ -5,7 +5,8 @@ Random labeled trees plus random high-girth graphs, all within the oracle
 cap, compared at tolerance zero.  Random trees with 11 to 14 vertices are
 drawn until a fixed number of them have no good set, so the oracle path
 (the exact witness with m(G) - 1 colors) is cross-checked too; it exits 1
-if that path never ran.  Every witness coloring must pass check_b_coloring.
+if that path never ran.  Every witness coloring, the pipeline's and the
+exact search's, must pass check_b_coloring.
 
 Usage:
     python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
@@ -68,7 +69,10 @@ def main() -> int:
 
     def compare(g, tag, index):
         nonlocal mismatches, invalid
-        expected = exact_b_chromatic(g)
+        expected, exact_witness = exact_b_chromatic(g)
+        if not check_b_coloring(g, exact_witness, expected).valid:
+            invalid += 1
+            print(f"INVALID WITNESS {tag} #{index}: exact search n={g.n}")
         outcome = run_pipeline(g, compute_chi_b=True)
         got = outcome.record.chi_b
         methods[outcome.record.chi_b_method] += 1
@@ -106,7 +110,7 @@ def main() -> int:
     if not methods["oracle"]:
         print("FAILED: no instance took the oracle path")
         return 1
-    print("crosscheck OK: pipeline equals the oracle everywhere, every witness is valid")
+    print("crosscheck OK: pipeline equals the oracle everywhere, every pipeline and exact witness is valid")
     return 0
 
 

@@ -190,9 +190,12 @@ def run_pipeline(
 
     # the exact search witnesses m(G) - 1 when no good set exists, and
     # decides chi_b itself when forced or when the girth theory does not apply
-    record.chi_b = profile.m - 1 if theory else exact_b_chromatic(g, limit=oracle_limit)
+    if theory:
+        record.chi_b = profile.m - 1
+        witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
+    else:
+        record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit)
     record.chi_b_method = "oracle"
-    witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
     if witness is None:
         raise InvariantViolation(f"the exact search found no b-coloring with chi_b = {record.chi_b} colors")
     basis = check_b_coloring(g, witness, record.chi_b).basis

@@ -6,7 +6,7 @@ every anchor a b-vertex by finishing its neighborhood, and extend greedily.
 Each pass re-checks the properties the correctness argument rests on:
 
 * properness after every pass,
-* after the link passes, every anchor has at least as many uncolored
+* as completion starts each anchor, it has at least as many uncolored
   neighbors as colors missing from its neighborhood,
 * no vertex is ever recolored twice,
 * the uncolored neighbors of W form a stable set before completion,
@@ -33,12 +33,15 @@ class LinkStructure:
 
     ``chained`` holds link vertices adjacent to another link vertex;
     ``multi_anchored`` those adjacent to at least two anchors.  Every link
-    vertex falls in at least one of the two groups.
+    vertex falls in at least one of the two groups.  ``anchors_of`` maps
+    each vertex outside W with a neighbor in W to its anchor neighbors, in
+    id order; every link vertex is a key.
     """
 
     vertices: frozenset[int]
     chained: frozenset[int]
     multi_anchored: frozenset[int]
+    anchors_of: dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -87,24 +90,25 @@ class PartialColoring:
 def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
     """Scan all anchor-to-anchor paths of length 2 or 3 with free interiors."""
     w_set = frozenset(anchors.members)
-    anchor_nbrs: dict[int, set[int]] = {}  # outside vertex -> its anchor neighbors
-    for v in anchors.members:
+    nbrs_in_w: dict[int, list[int]] = {}
+    for v in anchors.members:  # increasing ids, so each list is in id order
         for x in g.adj[v]:
             if x not in w_set:
-                anchor_nbrs.setdefault(x, set()).add(v)
+                nbrs_in_w.setdefault(x, []).append(v)
+    anchors_of = {x: tuple(near) for x, near in nbrs_in_w.items()}
     link: set[int] = set()
-    for x, near_x in anchor_nbrs.items():
+    for x, near_x in anchors_of.items():
         if len(near_x) >= 2:
             link.add(x)
         for y in g.adj[x]:
-            if y in w_set or y not in anchor_nbrs:
-                continue
-            if len(near_x | anchor_nbrs[y]) >= 2:
+            near_y = anchors_of.get(y)  # None for anchors: they are no keys
+            # sorted, nonempty tuples: the union has one anchor only if both are (a,)
+            if near_y is not None and (len(near_x) >= 2 or near_y != near_x):
                 link.add(x)
                 link.add(y)
     chained = frozenset(x for x in link if not link.isdisjoint(g.adj[x]))
-    multi = frozenset(x for x in link if len(anchor_nbrs[x]) >= 2)
-    return LinkStructure(vertices=frozenset(link), chained=chained, multi_anchored=multi)
+    multi = frozenset(x for x in link if len(anchors_of[x]) >= 2)
+    return LinkStructure(vertices=frozenset(link), chained=chained, multi_anchored=multi, anchors_of=anchors_of)
 
 
 def derange_assign(targets: Sequence[tuple[int, int]], palette: Sequence[int]) -> dict[int, int]:
@@ -143,21 +147,6 @@ def _assert_proper(g: Graph, pc: PartialColoring, step: str) -> None:
                 raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=u)
 
 
-def _assert_anchor_slack(g: Graph, pc: PartialColoring, anchors: GoodSet) -> None:
-    m = len(anchors.members)
-    for i, v in enumerate(anchors.members):
-        own = i + 1
-        seen = {pc.colors[u] for u in g.adj[v] if u in pc.colors}
-        missing = set(range(1, m + 1)) - {own} - seen
-        free = sum(1 for u in g.adj[v] if u not in pc.colors)
-        if len(missing) > free:
-            raise InvariantViolation(
-                f"anchor is missing {len(missing)} colors but has only {free} uncolored neighbors",
-                step="slack",
-                vertex=v,
-            )
-
-
 def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColoring:
     """Anchor W and run the four link-coloring passes, each to exhaustion.
 
@@ -183,6 +172,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     anchor_color = {v: i + 1 for i, v in enumerate(members)}
     w_set = frozenset(members)
     link_set = links.vertices
+    anchors_of = links.anchors_of
     pc = PartialColoring()
     for v in members:
         pc.assign(v, anchor_color[v], "anchor")
@@ -190,10 +180,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     # pass 1: chained link vertices copy an anchor color from across the chain
     for x in sorted(links.chained):
         x2 = next(y for y in g.adj[x] if y in link_set)
-        anchor_of_x2 = next((v for v in g.adj[x2] if v in w_set), None)
-        if anchor_of_x2 is None:
-            raise InvariantViolation("link vertex without an anchor neighbor", step="step1", vertex=x2)
-        pc.assign(x, anchor_color[anchor_of_x2], "step1")
+        pc.assign(x, anchor_color[anchors_of[x2][0]], "step1")
     _assert_proper(g, pc, "step1")
 
     # pass 2: deranged second-anchor colors around each anchor
@@ -201,12 +188,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         star = [x for x in g.adj[v_i] if x in links.multi_anchored]
         if len(star) <= 1:
             continue
-        forbidden: list[int] = []
-        for x in star:
-            other = next((v for v in g.adj[x] if v in w_set and v != v_i), None)
-            if other is None:
-                raise InvariantViolation("doubly anchored vertex lost its second anchor", step="step2", vertex=x)
-            forbidden.append(anchor_color[other])
+        forbidden = [anchor_color[next(v for v in anchors_of[x] if v != v_i)] for x in star]
         if len(set(forbidden)) != len(forbidden):
             raise InvariantViolation("second-anchor colors collide around an anchor", step="step2", vertex=v_i)
         pinned = {pc.colors[x] for x in star if x in pc.colors}
@@ -225,20 +207,17 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     # pass 3: steal a chained neighbor's color, then move that neighbor
     first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor
     for y in sorted(links.chained):
-        for v in g.adj[y]:
-            if v in w_set:
-                first_chained.setdefault(v, y)
+        for v in anchors_of[y]:
+            first_chained.setdefault(v, y)
     for x in sorted(links.multi_anchored):
         if x in pc.colors:
             continue
-        v_i = next((v for v in g.adj[x] if v in first_chained), None)
+        v_i = next((v for v in anchors_of[x] if v in first_chained), None)
         if v_i is None:
             continue
         y = first_chained[v_i]
         pc.assign(x, pc.colors[y], "step3-new")
-        other = next((v for v in g.adj[x] if v in w_set and v != v_i), None)
-        if other is None:
-            raise InvariantViolation("doubly anchored vertex lost its second anchor", step="step3", vertex=x)
+        other = next(v for v in anchors_of[x] if v != v_i)
         pc.recolor(y, anchor_color[other], "step3-recolor")
     _assert_proper(g, pc, "step3")
 
@@ -257,7 +236,6 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     leftovers = sorted(x for x in link_set if x not in pc.colors)
     if leftovers:
         raise InvariantViolation("link vertex survived all four passes", step="step4", vertex=leftovers[0])
-    _assert_anchor_slack(g, pc, anchors)
     return pc
 
 
@@ -268,6 +246,13 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     colored neighbor (its anchor), so the assignments never clash.  Leftover
     neighbors of degree >= m(G) are colored here as well: deferring them to
     the greedy pass could strand a high-degree vertex with no free color.
+
+    Each anchor's slack (no fewer uncolored neighbors than missing colors)
+    is checked as its turn starts, and that is the state the link passes
+    left: an uncolored neighbor of an anchor has exactly one anchor
+    neighbor, since a second would make it a link vertex, which the passes
+    color.  So completing anchor j never changes anchor i's free neighbors
+    or missing colors.
     """
     members = anchors.members
     m = len(members)
@@ -289,7 +274,11 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
         missing = sorted(full_palette - {own} - seen)
         free = [u for u in neighborhood if u not in pc.colors]
         if len(free) < len(missing):
-            raise InvariantViolation("not enough uncolored neighbors for the missing colors", step="completion", vertex=v)
+            raise InvariantViolation(
+                f"anchor is missing {len(missing)} colors but has only {len(free)} uncolored neighbors",
+                step="completion",
+                vertex=v,
+            )
         for color, u in zip(missing, free):
             pc.assign(u, color, "completion")
         for u in free[len(missing):]:

@@ -225,7 +225,7 @@ def _edge_list_lines(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS ".col" instance ("p edge n m" / "e u v", 1-based labels).
 
-    The problem line may declare at most MAX_VERTICES vertices.
+    The problem line may declare 0 to MAX_VERTICES vertices.
     """
     n: int | None = None
     edges: set[tuple[int, int]] = set()
@@ -243,6 +243,8 @@ def parse_dimacs(text: str) -> Graph:
                 n = declared_count(parts[2])
             except ValueError:
                 raise ParseError("non-integer vertex count", lineno) from None
+            if n < 0:
+                raise ParseError(f"problem line declares {parts[2]} vertices, a negative count", lineno)
             if n > MAX_VERTICES:
                 raise ParseError(f"problem line declares {parts[2]} vertices, above the limit {MAX_VERTICES}", lineno)
         elif parts[0] == "e":

@@ -172,12 +172,15 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int | None = None) -> dict
     return None
 
 
-def exact_b_chromatic(g: Graph, *, limit: int | None = None) -> int:
-    """Largest k admitting a b-coloring, found by scanning down from m(G)."""
+def exact_b_chromatic(g: Graph, *, limit: int | None = None) -> tuple[int, dict[int, int]]:
+    """Largest k admitting a b-coloring, found by scanning down from m(G),
+    with the witness the search found at k: the search is deterministic, so
+    it equals what ``find_b_coloring_exact(g, k)`` returns."""
     if g.n == 0:
         raise ValueError("the b-chromatic number is undefined for the empty graph")
     profile = density_profile(g)
     for k in range(profile.m, 0, -1):
-        if find_b_coloring_exact(g, k, limit=limit) is not None:
-            return k
+        witness = find_b_coloring_exact(g, k, limit=limit)
+        if witness is not None:
+            return k, witness
     raise InvariantViolation("no b-coloring at any k; impossible for a nonempty graph")

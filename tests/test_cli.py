@@ -4,10 +4,11 @@ import pytest
 
 import bchrom.cli
 import bchrom.graph
+import bchrom.oracle
 from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline
 from bchrom.cli import EXIT_INTERNAL, main
 
-from helpers import cycle_graph, encircled_tree, path_graph, star_of_stars
+from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars
 
 
 def write_graph(tmp_path, name, text):
@@ -222,6 +223,12 @@ def test_over_long_declared_vertex_counts_name_their_line(tmp_path, capsys):
     assert capsys.readouterr().err == expected
 
 
+def test_negative_dimacs_vertex_count_names_its_line(tmp_path, capsys):
+    path = write_graph(tmp_path, "g.col", "p edge -3 0\n")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == "error: line 1: problem line declares -3 vertices, a negative count\n"
+
+
 def test_verify_refuses_unknown_label(tmp_path, capsys):
     graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
     coloring_path = write_graph(tmp_path, "p5.coloring", "# k=3 basis=\n0 1\n7 2\n")
@@ -354,28 +361,60 @@ def test_invariant_violation_exits_with_internal_code(tmp_path, capsys, monkeypa
     assert "internal error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [T_ENC_TEXT, C5_TEXT], ids=["no-good-set", "low-girth"])
-def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text):
-    monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", lambda *args, **kwargs: None)
+def patch_exact_search(monkeypatch, search):
+    """Replace the exact search where run_pipeline and exact_b_chromatic look it up."""
+    monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", search)
+    monkeypatch.setattr(bchrom.oracle, "find_b_coloring_exact", search)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (T_ENC_TEXT, "internal error: the exact search found no b-coloring with chi_b = 3 colors"),
+        (C5_TEXT, "internal error: no b-coloring at any k"),
+    ],
+    ids=["no-good-set", "low-girth"],
+)
+def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text, message):
+    patch_exact_search(monkeypatch, lambda *args, **kwargs: None)
     path = write_graph(tmp_path, "g.txt", text)
     assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
-    assert "internal error: the exact search found no b-coloring" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [T_ENC_TEXT, C5_TEXT], ids=["no-good-set", "low-girth"])
-def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text):
-    # a single color on every vertex: monochromatic edges, no basis
-    monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", lambda g, k, **kwargs: dict.fromkeys(range(g.n), 1))
+@pytest.mark.parametrize("text, oracle_k", [(T_ENC_TEXT, 4), (C5_TEXT, 3)], ids=["no-good-set", "low-girth"])
+def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text, oracle_k):
+    # a single color on every vertex: monochromatic edges, no basis.  The
+    # forced oracle takes it at the first k it tries, m(G).
+    patch_exact_search(monkeypatch, lambda g, k, **kwargs: dict.fromkeys(range(g.n), 1))
     path = write_graph(tmp_path, "g.txt", text)
-    message = "internal error: the exact search's coloring with 3 colors failed the validity check"
+    message = "internal error: the exact search's coloring with {} colors failed the validity check"
     assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert "chi-b" not in captured.out
-    assert captured.err.startswith(message)
+    assert captured.err.startswith(message.format(3))
     out_path = tmp_path / "g.coloring"
     assert main(["color", path, "--oracle", "-o", str(out_path)]) == EXIT_INTERNAL
-    assert capsys.readouterr().err.startswith(message)
+    assert capsys.readouterr().err.startswith(message.format(oracle_k))
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "g, searched",
+    [(cycle_graph(5), [3]), (petersen_graph(), [4, 3]), (encircled_tree(), [3])],
+    ids=["c5", "petersen", "encircled-tree"],
+)
+def test_each_k_is_searched_once(monkeypatch, g, searched):
+    seen = []
+    search = bchrom.oracle.find_b_coloring_exact
+
+    def recording(graph, k, **kwargs):
+        seen.append(k)
+        return search(graph, k, **kwargs)
+
+    patch_exact_search(monkeypatch, recording)
+    run_pipeline(g, compute_chi_b=True)
+    assert seen == searched
 
 
 def test_batch_mode_records_internal_error_and_continues(tmp_path, capsys, monkeypatch):

@@ -85,6 +85,11 @@ def test_links_match_quartic_scan_on_trees(n, seed):
     w = set(anchors.members)
     for x in links.vertices:
         assert w.intersection(g.adj[x]), "every link vertex touches an anchor"
+    assert links.anchors_of == {
+        x: tuple(v for v in anchors.members if v in g.adj[x])
+        for x in range(g.n)
+        if x not in w and w.intersection(g.adj[x])
+    }
 
 
 # -------------------------------------------------------- derangement
@@ -233,6 +238,17 @@ def test_completion_star_of_stars_golden():
     assert total == {0: 1, 1: 2, 2: 3, 3: 2, 4: 3, 5: 2, 6: 1}
 
 
+def test_completion_checks_anchor_slack():
+    # anchor 0 (color 1) misses color 2 and has no uncolored neighbor left
+    g = path_graph(3)
+    pc = PartialColoring()
+    for v, color in [(0, 1), (1, 1), (2, 2)]:
+        pc.assign(v, color, "anchor")
+    with pytest.raises(InvariantViolation, match="anchor is missing 1 colors but has only 0 uncolored") as info:
+        complete_b_vertices(g, GoodSet((0, 2)), pc)
+    assert (info.value.step, info.value.vertex) == ("completion", 0)
+
+
 def test_greedy_identity_when_total():
     g = path_graph(3)
     pc = PartialColoring()
@@ -286,7 +302,7 @@ def test_full_construction_matches_oracle(builder, expected):
     assert result.chi_b == profile.m == expected
     report = check_b_coloring(g, result.coloring, result.chi_b)
     assert report.valid and report.basis is not None
-    assert exact_b_chromatic(g) == expected
+    assert exact_b_chromatic(g)[0] == expected
 
 
 def test_full_construction_steal_chain_exact_coloring():

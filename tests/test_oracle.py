@@ -136,12 +136,18 @@ def test_find_exact_examples():
 
 
 def test_exact_values_for_named_instances():
-    assert exact_b_chromatic(path_graph(5)) == 3
-    assert exact_b_chromatic(encircled_tree()) == 3
-    assert exact_b_chromatic(cycle_graph(9)) == 3
-    assert exact_b_chromatic(star_of_stars()) == 3
-    assert exact_b_chromatic(Graph(1, [])) == 1
-    assert exact_b_chromatic(Graph(4, [])) == 1
+    cases = [
+        (path_graph(5), 3),
+        (encircled_tree(), 3),
+        (cycle_graph(9), 3),
+        (star_of_stars(), 3),
+        (Graph(1, []), 1),
+        (Graph(4, []), 1),
+    ]
+    for g, expected in cases:
+        k, witness = exact_b_chromatic(g)
+        assert k == expected
+        assert check_b_coloring(g, witness, k).valid
 
 
 def test_oracle_limit_refusal():
@@ -149,7 +155,7 @@ def test_oracle_limit_refusal():
     with pytest.raises(OracleLimitError):
         exact_b_chromatic(big)
     # the cap is configuration, not a hard-coded constant
-    assert exact_b_chromatic(big, limit=15) == 3
+    assert exact_b_chromatic(big, limit=15)[0] == 3
 
 
 def test_encircled_basis_never_witnesses_m_colors():
@@ -166,7 +172,7 @@ def test_prune_soundness_small_sweep():
     for _ in range(60):
         n = rng.randint(1, 8)
         g = random_simple_graph(n, 0.35, rng)
-        with_prune = exact_b_chromatic(g)
+        with_prune = exact_b_chromatic(g)[0]
         without = exact_b_chromatic_unpruned(g)
         assert with_prune == without
 
@@ -199,9 +205,8 @@ def test_prune_keeps_the_witness_on_the_encircled_tree(k):
 def test_returned_colorings_always_validate(n, seed):
     rng = random.Random(seed)
     g = random_simple_graph(n, 0.3, rng)
-    value = exact_b_chromatic(g)
-    witness = find_b_coloring_exact(g, value)
-    assert witness is not None
+    value, witness = exact_b_chromatic(g)
+    assert witness == find_b_coloring_exact(g, value)
     report = check_b_coloring(g, witness, value)
     assert report.valid and report.basis is not None
     assert proper_coloring_ok(g, witness)
@@ -212,7 +217,7 @@ def test_chi_chain_of_bounds(n, seed):
     rng = random.Random(seed)
     g = random_simple_graph(n, 0.35, rng)
     profile = density_profile(g)
-    value = exact_b_chromatic(g)
+    value = exact_b_chromatic(g)[0]
     assert chromatic_number(g) <= value <= profile.m
 
 
@@ -221,4 +226,4 @@ def test_trees_land_within_one_of_m(n, seed):
     rng = random.Random(seed)
     g = random_tree(n, rng)
     profile = density_profile(g)
-    assert exact_b_chromatic(g) in (profile.m - 1, profile.m)
+    assert exact_b_chromatic(g)[0] in (profile.m - 1, profile.m)
