@@ -8,9 +8,8 @@ on small instances.
 """
 
 from .coloring import BResult, TraceEvent, b_coloring_with_good_set
-from .density import DensityProfile, density_profile
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
-from .goodset import GoodSet, GoodSetViolation, check_good_set, find_good_set
+from .goodset import DensityProfile, GoodSet, GoodSetViolation, check_good_set, density_profile, find_good_set
 from .graph import (
     ACYCLIC,
     Graph,

@@ -1,32 +1,34 @@
-"""Command-line surface: analyze, color, verify, generate.
+"""Command-line surface: analyze, color, verify, generate, and the pipeline
+they share.  Every file format is read and written by ``bchrom.graph``.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 precondition/limit refusal, 4 internal error (an InvariantViolation: a
-certificate of the construction failed, which is a bug, not a bad input).
+certificate of the construction failed, which is a bug, not a bad input),
+141 stdout closed early by its reader (128 + SIGPIPE, as the shell reports
+for a program killed by that signal).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .coloring import TraceEvent, b_coloring_with_good_set
-from .density import density_profile
-from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
-from .goodset import find_good_set
+from .errors import InvariantViolation, OracleLimitError, PreconditionError
+from .goodset import density_profile, find_good_set
 from .graph import (
     ACYCLIC,
     Graph,
-    declared_count,
+    format_coloring_file,
     generate_girth_constrained,
     girth,
+    parse_coloring_file,
     parse_dimacs,
     parse_edge_list,
-    plain_pair_lines,
     to_edge_list,
 )
 from .oracle import DEFAULT_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic, find_b_coloring_exact
@@ -36,6 +38,7 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141
 
 #: Exceptions the CLI reports as an exit code instead of a traceback.
 #: ParseError, PreconditionError and UnicodeDecodeError are ValueErrors.
@@ -51,12 +54,6 @@ def _exit_status(exc: BaseException) -> tuple[int, str]:
     if isinstance(exc, (PreconditionError, OracleLimitError)):
         return EXIT_REFUSED, "refused"
     return EXIT_INPUT, "error"
-
-
-_COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
-
-#: The only header line the bulk coloring read accepts; see ``parse_coloring_file``.
-_PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
 
 
 @dataclass
@@ -102,18 +99,7 @@ class AnalysisRecord:
         return lines
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": self.edges,
-            "girth": "acyclic" if self.girth == ACYCLIC else self.girth,
-            "m": self.m,
-            "dense_count": self.dense_count,
-            "has_good_set": self.has_good_set,
-            "good_set": self.good_set,
-            "chi_b": self.chi_b,
-            "chi_b_method": self.chi_b_method,
-            "chi_b_upper": self.chi_b_upper,
-        }
+        return {**asdict(self), "girth": "acyclic" if self.girth == ACYCLIC else self.girth}
 
 
 @dataclass
@@ -214,89 +200,6 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
     return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
 
 
-def format_coloring_file(g: Graph, coloring: dict[int, int], k: int, basis: dict[int, int]) -> str:
-    basis_text = ",".join(f"{g.labels[v]}:{c}" for c, v in sorted(basis.items()))
-    lines = [f"# k={k} basis={basis_text}"]
-    lines.extend(f"{g.labels[u]} {coloring[u]}" for u in range(g.n))
-    return "\n".join(lines) + "\n"
-
-
-def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
-    """Read a coloring file back as (k, vertex-id -> color).
-
-    A b-coloring has k >= 1 nonempty classes, so a header with k = 0 or k
-    above the vertex count can never be valid and is refused as a parse
-    error, and so is a file that leaves a vertex uncolored (named by its
-    label), a label the graph lacks, and a vertex colored twice.
-
-    A file that is a plain header line followed by "label color" lines of
-    unsigned ASCII decimals, separated by spaces or tabs and each ended by
-    "\\n", and that colors every vertex once, is read in bulk.  Any other
-    file goes to the line-by-line reader, so an error always names its line.
-    """
-    vertex_of = dict(zip(g.labels, range(g.n)))
-    parsed = _coloring_bulk(text, g, vertex_of)
-    return parsed if parsed is not None else _coloring_lines(text, g, vertex_of)
-
-
-def _coloring_bulk(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]] | None:
-    """The bulk read of ``parse_coloring_file``; None leaves the text to the line loop."""
-    header = _PLAIN_COLORING_HEADER.match(text)
-    if header is None or not plain_pair_lines(text, header.end()):
-        return None
-    tokens = text[header.end():].encode().split()  # ASCII: see _edge_list_bulk
-    try:
-        k = int(header.group(1))
-        coloring = dict(zip(map(vertex_of.get, map(int, tokens[0::2])), map(int, tokens[1::2])))
-    except ValueError:  # more digits than int() converts
-        return None
-    # n lines that color n distinct known vertices color each vertex once
-    if not 1 <= k <= g.n or len(tokens) != 2 * g.n or len(coloring) != g.n or None in coloring:
-        return None
-    return k, coloring
-
-
-def _coloring_lines(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """The line-by-line read of ``parse_coloring_file``: accepts every valid
-    file and names the line of the first error."""
-    k: int | None = None
-    coloring: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header = _COLORING_HEADER.match(line)
-            if header:
-                if k is not None:
-                    raise ParseError("duplicate coloring header", lineno)
-                k = declared_count(header.group(1))
-                if k < 1:
-                    raise ParseError(f"k={header.group(1)}: a b-coloring has at least one color", lineno)
-                if k > g.n:
-                    raise ParseError(f"k={header.group(1)} exceeds the graph's {g.n} vertices", lineno)
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'vertex color', got {line!r}", lineno)
-        try:
-            label, color = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", lineno) from None
-        vertex = vertex_of.get(label)
-        if vertex is None:
-            raise ParseError(f"unknown vertex label {label}", lineno)
-        if vertex in coloring:
-            raise ParseError(f"vertex {label} colored twice", lineno)
-        coloring[vertex] = color
-    if k is None:
-        raise ParseError("missing '# k=... basis=...' header")
-    if len(coloring) < g.n:
-        missing = next(v for v in range(g.n) if v not in coloring)
-        raise ParseError(f"coloring is partial: vertex {g.labels[missing]} has no color")
-    return k, coloring
-
-
 def _write_output(content: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(content)
@@ -305,15 +208,12 @@ def _write_output(content: str, path: str | None) -> None:
 
 
 def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = None) -> None:
+    extra = extra or {}
     if as_json:
-        payload = record.to_json_dict()
-        if extra:
-            payload = {**extra, **payload}
-        print(json.dumps(payload))
+        print(json.dumps({**extra, **record.to_json_dict()}))
     else:
-        if extra:
-            for key, value in extra.items():
-                print(f"{key} {value}")
+        for key, value in extra.items():
+            print(f"{key} {value}")
         print("\n".join(record.to_lines()))
 
 
@@ -366,8 +266,7 @@ def cmd_color(args: argparse.Namespace) -> int:
             if event.recolored_from is not None:
                 line += f" recolored-from={event.recolored_from}"
             print(line)
-    record = outcome.record
-    _write_output(format_coloring_file(g, outcome.coloring, record.chi_b, outcome.basis), args.output)
+    _write_output(format_coloring_file(g, outcome.coloring, outcome.record.chi_b, outcome.basis), args.output)
     return EXIT_OK
 
 
@@ -375,22 +274,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph, args.format)
     k, coloring = parse_coloring_file(Path(args.coloring).read_text(), g)
     report = check_b_coloring(g, coloring, k)
+    # both reports name vertices by label; a violation's witness is a color or a vertex tuple
+    basis = {c: g.labels[v] for c, v in report.basis.items()} if report.basis else None
+    violations = [
+        (v.kind, [g.labels[w] for w in v.witness] if isinstance(v.witness, tuple) else v.witness)
+        for v in report.violations
+    ]
     if args.json:
         payload = {
             "k": k,
             "proper": report.proper,
             "colors_used": report.colors_used,
             "valid": report.valid,
-            "basis": {c: g.labels[v] for c, v in report.basis.items()} if report.basis else None,
-            "violations": [
-                {
-                    "kind": violation.kind,
-                    "witness": [g.labels[w] for w in violation.witness]
-                    if isinstance(violation.witness, tuple)
-                    else violation.witness,
-                }
-                for violation in report.violations
-            ],
+            "basis": basis,
+            "violations": [{"kind": kind, "witness": witness} for kind, witness in violations],
         }
         print(json.dumps(payload))
     else:
@@ -398,14 +295,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"proper {str(report.proper).lower()}")
         print(f"colors-used {report.colors_used}")
         print(f"status {'valid' if report.valid else 'invalid'}")
-        if report.basis:
-            print("basis " + ",".join(f"{g.labels[v]}:{c}" for c, v in sorted(report.basis.items())))
-        for violation in report.violations:
-            if isinstance(violation.witness, tuple):
-                witness = " ".join(str(g.labels[w]) for w in violation.witness)
-            else:
-                witness = str(violation.witness)
-            print(f"violation {violation.kind} {witness}")
+        if basis:
+            print("basis " + ",".join(f"{label}:{c}" for c, label in sorted(basis.items())))
+        for kind, witness in violations:
+            text = " ".join(map(str, witness)) if isinstance(witness, list) else witness
+            print(f"violation {kind} {text}")
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -462,8 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
     except _REPORTED_ERRORS as exc:
         code, prefix = _exit_status(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so the flush at interpreter exit neither fails nor prints
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE

@@ -21,9 +21,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import oracle
-from .density import DensityProfile, density_profile
 from .errors import InvariantViolation
-from .goodset import GoodSet, check_good_set, encirclement_cover
+from .goodset import DensityProfile, GoodSet, check_good_set, density_profile, encirclement_cover
 from .graph import Graph, ensure_min_girth
 
 

@@ -1,4 +1,9 @@
-"""Good sets: encirclement tests, verification, existence, and selection.
+"""The degree invariant m(G), and good sets: encirclement tests,
+verification, existence, and selection.
+
+m(G) is the largest k such that at least k vertices have degree at least
+k - 1; it upper-bounds the b-chromatic number.  A vertex is dense when its
+degree is at least m(G) - 1, and M(G) is the set of dense vertices.
 
 A set W of m(G) dense vertices is *good* when (a) it encircles no outside
 vertex and (b) every outside vertex of degree >= m(G) has a neighbor in W.
@@ -13,9 +18,28 @@ from __future__ import annotations
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 
-from .density import DensityProfile
 from .errors import InvariantViolation
 from .graph import Graph, ensure_min_girth
+
+
+@dataclass(frozen=True)
+class DensityProfile:
+    m: int
+    dense: frozenset[int]
+
+
+def density_profile(g: Graph) -> DensityProfile:
+    """Compute m(G) and M(G); rejects the empty graph.
+
+    A graph with no edges still has m = 1 (every vertex has degree 0 >= 0).
+    Maximality guarantees fewer than m + 1 vertices have degree >= m.
+    """
+    if g.n == 0:
+        raise ValueError("m(G) is undefined for the empty graph")
+    degs = sorted(g.degrees(), reverse=True)
+    m = max(k for k in range(1, g.n + 1) if degs[k - 1] >= k - 1)
+    dense = frozenset(u for u in range(g.n) if len(g.adj[u]) >= m - 1)
+    return DensityProfile(m=m, dense=dense)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Immutable simple graphs: parsing, girth, generation.
+"""Immutable simple graphs, their text formats, girth, generation.
 
-Vertices are dense 0-based ids internally; the arbitrary nonnegative integer
-labels found in input files are kept on the side so output can be written in
-the caller's vocabulary.
+The text formats are the edge list, DIMACS ".col" and the coloring file
+("# k=... basis=..." then "label color" lines).  Vertices are dense 0-based
+ids internally; the arbitrary nonnegative integer labels found in input
+files are kept on the side so output can be written in the caller's
+vocabulary.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ ACYCLIC = math.inf
 MAX_VERTICES = 10**6
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+_COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
+
+#: The only header line the bulk coloring read accepts; see ``parse_coloring_file``.
+_PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
 
 #: Start of a line that is not two unsigned decimals separated by blanks.
 _NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
@@ -101,18 +108,25 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def plain_pair_lines(text: str, start: int = 0) -> bool:
-    """True iff ``text[start:]`` is made only of lines of two unsigned ASCII
-    decimals separated by spaces or tabs, each line ended by "\\n".
+def _plain_pairs(text: str, start: int = 0) -> list[int] | None:
+    """The integers of ``text[start:]`` when it is made only of lines of two
+    unsigned ASCII decimals separated by spaces or tabs, each line ended by
+    "\\n"; None for any other text, or for a token with more digits than
+    int() converts.
 
     The text is searched for the first line of another shape.  One match of
     a repeated line pattern would keep backtracking state for every line,
     megabytes on a large file; the search keeps none.
     """
-    return text.endswith("\n") and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is None
+    if not text.endswith("\n") or _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+        return None
+    try:  # the text is ASCII; int() reads bytes tokens faster than str ones
+        return list(map(int, text[start:].encode().split()))
+    except ValueError:  # more digits than int() converts
+        return None
 
 
-def declared_count(token: str) -> int | float:
+def _declared_count(token: str) -> int | float:
     """A count read from a header, as int(token); a decimal with more digits
     than int() converts (4300 in CPython) reads as math.inf, above every
     limit a count is checked against.  Any other non-integer is a ValueError."""
@@ -165,11 +179,8 @@ def parse_edge_list(text: str) -> Graph:
 
 def _edge_list_bulk(text: str) -> Graph | None:
     """The bulk read of ``parse_edge_list``; None leaves the text to the line loop."""
-    if not plain_pair_lines(text):
-        return None
-    try:  # the text is ASCII; int() reads bytes tokens faster than str ones
-        ends = list(map(int, text.encode().split()))
-    except ValueError:  # more digits than int() converts
+    ends = _plain_pairs(text)
+    if ends is None:
         return None
     heads = ends[0::2]
     tails = ends[1::2]
@@ -198,7 +209,7 @@ def _edge_list_lines(text: str) -> Graph:
             if header:
                 if declared_n is not None:
                     raise ParseError("duplicate '# n=' header", lineno)
-                declared_n = declared_count(header.group(1))
+                declared_n = _declared_count(header.group(1))
                 if declared_n > MAX_VERTICES:
                     raise ParseError(
                         f"'# n=' declares {header.group(1)} vertices, above the limit {MAX_VERTICES}", lineno
@@ -225,7 +236,8 @@ def _edge_list_lines(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS ".col" instance ("p edge n m" / "e u v", 1-based labels).
 
-    The problem line may declare 0 to MAX_VERTICES vertices.
+    The problem line may declare 0 to MAX_VERTICES vertices, and must
+    declare as many edges as the file has "e" lines.
     """
     n: int | None = None
     edges: set[tuple[int, int]] = set()
@@ -240,13 +252,20 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4:
                 raise ParseError("problem line must read 'p edge <n> <m>'", lineno)
             try:
-                n = declared_count(parts[2])
+                n = _declared_count(parts[2])
             except ValueError:
                 raise ParseError("non-integer vertex count", lineno) from None
             if n < 0:
                 raise ParseError(f"problem line declares {parts[2]} vertices, a negative count", lineno)
             if n > MAX_VERTICES:
                 raise ParseError(f"problem line declares {parts[2]} vertices, above the limit {MAX_VERTICES}", lineno)
+            try:
+                m = _declared_count(parts[3])
+            except ValueError:
+                raise ParseError("non-integer edge count", lineno) from None
+            if m < 0:
+                raise ParseError(f"problem line declares {parts[3]} edges, a negative count", lineno)
+            m_token, problem_line = parts[3], lineno
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)
@@ -263,6 +282,9 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' problem line")
+    # the problem line, which set n, also set m, m_token and problem_line
+    if len(edges) != m:
+        raise ParseError(f"problem line declares {m_token} edges, the file has {len(edges)}", problem_line)
     return Graph._trusted(n, [(u - 1, v - 1) for u, v in edges], range(1, n + 1))
 
 
@@ -280,6 +302,90 @@ def to_edge_list(g: Graph) -> str:
     for u, v in g.edges():
         lines.append(f"{g.labels[u]} {g.labels[v]}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def format_coloring_file(g: Graph, coloring: dict[int, int], k: int, basis: dict[int, int]) -> str:
+    """The coloring file of a k-coloring: a "# k=<k> basis=<label:color,...>"
+    header, then one "label color" line per vertex in id order."""
+    basis_text = ",".join(f"{g.labels[v]}:{c}" for c, v in sorted(basis.items()))
+    lines = [f"# k={k} basis={basis_text}"]
+    lines.extend(f"{g.labels[u]} {coloring[u]}" for u in range(g.n))
+    return "\n".join(lines) + "\n"
+
+
+def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
+    """Read a coloring file back as (k, vertex-id -> color).
+
+    A b-coloring has k >= 1 nonempty classes, so a header with k = 0 or k
+    above the vertex count can never be valid and is refused as a parse
+    error, and so is a file that leaves a vertex uncolored (named by its
+    label), a label the graph lacks, and a vertex colored twice.
+
+    A file that is a plain header line followed by "label color" lines of
+    unsigned ASCII decimals, separated by spaces or tabs and each ended by
+    "\\n", and that colors every vertex once, is read in bulk.  Any other
+    file goes to the line-by-line reader, so an error always names its line.
+    """
+    vertex_of = dict(zip(g.labels, range(g.n)))
+    parsed = _coloring_bulk(text, g, vertex_of)
+    return parsed if parsed is not None else _coloring_lines(text, g, vertex_of)
+
+
+def _coloring_bulk(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]] | None:
+    """The bulk read of ``parse_coloring_file``; None leaves the text to the line loop."""
+    header = _PLAIN_COLORING_HEADER.match(text)
+    if header is None:
+        return None
+    k = _declared_count(header.group(1))
+    numbers = _plain_pairs(text, header.end())
+    if numbers is None or not 1 <= k <= g.n or len(numbers) != 2 * g.n:
+        return None
+    coloring = dict(zip(map(vertex_of.get, numbers[0::2]), numbers[1::2]))
+    # n lines that color n distinct known vertices color each vertex once
+    if len(coloring) != g.n or None in coloring:
+        return None
+    return k, coloring
+
+
+def _coloring_lines(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The line-by-line read of ``parse_coloring_file``: accepts every valid
+    file and names the line of the first error."""
+    k: int | None = None
+    coloring: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            header = _COLORING_HEADER.match(line)
+            if header:
+                if k is not None:
+                    raise ParseError("duplicate coloring header", lineno)
+                k = _declared_count(header.group(1))
+                if k < 1:
+                    raise ParseError(f"k={header.group(1)}: a b-coloring has at least one color", lineno)
+                if k > g.n:
+                    raise ParseError(f"k={header.group(1)} exceeds the graph's {g.n} vertices", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'vertex color', got {line!r}", lineno)
+        try:
+            label, color = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer token in {line!r}", lineno) from None
+        vertex = vertex_of.get(label)
+        if vertex is None:
+            raise ParseError(f"unknown vertex label {label}", lineno)
+        if vertex in coloring:
+            raise ParseError(f"vertex {label} colored twice", lineno)
+        coloring[vertex] = color
+    if k is None:
+        raise ParseError("missing '# k=... basis=...' header")
+    if len(coloring) < g.n:
+        missing = next(v for v in range(g.n) if v not in coloring)
+        raise ParseError(f"coloring is partial: vertex {g.labels[missing]} has no color")
+    return k, coloring
 
 
 def girth(g: Graph) -> int | float:

@@ -11,9 +11,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
-from .density import density_profile
 from .errors import InvariantViolation, OracleLimitError
-from .goodset import find_encircled_vertex
+from .goodset import density_profile, find_encircled_vertex
 from .graph import Graph
 
 DEFAULT_ORACLE_LIMIT = 14

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bchrom import Graph, ParseError, parse_edge_list
-from bchrom.cli import _coloring_bulk, _coloring_lines, parse_coloring_file
-from bchrom.graph import _edge_list_bulk, _edge_list_lines
+from bchrom.graph import _coloring_bulk, _coloring_lines, _edge_list_bulk, _edge_list_lines, parse_coloring_file
 
 # labels 0..6 keep self-loops, duplicates and unknown labels frequent
 plain_numbers = st.integers(0, 6).map(str)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bchrom
 import bchrom.cli
 import bchrom.graph
 import bchrom.oracle
-from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline
-from bchrom.cli import EXIT_INTERNAL, main
+from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
+from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
 
 from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars
 
@@ -227,6 +232,23 @@ def test_negative_dimacs_vertex_count_names_its_line(tmp_path, capsys):
     path = write_graph(tmp_path, "g.col", "p edge -3 0\n")
     assert main(["analyze", path]) == 2
     assert capsys.readouterr().err == "error: line 1: problem line declares -3 vertices, a negative count\n"
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a 20k-vertex path's coloring is far larger than a pipe buffer, so the
+    # writer is still writing when the reader closes the pipe.  Unbuffered
+    # (PYTHONUNBUFFERED), CPython's text layer drops the unwritten rest of a
+    # short write without an error, so the child runs with buffered stdout.
+    path = write_graph(tmp_path, "path.txt", to_edge_list(path_graph(20_000)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(bchrom.__file__).parents[1])
+    command = [sys.executable, "-m", "bchrom", "color", path]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# k=3 ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
+    assert stderr == b""
 
 
 def test_verify_refuses_unknown_label(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bchrom import (
     parse_edge_list,
     to_edge_list,
 )
+from bchrom.graph import format_coloring_file, parse_coloring_file
 
 from helpers import (
     all_roots_girth,
@@ -96,6 +97,19 @@ def test_dimacs_rejects_bad_lines():
         parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")  # duplicate edge
     with pytest.raises(ParseError, match="self-loop"):
         parse_dimacs("p edge 2 1\ne 2 2\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("p edge 3 banana\ne 1 2\n", "line 1: non-integer edge count"),
+        ("p edge 3 -1\ne 1 2\n", "line 1: problem line declares -1 edges, a negative count"),
+        ("p edge 3 2\ne 1 2\n", "line 1: problem line declares 2 edges, the file has 1"),
+    ],
+)
+def test_dimacs_edge_count_must_match_the_edge_lines(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_dimacs(text)
 
 
 def test_declared_vertex_count_is_capped(monkeypatch):
@@ -291,6 +305,28 @@ def test_edge_list_round_trip(n, seed):
         # also exercise exotic labels when no header is needed
         relabeled = Graph(n, pairs, labels=[3 * i + 5 for i in range(n)])
         assert parse_edge_list(to_edge_list(relabeled)) == relabeled
+
+
+@st.composite
+def colored_graphs(draw):
+    """A graph with distinct labels in no particular order, a color per
+    vertex (negative colors send the file to the line loop), k and a basis."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    g = Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v}, labels=labels)
+    coloring = {u: draw(st.integers(-2, 10**9)) for u in range(n)}
+    k = draw(st.integers(1, n))
+    basis = draw(st.dictionaries(st.integers(1, k), st.integers(0, n - 1)))
+    return g, coloring, k, basis
+
+
+@given(colored_graphs())
+def test_coloring_file_round_trip(case):
+    g, coloring, k, basis = case
+    text = format_coloring_file(g, coloring, k, basis)
+    assert parse_coloring_file(text, g) == (k, coloring)
+    assert parse_coloring_file(text.replace("\n", "\r\n"), g) == (k, coloring)
 
 
 def test_generator_deterministic_and_respects_girth():
