@@ -3,9 +3,9 @@
 Given a good set W = {v_1 < ... < v_m}, anchor v_i on color i, then color the
 link vertices (interiors of short W-to-W paths) in four ordered passes, make
 every anchor a b-vertex by finishing its neighborhood, and extend greedily.
-Each pass re-checks the properties the correctness argument rests on:
+The construction re-checks the properties the correctness argument rests on:
 
-* properness after every pass,
+* properness at every assignment and recoloring,
 * as completion starts each anchor, it has at least as many uncolored
   neighbors as colors missing from its neighborhood,
 * no vertex is ever recolored twice,
@@ -62,16 +62,25 @@ class BResult:
 
 
 class PartialColoring:
-    """Mutable vertex -> color map that traces every assignment and recoloring."""
+    """Mutable vertex -> color map of a graph that traces every assignment and
+    recoloring, and refuses one that would give a vertex a neighbor's color."""
 
-    def __init__(self):
+    def __init__(self, g: Graph):
+        self._adj = g.adj
         self.colors: dict[int, int] = {}
         self.trace: list[TraceEvent] = []
         self._recolored: set[int] = set()
 
+    def _refuse_clash(self, v: int, color: int, step: str) -> None:
+        colors = self.colors
+        for u in self._adj[v]:
+            if colors.get(u) == color:
+                raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)
+
     def assign(self, v: int, color: int, step: str) -> None:
         if v in self.colors:
             raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+        self._refuse_clash(v, color, step)
         self.colors[v] = color
         self.trace.append(TraceEvent(step, v, color))
 
@@ -80,6 +89,7 @@ class PartialColoring:
             raise InvariantViolation("cannot recolor an uncolored vertex", step=step, vertex=v)
         if v in self._recolored:
             raise InvariantViolation("vertex recolored twice", step=step, vertex=v)
+        self._refuse_clash(v, color, step)
         self._recolored.add(v)
         old = self.colors[v]
         self.colors[v] = color
@@ -137,15 +147,6 @@ def derange_assign(targets: Sequence[tuple[int, int]], palette: Sequence[int]) -
     return {v: sequence[(j + 1) % size] for j, (v, _) in enumerate(targets)}
 
 
-def _assert_proper(g: Graph, pc: PartialColoring, step: str) -> None:
-    colors = pc.colors
-    for u in sorted(colors):
-        cu = colors[u]
-        for v in g.adj[u]:
-            if v > u and colors.get(v) == cu:
-                raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=u)
-
-
 def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColoring:
     """Anchor W and run the four link-coloring passes, each to exhaustion.
 
@@ -172,7 +173,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     w_set = frozenset(members)
     link_set = links.vertices
     anchors_of = links.anchors_of
-    pc = PartialColoring()
+    pc = PartialColoring(g)
     for v in members:
         pc.assign(v, anchor_color[v], "anchor")
 
@@ -180,7 +181,6 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     for x in sorted(links.chained):
         x2 = next(y for y in g.adj[x] if y in link_set)
         pc.assign(x, anchor_color[anchors_of[x2][0]], "step1")
-    _assert_proper(g, pc, "step1")
 
     # pass 2: deranged second-anchor colors around each anchor
     for v_i in members:
@@ -201,7 +201,6 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
             raise InvariantViolation(f"derangement infeasible: {exc}", step="step2", vertex=v_i) from exc
         for x, _ in targets:
             pc.assign(x, assignment[x], "step2")
-    _assert_proper(g, pc, "step2")
 
     # pass 3: steal a chained neighbor's color, then move that neighbor
     first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor
@@ -218,7 +217,6 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         pc.assign(x, pc.colors[y], "step3-new")
         other = next(v for v in anchors_of[x] if v != v_i)
         pc.recolor(y, anchor_color[other], "step3-recolor")
-    _assert_proper(g, pc, "step3")
 
     # pass 4: an unencircled vertex always has a safe anchor color left,
     # that of an anchor outside its encirclement cover
@@ -230,7 +228,6 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         if option is None:
             raise InvariantViolation("uncolored doubly anchored vertex is encircled", step="step4", vertex=x)
         pc.assign(x, anchor_color[option], "step4")
-    _assert_proper(g, pc, "step4")
 
     leftovers = sorted(x for x in link_set if x not in pc.colors)
     if leftovers:
@@ -287,7 +284,6 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
                 if color is None:
                     raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
                 pc.assign(u, color, "completion")
-    _assert_proper(g, pc, "completion")
     for i, v in enumerate(members):
         own = i + 1
         seen = {pc.colors[u] for u in g.adj[v] if u in pc.colors}
@@ -300,18 +296,17 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
     """Color the remaining vertices with the smallest free color, by id.
 
     Sound because every vertex of degree >= num_colors was colored earlier;
-    the remaining ones see at most num_colors - 1 colors.
+    the remaining ones see at most num_colors - 1 colors.  Greedy colors only
+    the vertex it visits, so the first too-connected vertex it meets is the
+    lowest-id one.
     """
-    for u in range(g.n):
-        if u not in pc.colors and len(g.adj[u]) >= num_colors:
-            raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
     for u in range(g.n):
         if u in pc.colors:
             continue
+        if len(g.adj[u]) >= num_colors:
+            raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
         used = {pc.colors[z] for z in g.adj[u] if z in pc.colors}
-        color = next((c for c in range(1, num_colors + 1) if c not in used), None)
-        if color is None:
-            raise InvariantViolation("no color available", step="greedy", vertex=u)
+        color = next(c for c in range(1, num_colors + 1) if c not in used)
         pc.assign(u, color, "greedy")
     return dict(pc.colors)
 

@@ -83,21 +83,15 @@ def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | Non
     """Smallest vertex outside W that W encircles with witness degree m - 1, or None.
 
     m is m(G) for the good-set check and the color count k for the oracle's
-    prune.  Only vertices adjacent to the first member, or adjacent to one of
-    its degree-(m-1) co-members, can possibly be encircled, which keeps the
-    scan local on sparse graphs.
+    prune.  Only vertices in the encirclement cover of the first member can
+    possibly be encircled, which keeps the scan local on sparse graphs.
     """
     w_sorted = sorted(set(members))
     if not w_sorted:
         raise ValueError("candidate set must be nonempty")
     v0 = w_sorted[0]
     w_set = set(w_sorted)
-    target = m - 1
-    candidates = set(g.adj[v0])
-    for w in g.adj[v0]:
-        if w in w_set and len(g.adj[w]) == target:
-            candidates.update(g.adj[w])
-    candidates -= w_set
+    candidates = encirclement_cover(g, w_set, v0, m) - w_set
     for u in sorted(candidates):
         if w_set <= encirclement_cover(g, w_set, u, m):
             return u

@@ -249,7 +249,7 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
-            if len(parts) != 4:
+            if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError("problem line must read 'p edge <n> <m>'", lineno)
             try:
                 n = _declared_count(parts[2])
@@ -480,11 +480,8 @@ def ensure_min_girth(g: Graph, bound: int, girth_value: int | float | None = Non
 
 
 def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:
-    """BFS out to depth ``cap``; True if target is reached that soon."""
-    if cap < 0:
-        return False
-    if source == target:
-        return True
+    """BFS out to depth ``cap`` >= 1 from ``source`` != ``target``; True if
+    target is reached that soon."""
     dist = {source: 0}
     queue = deque([source])
     while queue:

@@ -136,7 +136,7 @@ def _extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | 
     return None
 
 
-def find_b_coloring_exact(g: Graph, k: int, *, limit: int | None = None) -> dict[int, int] | None:
+def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
     """Exhaustive search for a b-coloring with exactly k colors.
 
     Iterates over candidate bases (k vertices of degree >= k - 1; the i-th
@@ -152,13 +152,10 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int | None = None) -> dict
     neighbors, yet two of them, u and that b-vertex, carry u's color.  The
     prune therefore never changes the returned coloring.
     """
-    cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
-    if g.n > cap:
-        raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {cap}")
+    if g.n > limit:
+        raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:
         raise ValueError("k must be positive")
-    if k > g.n:
-        return None
     eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
     if len(eligible) < k:
         return None
@@ -171,7 +168,7 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int | None = None) -> dict
     return None
 
 
-def exact_b_chromatic(g: Graph, *, limit: int | None = None) -> tuple[int, dict[int, int]]:
+def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, dict[int, int]]:
     """Largest k admitting a b-coloring, found by scanning down from m(G),
     with the witness the search found at k: the search is deterministic, so
     it equals what ``find_b_coloring_exact(g, k)`` returns."""

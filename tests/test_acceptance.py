@@ -164,10 +164,10 @@ def test_criterion_4_named_instances():
 
 
 def test_criterion_5_internal_certificates_over_a_sweep():
-    """The constructive passes re-check properness, anchor slack, the
-    stable-set certificate, the single-recolor rule, and the b-vertex
-    property on every run; here a sweep re-verifies the observable half
-    from the outside as well."""
+    """The construction re-checks properness at every assignment and
+    recoloring, anchor slack, the stable-set certificate, the single-recolor
+    rule, and the b-vertex property on every run; here a sweep re-verifies
+    the observable half from the outside as well."""
     instances = [
         path_graph(5),
         cycle_graph(9),

@@ -13,7 +13,7 @@ import bchrom.oracle
 from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
 
-from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars
+from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars, steal_chain_tree
 
 
 def write_graph(tmp_path, name, text):
@@ -88,6 +88,22 @@ def test_analyze_low_girth_without_oracle_reports_bounds(tmp_path, capsys):
     assert record["chi_b_upper"] == record["m"]
 
 
+def test_analyze_bounds_only_text_reports_the_upper_bound(tmp_path, capsys):
+    path = write_graph(tmp_path, "c5.txt", C5_TEXT)
+    assert main(["analyze", path, "--chi-b", "--oracle-limit", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["chi-b-upper 3", "chi-b-method bounds-only"]
+    assert not any(line.startswith("chi-b ") for line in lines)
+
+
+def test_analyze_no_good_set_above_the_oracle_limit_uses_the_theorem(tmp_path, capsys):
+    path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
+    assert main(["analyze", path, "--chi-b", "--json", "--oracle-limit", "5"]) == 0
+    record = record_from(capsys)
+    assert record["has_good_set"] is False
+    assert (record["chi_b"], record["chi_b_method"]) == (3, "nogoodset-theorem")
+
+
 def test_analyze_low_girth_uses_oracle_within_limit(tmp_path, capsys):
     path = write_graph(tmp_path, "c5.txt", C5_TEXT)
     assert main(["analyze", path, "--chi-b", "--json"]) == 0
@@ -118,6 +134,24 @@ def test_verify_detects_tampering(tmp_path, capsys):
     out_path.write_text("\n".join(lines) + "\n")
     assert main(["verify", graph_path, str(out_path)]) == 1
     assert "monochromatic-edge" in capsys.readouterr().out
+
+
+def test_verify_json_payload(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    out_path = tmp_path / "p5.coloring"
+    assert main(["color", graph_path, "-o", str(out_path)]) == 0
+    assert main(["verify", graph_path, str(out_path), "--json"]) == 0
+    payload = record_from(capsys)
+    # JSON object keys are strings: color -> label of its b-vertex
+    basis = {"1": 1, "2": 2, "3": 3}
+    assert payload == {"k": 3, "proper": True, "colors_used": 3, "valid": True, "basis": basis, "violations": []}
+    lines = out_path.read_text().splitlines()
+    lines[1], lines[2] = "0 1", "1 1"  # vertices 0 and 1 share a color
+    out_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", graph_path, str(out_path), "--json"]) == 1
+    payload = record_from(capsys)
+    assert (payload["proper"], payload["valid"], payload["basis"]) == (False, False, None)
+    assert {"kind": "monochromatic-edge", "witness": [0, 1]} in payload["violations"]
 
 
 def test_verify_detects_lowered_k(tmp_path, capsys):
@@ -153,6 +187,17 @@ def test_color_trace_lines(tmp_path, capsys):
     assert any(line.startswith("step=completion") for line in lines)
     assert any(line.startswith("step=greedy") for line in lines)
     assert len(lines) == 9
+
+
+def test_color_trace_names_the_recolored_color(tmp_path, capsys):
+    path = write_graph(tmp_path, "steal.txt", to_edge_list(steal_chain_tree()))
+    assert main(["color", path, "--trace", "-o", str(tmp_path / "steal.coloring")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # vertex 3 takes color 3 from its anchor's chained neighbor 4, which moves to 2
+    assert "step=step3-new vertex=3 color=3" in lines
+    assert [line for line in lines if "recolored-from=" in line] == [
+        "step=step3-recolor vertex=4 color=2 recolored-from=3"
+    ]
 
 
 def test_generate_deterministic_and_valid(tmp_path, capsys):
@@ -298,6 +343,16 @@ def test_batch_mode_reports_file_errors(tmp_path, capsys):
     assert main(["analyze", "--batch", str(tmp_path), "--json"]) == 2
     lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert "error" in lines[1]
+
+
+def test_batch_mode_text_separates_files_and_reports_errors(tmp_path, capsys):
+    write_graph(tmp_path, "a_ok.txt", P5_TEXT)
+    write_graph(tmp_path, "b_bad.txt", "0 0\n")
+    assert main(["analyze", "--batch", str(tmp_path)]) == 2
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert len(blocks) == 2
+    assert blocks[0].splitlines()[:2] == ["file a_ok.txt", "n 5"]
+    assert blocks[1] == "file b_bad.txt\nerror line 1: self-loop at vertex 0\n"
 
 
 def test_batch_mode_exits_with_the_refusal_code(tmp_path, capsys):

@@ -239,19 +239,45 @@ def test_completion_star_of_stars_golden():
 
 
 def test_completion_checks_anchor_slack():
-    # anchor 0 (color 1) misses color 2 and has no uncolored neighbor left
+    # anchor 0 (color 1) misses color 2 and has no uncolored neighbor left,
+    # its one neighbor holding a color from outside the palette
     g = path_graph(3)
-    pc = PartialColoring()
-    for v, color in [(0, 1), (1, 1), (2, 2)]:
+    pc = PartialColoring(g)
+    for v, color in [(0, 1), (1, 3), (2, 2)]:
         pc.assign(v, color, "anchor")
     with pytest.raises(InvariantViolation, match="anchor is missing 1 colors but has only 0 uncolored") as info:
         complete_b_vertices(g, GoodSet((0, 2)), pc)
     assert (info.value.step, info.value.vertex) == ("completion", 0)
 
 
+def test_assign_refuses_a_neighbor_color():
+    g = path_graph(3)
+    pc = PartialColoring(g)
+    pc.assign(0, 1, "anchor")
+    with pytest.raises(InvariantViolation, match=r"^edge 0-1 is monochromatic \(step=step1, vertex=1\)$") as info:
+        pc.assign(1, 1, "step1")
+    assert (info.value.step, info.value.vertex) == ("step1", 1)
+    assert 1 not in pc.colors and len(pc.trace) == 1
+
+
+def test_recolor_refuses_a_neighbor_color():
+    g = path_graph(3)
+    pc = PartialColoring(g)
+    for v, color in [(0, 1), (1, 2), (2, 3)]:
+        pc.assign(v, color, "anchor")
+    with pytest.raises(
+        InvariantViolation, match=r"^edge 2-1 is monochromatic \(step=step3-recolor, vertex=1\)$"
+    ) as info:
+        pc.recolor(1, 3, "step3-recolor")
+    assert (info.value.step, info.value.vertex) == ("step3-recolor", 1)
+    assert pc.colors[1] == 2 and len(pc.trace) == 3
+    pc.recolor(1, 4, "step3-recolor")  # the refusal did not use up the one recoloring
+    assert pc.colors[1] == 4
+
+
 def test_greedy_identity_when_total():
     g = path_graph(3)
-    pc = PartialColoring()
+    pc = PartialColoring(g)
     pc.assign(0, 1, "anchor")
     pc.assign(1, 2, "anchor")
     pc.assign(2, 1, "anchor")
@@ -262,14 +288,14 @@ def test_greedy_isolated_vertex_gets_one():
     from bchrom import Graph
 
     g = Graph(1, [])
-    assert greedy_extend(g, PartialColoring(), 1) == {0: 1}
+    assert greedy_extend(g, PartialColoring(g), 1) == {0: 1}
 
 
 def test_greedy_pendant_gets_smallest_absent():
     from bchrom import Graph
 
     g = Graph(2, [(0, 1)])
-    pc = PartialColoring()
+    pc = PartialColoring(g)
     pc.assign(0, 2, "anchor")
     assert greedy_extend(g, pc, 3)[1] == 1
 
@@ -277,7 +303,17 @@ def test_greedy_pendant_gets_smallest_absent():
 def test_greedy_rejects_high_degree_uncolored():
     g = star_of_stars()
     with pytest.raises(InvariantViolation):
-        greedy_extend(g, PartialColoring(), 3)
+        greedy_extend(g, PartialColoring(g), 3)
+
+
+def test_greedy_names_the_lowest_too_connected_vertex():
+    from bchrom import Graph
+
+    # 0 and 1 are colored on the way; 2 and 6 both have degree 3 = num_colors
+    g = Graph(10, [(0, 1), (2, 3), (2, 4), (2, 5), (6, 7), (6, 8), (6, 9)])
+    with pytest.raises(InvariantViolation, match="too connected for greedy completion") as info:
+        greedy_extend(g, PartialColoring(g), 3)
+    assert (info.value.step, info.value.vertex) == ("greedy", 2)
 
 
 # ----------------------------------------------------- full construction

@@ -105,6 +105,7 @@ def test_dimacs_rejects_bad_lines():
         ("p edge 3 banana\ne 1 2\n", "line 1: non-integer edge count"),
         ("p edge 3 -1\ne 1 2\n", "line 1: problem line declares -1 edges, a negative count"),
         ("p edge 3 2\ne 1 2\n", "line 1: problem line declares 2 edges, the file has 1"),
+        ("p banana 3 1\ne 1 2\n", "line 1: problem line must read 'p edge <n> <m>'"),
     ],
 )
 def test_dimacs_edge_count_must_match_the_edge_lines(text, message):
