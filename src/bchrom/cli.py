@@ -353,8 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: parse_args leaves the parser as it found it, so every call of
+#: main shares it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit

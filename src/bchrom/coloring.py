@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .errors import InvariantViolation
@@ -43,8 +44,9 @@ class LinkStructure:
     anchors_of: dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One assignment or recoloring; a tuple, the cheapest record to create."""
+
     step: str
     vertex: int
     color: int
@@ -83,6 +85,24 @@ class PartialColoring:
         self._refuse_clash(v, color, step)
         self.colors[v] = color
         self.trace.append(TraceEvent(step, v, color))
+
+    def assign_smallest_free(self, v: int, step: str, num_colors: int) -> int | None:
+        """Give uncolored v the smallest color in 1..num_colors that no
+        neighbor has, and return it; None, assigning nothing, when every such
+        color is taken.  The one scan that collects the neighbors' colors is
+        also the properness check of ``assign``."""
+        colors = self.colors
+        if v in colors:
+            raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+        used = {colors.get(u) for u in self._adj[v]}
+        color = 1
+        while color in used:
+            color += 1
+        if color > num_colors:
+            return None
+        colors[v] = color
+        self.trace.append(TraceEvent(step, v, color))
+        return color
 
     def recolor(self, v: int, color: int, step: str) -> None:
         if v not in self.colors:
@@ -278,12 +298,8 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
         for color, u in zip(missing, free):
             pc.assign(u, color, "completion")
         for u in free[len(missing):]:
-            if len(g.adj[u]) >= m:
-                used = {pc.colors[z] for z in g.adj[u] if z in pc.colors}
-                color = next((c for c in range(1, m + 1) if c not in used), None)
-                if color is None:
-                    raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
-                pc.assign(u, color, "completion")
+            if len(g.adj[u]) >= m and pc.assign_smallest_free(u, "completion", m) is None:
+                raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
     for i, v in enumerate(members):
         own = i + 1
         seen = {pc.colors[u] for u in g.adj[v] if u in pc.colors}
@@ -300,15 +316,15 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
     the vertex it visits, so the first too-connected vertex it meets is the
     lowest-id one.
     """
+    colors = pc.colors
+    adj = g.adj
     for u in range(g.n):
-        if u in pc.colors:
+        if u in colors:
             continue
-        if len(g.adj[u]) >= num_colors:
+        if len(adj[u]) >= num_colors:
             raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
-        used = {pc.colors[z] for z in g.adj[u] if z in pc.colors}
-        color = next(c for c in range(1, num_colors + 1) if c not in used)
-        pc.assign(u, color, "greedy")
-    return dict(pc.colors)
+        pc.assign_smallest_free(u, "greedy", num_colors)
+    return dict(colors)
 
 
 def b_coloring_with_good_set(

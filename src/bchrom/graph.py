@@ -21,11 +21,15 @@ from .errors import ParseError, PreconditionError
 #: so ``girth(g) >= k`` reads naturally.
 ACYCLIC = math.inf
 
-#: Largest vertex count a "# n=" header or a "p edge" line may declare.  A
-#: one-line file must not be able to allocate an unbounded graph.
+#: Largest vertex count a "# n=" header or a "p edge" line may declare, and
+#: most distinct labels an edge list may name.  A one-line file must not be
+#: able to allocate an unbounded graph.
 MAX_VERTICES = 10**6
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+#: The only header line the bulk edge-list read accepts; see ``parse_edge_list``.
+_PLAIN_N_HEADER = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*\n")
 
 _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
 
@@ -163,15 +167,16 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines starting with '#' are comments, except a "# n=<count>" header which
     declares the total vertex count (the only way to express isolated
-    vertices); it may declare at most MAX_VERTICES.  Self-loops and duplicate
-    edges are rejected outright so that corpus bugs surface instead of being
-    silently normalized away.
+    vertices); it may declare at most MAX_VERTICES, and the file may name at
+    most MAX_VERTICES distinct labels.  Self-loops and duplicate edges are
+    rejected outright so that corpus bugs surface instead of being silently
+    normalized away.
 
     A text made only of "u v" lines (unsigned ASCII decimals, separated by
-    spaces or tabs, each line ended by "\\n") is read in bulk: one split, one
-    int conversion and one set of edges.  Any other text, and any anomaly the
-    bulk read meets, goes to the line-by-line parser, so an error always
-    names its line.
+    spaces or tabs, each line ended by "\\n"), after at most one plain
+    "# n=<count>" line, is read in bulk: one split, one int conversion and
+    one set of edges.  Any other text, and any anomaly the bulk read meets,
+    goes to the line-by-line parser, so an error always names its line.
     """
     g = _edge_list_bulk(text)
     return g if g is not None else _edge_list_lines(text)
@@ -179,7 +184,11 @@ def parse_edge_list(text: str) -> Graph:
 
 def _edge_list_bulk(text: str) -> Graph | None:
     """The bulk read of ``parse_edge_list``; None leaves the text to the line loop."""
-    ends = _plain_pairs(text)
+    header = _PLAIN_N_HEADER.match(text)
+    declared = _declared_count(header.group(1)) if header else 0
+    if declared > MAX_VERTICES:  # the line loop names the header's line
+        return None
+    ends = _plain_pairs(text, header.end() if header else 0)
     if ends is None:
         return None
     heads = ends[0::2]
@@ -189,10 +198,18 @@ def _edge_list_bulk(text: str) -> Graph | None:
     # self-loop (its own reverse), meets itself reversed
     if len(pairs) != len(heads) or not pairs.isdisjoint(zip(tails, heads)):
         return None
-    labels = sorted(set(ends))
+    labels = _capped_labels({*ends, *range(declared)})
     index = dict(zip(labels, range(len(labels))))
     ids = map(index.__getitem__, ends)
     return Graph._trusted(len(labels), zip(ids, ids), labels)
+
+
+def _capped_labels(label_set: set[int]) -> list[int]:
+    """The labels of an edge list in increasing order; a ParseError when there
+    are more than MAX_VERTICES of them."""
+    if len(label_set) > MAX_VERTICES:
+        raise ParseError(f"the edge list names {len(label_set)} distinct vertices, above the limit {MAX_VERTICES}")
+    return sorted(label_set)
 
 
 def _edge_list_lines(text: str) -> Graph:
@@ -228,7 +245,7 @@ def _edge_list_lines(text: str) -> Graph:
     label_set = {lab for edge in edges for lab in edge}
     if declared_n is not None:
         label_set.update(range(declared_n))
-    labels = sorted(label_set)
+    labels = _capped_labels(label_set)
     index = {lab: i for i, lab in enumerate(labels)}
     return Graph._trusted(len(labels), [(index[a], index[b]) for a, b in edges], labels)
 

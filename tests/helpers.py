@@ -2,11 +2,14 @@
 
 Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
-never used to check itself.  Two exceptions reuse package code on purpose.
+never used to check itself.  Three exceptions reuse package code on purpose.
 The unpruned exact search reuses the oracle's basis extension: it isolates
 the encirclement prune, the only thing it leaves out.  The backtracking
 good-set search reuses ``check_good_set`` at its leaves: it is the reference
-for the selection rule of ``find_good_set``, not for the check.
+for the selection rule of ``find_good_set``, not for the check.  The
+used-set greedy records through ``PartialColoring.assign``: it is the
+reference for the one-scan color choice of ``greedy_extend``, not for the
+record.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections.abc import Mapping
 from itertools import combinations
 
 from bchrom import DensityProfile, GoodSet, Graph, InvariantViolation, ValidityReport, Violation, check_good_set
+from bchrom.coloring import PartialColoring
 from bchrom.graph import ensure_min_girth
 from bchrom.oracle import _extend_basis
 
@@ -290,6 +294,21 @@ def naive_check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> Val
         basis=report_basis,
         violations=tuple(violations),
     )
+
+
+def used_set_greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, int]:
+    """Greedy extension by id: collect the neighbors' colors into a set, take
+    the smallest color outside it, then assign, which scans the neighbors
+    again to refuse a clash."""
+    for u in range(g.n):
+        if u in pc.colors:
+            continue
+        if len(g.adj[u]) >= num_colors:
+            raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
+        used = {pc.colors[z] for z in g.adj[u] if z in pc.colors}
+        color = next(c for c in range(1, num_colors + 1) if c not in used)
+        pc.assign(u, color, "greedy")
+    return dict(pc.colors)
 
 
 def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:

@@ -8,8 +8,16 @@ same Graph or coloring, or the same ParseError message and line.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bchrom.graph
 from bchrom import Graph, ParseError, parse_edge_list
-from bchrom.graph import _coloring_bulk, _coloring_lines, _edge_list_bulk, _edge_list_lines, parse_coloring_file
+from bchrom.graph import (
+    MAX_VERTICES,
+    _coloring_bulk,
+    _coloring_lines,
+    _edge_list_bulk,
+    _edge_list_lines,
+    parse_coloring_file,
+)
 
 # labels 0..6 keep self-loops, duplicates and unknown labels frequent
 plain_numbers = st.integers(0, 6).map(str)
@@ -37,13 +45,18 @@ def join(draw, lines: list[str]) -> str:
     return text[:-1] if text and draw(st.booleans()) else text
 
 
+# a leading header: none, plain, spaced, or above the vertex limit
+n_headers = st.sampled_from([None, None, None, "# n=3", "# n=9", "#n = 2 ", f"# n={MAX_VERTICES + 1}"])
+
+
 @st.composite
 def edge_texts(draw):
     if draw(st.booleans()):
         lines = draw(st.lists(plain_pairs, max_size=12))
     else:
         lines = draw(st.lists(any_lines, max_size=12))
-    return join(draw, lines)
+    header = draw(n_headers)
+    return join(draw, lines if header is None else [header, *lines])
 
 
 def outcome(parse, *args):
@@ -64,6 +77,13 @@ def outcome(parse, *args):
 @example("0\x0c1\n")
 @example("+5 1\n")
 @example("0 1\n1 2")
+@example("# n=3\n")  # header only
+@example("# n=2\n5 7\n")  # labels above the declared count
+@example("# n=4\n0 1\n")
+@example(f"# n={MAX_VERTICES + 1}\n0 1\n")  # declared count above the limit
+@example(f"# n={'9' * 5000}\n0 1\n")  # more digits than int() converts
+@example("# n=3\n0 1\n1 0\n")  # duplicate after the header, on line 3
+@example("# n=3\n# n=3\n")  # duplicate header
 def test_edge_list_bulk_read_matches_line_loop(text):
     assert outcome(parse_edge_list, text) == outcome(_edge_list_lines, text)
 
@@ -105,8 +125,10 @@ def test_coloring_bulk_read_matches_line_loop(text):
 
 
 def test_plain_texts_take_the_bulk_read():
-    text = "10 40\n40 7\n7\t3\n"
-    assert _edge_list_bulk(text) == _edge_list_lines(text)
+    for text in ["10 40\n40 7\n7\t3\n", "# n=50\n10 40\n40 7\n7\t3\n", "# n=3\n"]:
+        g = _edge_list_bulk(text)
+        assert isinstance(g, Graph)
+        assert g == _edge_list_lines(text)
     coloring = "# k=2 basis=1:2,2:3\n2 1\n3 2\n5 1\n6 2\n"
     assert _coloring_bulk(coloring, GRAPH, vertex_of(GRAPH)) == (2, {0: 1, 1: 2, 2: 1, 3: 2})
 
@@ -123,6 +145,24 @@ def test_edge_list_anomaly_in_a_plain_text_names_its_line(text, message):
     assert _edge_list_bulk(text) is None
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n2 3\n",  # plain: the bulk read
+        "# n=3\n5 6\n",  # plain with a header: the bulk read
+        "0 1\r\n2 3\r\n",  # the line loop
+        "# n=2\n# a comment\n7 8\n",  # the line loop
+    ],
+)
+def test_distinct_labels_are_capped(monkeypatch, text):
+    monkeypatch.setattr(bchrom.graph, "MAX_VERTICES", 3)
+    for parse in (parse_edge_list, _edge_list_lines):
+        with pytest.raises(ParseError, match=r"^the edge list names [45] distinct vertices, above the limit 3$"):
+            parse(text)
+    assert parse_edge_list("0 1\n1 2\n").n == 3
+    assert parse_edge_list("# n=3\n1 2\n").n == 3
 
 
 @pytest.mark.parametrize(

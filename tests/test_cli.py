@@ -200,6 +200,29 @@ def test_color_trace_names_the_recolored_color(tmp_path, capsys):
     ]
 
 
+def test_reused_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    path = write_graph(tmp_path, "c9.txt", C9_TEXT)
+    assert main(["color", "--trace", path]) == 0
+    assert any(line.startswith("step=") for line in capsys.readouterr().out.splitlines())
+    assert main(["color", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# k=3 basis=")
+    assert not any(line.startswith("step=") for line in out.splitlines())
+    assert main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 9
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n 9"
+
+
+def test_too_many_distinct_labels_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bchrom.graph, "MAX_VERTICES", 3)
+    path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the edge list names 5 distinct vertices, above the limit 3\n"
+
+
 def test_generate_deterministic_and_valid(tmp_path, capsys):
     a = str(tmp_path / "a.txt")
     b = str(tmp_path / "b.txt")

@@ -2,10 +2,11 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bchrom import (
     GoodSet,
+    Graph,
     InvariantViolation,
     PreconditionError,
     b_coloring_with_good_set,
@@ -17,6 +18,7 @@ from bchrom import (
 )
 from bchrom.coloring import (
     PartialColoring,
+    TraceEvent,
     classify_links,
     color_links,
     complete_b_vertices,
@@ -31,10 +33,12 @@ from helpers import (
     high_degree_leftover_forest,
     naive_link_vertices,
     path_graph,
+    random_simple_graph,
     random_tree,
     star_of_stars,
     steal_chain_tree,
     two_fan_tree,
+    used_set_greedy_extend,
 )
 
 
@@ -285,15 +289,11 @@ def test_greedy_identity_when_total():
 
 
 def test_greedy_isolated_vertex_gets_one():
-    from bchrom import Graph
-
     g = Graph(1, [])
     assert greedy_extend(g, PartialColoring(g), 1) == {0: 1}
 
 
 def test_greedy_pendant_gets_smallest_absent():
-    from bchrom import Graph
-
     g = Graph(2, [(0, 1)])
     pc = PartialColoring(g)
     pc.assign(0, 2, "anchor")
@@ -307,13 +307,82 @@ def test_greedy_rejects_high_degree_uncolored():
 
 
 def test_greedy_names_the_lowest_too_connected_vertex():
-    from bchrom import Graph
-
     # 0 and 1 are colored on the way; 2 and 6 both have degree 3 = num_colors
     g = Graph(10, [(0, 1), (2, 3), (2, 4), (2, 5), (6, 7), (6, 8), (6, 9)])
     with pytest.raises(InvariantViolation, match="too connected for greedy completion") as info:
         greedy_extend(g, PartialColoring(g), 3)
     assert (info.value.step, info.value.vertex) == ("greedy", 2)
+
+
+def greedy_outcome(extend, g: Graph, precolored: list[tuple[int, int]], num_colors: int):
+    """The coloring and trace greedy leaves, or the refusal it raises, on a
+    fresh PartialColoring holding ``precolored``."""
+    pc = PartialColoring(g)
+    for v, color in precolored:
+        pc.assign(v, color, "anchor")
+    try:
+        return extend(g, pc, num_colors), pc.trace
+    except InvariantViolation as exc:
+        return str(exc), exc.step, exc.vertex
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 12), st.floats(0.0, 0.6), st.integers(1, 6), st.integers(0, 2**30))
+def test_greedy_matches_the_used_set_reference(n, edge_prob, num_colors, seed):
+    rng = random.Random(seed)
+    g = random_simple_graph(n, edge_prob, rng)
+    # a random proper partial coloring, colors up to one past num_colors
+    precolored: list[tuple[int, int]] = []
+    taken: dict[int, int] = {}
+    for v in range(n):
+        color = rng.randint(1, num_colors + 1)
+        if rng.random() < 0.4 and all(taken.get(u) != color for u in g.adj[v]):
+            taken[v] = color
+            precolored.append((v, color))
+    expected = greedy_outcome(used_set_greedy_extend, g, precolored, num_colors)
+    assert greedy_outcome(greedy_extend, g, precolored, num_colors) == expected
+
+
+def test_assign_smallest_free_takes_the_lowest_absent_color():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    pc = PartialColoring(g)
+    pc.assign(1, 1, "anchor")
+    pc.assign(3, 3, "anchor")
+    assert pc.assign_smallest_free(0, "greedy", 3) == 2
+    assert pc.trace[-1] == TraceEvent("greedy", 0, 2)
+    with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=0\)$"):
+        pc.assign_smallest_free(0, "greedy", 3)
+
+
+def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
+    g = path_graph(3)
+    pc = PartialColoring(g)
+    pc.assign(0, 1, "anchor")
+    pc.assign(2, 2, "anchor")
+    assert pc.assign_smallest_free(1, "completion", 2) is None
+    assert 1 not in pc.colors and len(pc.trace) == 2
+
+
+def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
+    # anchors 0 (color 1) and 1 (color 2) already see every other color;
+    # anchor 0's leftover neighbor 3 has degree m = 2 and sees colors 1 and 2
+    g = Graph(6, [(0, 2), (0, 3), (3, 4), (1, 5)])
+    pc = PartialColoring(g)
+    for v, color in [(0, 1), (1, 2), (2, 2), (4, 2), (5, 1)]:
+        pc.assign(v, color, "anchor")
+    with pytest.raises(InvariantViolation, match="^no color left for a high-degree neighbor") as info:
+        complete_b_vertices(g, GoodSet((0, 1)), pc)
+    assert (info.value.step, info.value.vertex) == ("completion", 3)
+    assert 3 not in pc.colors
+
+
+def test_trace_event_fields():
+    event = TraceEvent("greedy", 4, 2)
+    assert (event.step, event.vertex, event.color, event.recolored_from) == ("greedy", 4, 2, None)
+    moved = TraceEvent("step3-recolor", 4, 2, recolored_from=3)
+    assert moved.recolored_from == 3
+    with pytest.raises(AttributeError):
+        event.color = 3
 
 
 # ----------------------------------------------------- full construction
