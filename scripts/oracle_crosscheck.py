@@ -5,11 +5,14 @@ Random labeled trees plus random high-girth graphs, all within the oracle
 cap, compared at tolerance zero.  Random trees with 11 to 14 vertices are
 drawn until a fixed number of them have no good set, so the oracle path
 (the exact witness with m(G) - 1 colors) is cross-checked too; it exits 1
-if that path never ran.  Every witness coloring, the pipeline's and the
-exact search's, must pass check_b_coloring.
+if that path never ran.  A family of dense uniform random graphs (10 to 13
+vertices, edge density 0.4 to 0.6, girth below 9) runs the exact search on
+inputs where it decides chi_b alone.  Every witness coloring, the
+pipeline's and the exact search's, must pass check_b_coloring, and every
+exact value must respect chi_b <= m(G).
 
 Usage:
-    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
+    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --dense 60 --seed 7
 """
 
 from __future__ import annotations
@@ -53,10 +56,17 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def dense_graph(n: int, density: float, rng: random.Random) -> Graph:
+    """Uniform random graph with n vertices and round(density * n(n-1)/2) edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, round(density * len(pairs))))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=500)
     parser.add_argument("--graphs", type=int, default=200)
+    parser.add_argument("--dense", type=int, default=60)
     parser.add_argument("--max-n", type=int, default=13)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
@@ -64,15 +74,19 @@ def main() -> int:
     rng = random.Random(args.seed)
     mismatches = 0
     invalid = 0
+    above_m = 0
     methods: Counter[str] = Counter()
     start = time.perf_counter()
 
     def compare(g, tag, index):
-        nonlocal mismatches, invalid
+        nonlocal mismatches, invalid, above_m
         expected, exact_witness = exact_b_chromatic(g)
         if not check_b_coloring(g, exact_witness, expected).valid:
             invalid += 1
             print(f"INVALID WITNESS {tag} #{index}: exact search n={g.n}")
+        if expected > density_profile(g).m:
+            above_m += 1
+            print(f"ABOVE m(G) {tag} #{index}: exact search gave {expected} n={g.n}")
         outcome = run_pipeline(g, compute_chi_b=True)
         got = outcome.record.chi_b
         methods[outcome.record.chi_b_method] += 1
@@ -97,20 +111,26 @@ def main() -> int:
             if find_good_set(g, density_profile(g)) is None:
                 break
         compare(g, "no-good-set tree", index)
+    for index in range(args.dense):
+        compare(dense_graph(rng.randint(10, 13), rng.uniform(0.4, 0.6), rng), "dense graph", index)
 
     elapsed = time.perf_counter() - start
-    total = args.trees + args.graphs + NO_GOOD_SET_TREES
+    total = args.trees + args.graphs + NO_GOOD_SET_TREES + args.dense
     print(f"instances  {total} ({drawn} trees drawn to find {NO_GOOD_SET_TREES} without a good set)")
+    print(f"dense      {args.dense} graphs with 10-13 vertices and edge density 0.4-0.6")
     print(f"elapsed    {elapsed:.2f}s")
     for method, count in sorted(methods.items()):
         print(f"method {method:<18} {count}")
-    if mismatches or invalid:
-        print(f"FAILED: {mismatches} mismatches, {invalid} invalid witnesses")
+    if mismatches or invalid or above_m:
+        print(f"FAILED: {mismatches} mismatches, {invalid} invalid witnesses, {above_m} values above m(G)")
         return 1
     if not methods["oracle"]:
         print("FAILED: no instance took the oracle path")
         return 1
-    print("crosscheck OK: pipeline equals the oracle everywhere, every pipeline and exact witness is valid")
+    print(
+        "crosscheck OK: pipeline equals the oracle everywhere, every pipeline and exact witness is valid, "
+        "no exact value exceeds m(G)"
+    )
     return 0
 
 

@@ -200,9 +200,34 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
     return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout, through its byte layer when it has one.
+
+    Unbuffered (PYTHONUNBUFFERED), the text layer drops what a short write
+    to a closed pipe left over without an error, so the bytes go to the
+    byte layer in a loop that checks each count: the write after a short
+    one then raises BrokenPipeError.  A stream without a byte layer, such as
+    io.StringIO, takes the text as it is.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        out.write(text)
+        return
+    out.flush()  # whatever the text layer still holds goes first
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
+def _print(line: str = "") -> None:
+    """``print(line)``, written through ``_write_stdout``."""
+    _write_stdout(line + "\n")
+
+
 def _write_output(content: str, path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(content)
+        _write_stdout(content)
     else:
         Path(path).write_text(content)
 
@@ -210,11 +235,11 @@ def _write_output(content: str, path: str | None) -> None:
 def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = None) -> None:
     extra = extra or {}
     if as_json:
-        print(json.dumps({**extra, **record.to_json_dict()}))
+        _print(json.dumps({**extra, **record.to_json_dict()}))
     else:
         for key, value in extra.items():
-            print(f"{key} {value}")
-        print("\n".join(record.to_lines()))
+            _print(f"{key} {value}")
+        _print("\n".join(record.to_lines()))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -231,19 +256,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     force_oracle=args.oracle,
                 )
                 if not args.json and index:
-                    print()
+                    _print()
                 _print_record(outcome.record, args.json, extra={"file": path.name})
             except _REPORTED_ERRORS as exc:
                 code, prefix = _exit_status(exc)
                 worst = max(worst, code)
                 message = f"{prefix}: {exc}" if code == EXIT_INTERNAL else str(exc)
                 if args.json:
-                    print(json.dumps({"file": path.name, "error": message}))
+                    _print(json.dumps({"file": path.name, "error": message}))
                 else:
                     if index:
-                        print()
-                    print(f"file {path.name}")
-                    print(f"error {message}")
+                        _print()
+                    _print(f"file {path.name}")
+                    _print(f"error {message}")
         return worst
     g = load_graph(args.input, args.format)
     outcome = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
@@ -265,7 +290,7 @@ def cmd_color(args: argparse.Namespace) -> int:
             line = f"step={event.step} vertex={g.labels[event.vertex]} color={event.color}"
             if event.recolored_from is not None:
                 line += f" recolored-from={event.recolored_from}"
-            print(line)
+            _print(line)
     _write_output(format_coloring_file(g, outcome.coloring, outcome.record.chi_b, outcome.basis), args.output)
     return EXIT_OK
 
@@ -289,17 +314,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "basis": basis,
             "violations": [{"kind": kind, "witness": witness} for kind, witness in violations],
         }
-        print(json.dumps(payload))
+        _print(json.dumps(payload))
     else:
-        print(f"k {k}")
-        print(f"proper {str(report.proper).lower()}")
-        print(f"colors-used {report.colors_used}")
-        print(f"status {'valid' if report.valid else 'invalid'}")
+        _print(f"k {k}")
+        _print(f"proper {str(report.proper).lower()}")
+        _print(f"colors-used {report.colors_used}")
+        _print(f"status {'valid' if report.valid else 'invalid'}")
         if basis:
-            print("basis " + ",".join(f"{label}:{c}" for c, label in sorted(basis.items())))
+            _print("basis " + ",".join(f"{label}:{c}" for c, label in sorted(basis.items())))
         for kind, witness in violations:
             text = " ".join(map(str, witness)) if isinstance(witness, list) else witness
-            print(f"violation {kind} {text}")
+            _print(f"violation {kind} {text}")
     return EXIT_OK if report.valid else EXIT_INVALID
 
 

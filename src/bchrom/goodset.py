@@ -82,9 +82,11 @@ def encirclement_cover(g: Graph, w_set: Set[int], u: int, m: int) -> set[int]:
 def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | None:
     """Smallest vertex outside W that W encircles with witness degree m - 1, or None.
 
-    m is m(G) for the good-set check and the color count k for the oracle's
-    prune.  Only vertices in the encirclement cover of the first member can
-    possibly be encircled, which keeps the scan local on sparse graphs.
+    m is m(G) for the good-set check.  The oracle does not call this: its
+    prune, at witness degree k - 1, is mask arithmetic inside
+    ``find_b_coloring_exact``.  Only vertices in the encirclement cover of
+    the first member can possibly be encircled, which keeps the scan local
+    on sparse graphs.
     """
     w_sorted = sorted(set(members))
     if not w_sorted:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantViolation, OracleLimitError
-from .goodset import density_profile, find_encircled_vertex
+from .goodset import density_profile
+from .goodset import find_encircled_vertex  # noqa: F401  (unused: bench/tracing.py wraps this binding)
 from .graph import Graph
 
 DEFAULT_ORACLE_LIMIT = 14
@@ -88,83 +89,116 @@ def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityR
     )
 
 
-def _extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | None:
-    """Backtracking extension where basis[i] must become a b-vertex of color i+1."""
-    color = {v: i + 1 for i, v in enumerate(basis)}
-    full = set(range(1, k + 1))
-    missing: list[set[int]] = []
-    free: list[int] = []
-    for i, b in enumerate(basis):
-        seen = {color[u] for u in g.adj[b] if u in color}
-        missing.append(full - {i + 1} - seen)
-        free.append(sum(1 for u in g.adj[b] if u not in color))
-        if len(missing[i]) > free[i]:
-            return None
-    index = {v: i for i, v in enumerate(basis)}
-    basis_nbrs = {v: [index[u] for u in g.adj[v] if u in index] for v in range(g.n) if v not in color}
-    rest = sorted(basis_nbrs, key=lambda v: (-len(basis_nbrs[v]), -len(g.adj[v]), v))
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(rest):
-            return all(not need for need in missing)
-        v = rest[pos]
-        blocked = {color[u] for u in g.adj[v] if u in color}
-        for c in range(1, k + 1):
-            if c in blocked:
-                continue
-            color[v] = c
-            feasible = True
-            dropped = []
-            for i in basis_nbrs[v]:
-                free[i] -= 1
-                if c in missing[i]:
-                    missing[i].discard(c)
-                    dropped.append(i)
-                if len(missing[i]) > free[i]:
-                    feasible = False
-            if feasible and backtrack(pos + 1):
-                return True
-            for i in basis_nbrs[v]:
-                free[i] += 1
-            for i in dropped:
-                missing[i].add(c)
-            del color[v]
-        return False
-
-    if backtrack(0):
-        return dict(color)
-    return None
-
-
 def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
     """Exhaustive search for a b-coloring with exactly k colors.
 
-    Iterates over candidate bases (k vertices of degree >= k - 1; the i-th
-    smallest is pinned to color i + 1, which is lossless up to renaming
-    colors) and backtracks over the remaining vertices with counting-based
-    forward checking.
+    Iterates over candidate bases (k vertices of degree >= k - 1, in
+    ``combinations`` order; the i-th smallest is pinned to color i + 1,
+    which is lossless up to renaming colors) and backtracks over the
+    remaining vertices, sorted by (-basis neighbors, -degree, id), trying
+    colors 1..k, with a counting forward check: a basis vertex b can afford
+    deg(b) - (k - 1) neighbors whose color it already sees, and a branch
+    that needs one more is cut.  Every leaf is then a b-coloring, as each
+    basis vertex sees at least k - 1 distinct colors around it.  The
+    witness is the first b-coloring in this order.
 
     A candidate basis that encircles an outside vertex, with k - 1 as the
     witness degree, is skipped at every k.  It can never be a basis: if u
     is outside a basis W and encircled by it, the b-vertex of u's color is
     not adjacent to u, so it shares with u a neighbor w in W of degree
     k - 1.  As a b-vertex, w needs k - 1 distinct colors on its k - 1
-    neighbors, yet two of them, u and that b-vertex, carry u's color.  The
-    prune therefore never changes the returned coloring.
+    neighbors, yet two of them, u and that b-vertex, carry u's color.
+
+    The search runs on integer bitmasks, bit v standing for vertex v; each
+    call builds the neighbor mask N(v) of every vertex once.  W encircles
+    an outside u exactly when W lies inside N(u) together with N(w) for the
+    members w of N(u) of degree k - 1.  A color class is kept as the mask
+    of its members' neighbors, so one bit test tells whether a color is
+    blocked at a vertex or already seen by a basis vertex, and the basis
+    vertices that can afford no more repeats form one mask.  The bases, the
+    vertex order, the color order and the prune are those of the set-based
+    search the tests keep as a reference, and every cut removes only
+    branches that hold no b-coloring, so both return the same witness.
     """
     if g.n > limit:
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:
         raise ValueError("k must be positive")
-    eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+    n, adj = g.n, g.adj
+    eligible = [v for v in range(n) if len(adj[v]) >= k - 1]
     if len(eligible) < k:
         return None
-    for basis in combinations(eligible, k):
-        if find_encircled_vertex(g, basis, k) is not None:
+    nbr = [sum(1 << u for u in nbrs) for nbrs in adj]
+    witnesses = sum(1 << v for v in range(n) if len(adj[v]) == k - 1)
+    witness_nbrs = [[w for w in nbrs if witnesses >> w & 1] for nbrs in adj]
+    # the sort key (-basis neighbors, -degree, id) as one integer, less n * n per basis neighbor
+    rank = [(n - 1 - len(adj[v])) * n + v for v in range(n)]
+    colors = range(k)
+    near = [0] * k  # per color (0-based): the neighbors of its class
+    slack = [len(nbrs) - k + 1 for nbrs in adj]  # repeats a basis vertex can still afford
+
+    def encircles(w_mask: int) -> bool:  # some outside u, witness degree k - 1
+        for u in range(n):
+            if w_mask >> u & 1:
+                continue
+            cover = nbr[u]
+            for w in witness_nbrs[u]:
+                if w_mask >> w & 1:
+                    cover |= nbr[w]
+            if not w_mask & ~cover:
+                return True
+        return False
+
+    # colors order[pos:]; tight: the basis vertices that can afford no repeat.
+    # w_mask, order and chosen are those of the basis being extended, below.
+    def extend(pos: int, tight: int) -> bool:
+        if pos == len(order):
+            return True
+        v = order[pos]
+        bit = 1 << v
+        around = nbr[v]
+        in_basis = around & w_mask
+        for c in colors:
+            seen = near[c]
+            if seen & bit:
+                continue
+            repeats = in_basis & seen
+            if repeats & tight:
+                continue
+            now_tight = tight
+            left = repeats
+            while left:
+                low = left & -left
+                b = low.bit_length() - 1
+                slack[b] -= 1
+                if not slack[b]:
+                    now_tight |= low
+                left ^= low
+            near[c] = seen | around
+            chosen[pos] = c + 1
+            if extend(pos + 1, now_tight):
+                return True
+            near[c] = seen
+            left = repeats
+            while left:
+                low = left & -left
+                slack[low.bit_length() - 1] += 1
+                left ^= low
+        return False
+
+    square = n * n
+    for basis, bits in zip(combinations(eligible, k), combinations([1 << v for v in eligible], k)):
+        w_mask = sum(bits)
+        if encircles(w_mask):
             continue
-        result = _extend_basis(g, basis, k)
-        if result is not None:
-            return result
+        keys = sorted([rank[v] - (nbr[v] & w_mask).bit_count() * square for v in range(n) if not w_mask >> v & 1])
+        order = [key % n for key in keys]
+        chosen = [0] * len(order)
+        near[:] = [nbr[b] for b in basis]
+        if extend(0, w_mask & witnesses):
+            coloring = dict(zip(basis, range(1, k + 1)))
+            coloring.update(zip(order, chosen))
+            return coloring
     return None
 
 

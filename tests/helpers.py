@@ -3,13 +3,14 @@
 Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
 never used to check itself.  Three exceptions reuse package code on purpose.
-The unpruned exact search reuses the oracle's basis extension: it isolates
-the encirclement prune, the only thing it leaves out.  The backtracking
-good-set search reuses ``check_good_set`` at its leaves: it is the reference
-for the selection rule of ``find_good_set``, not for the check.  The
-used-set greedy records through ``PartialColoring.assign``: it is the
-reference for the one-scan color choice of ``greedy_extend``, not for the
-record.
+The set-based exact search, the oracle's search before its bitmask kernel,
+prunes through ``find_encircled_vertex`` of ``bchrom.goodset``, which the
+kernel does not call; the unpruned search leaves out only that prune.  The
+backtracking good-set search reuses ``check_good_set`` at its leaves: it is
+the reference for the selection rule of ``find_good_set``, not for the
+check.  The used-set greedy records through ``PartialColoring.assign``: it
+is the reference for the one-scan color choice of ``greedy_extend``, not
+for the record.
 """
 
 from __future__ import annotations
@@ -20,10 +21,20 @@ from collections import deque
 from collections.abc import Mapping
 from itertools import combinations
 
-from bchrom import DensityProfile, GoodSet, Graph, InvariantViolation, ValidityReport, Violation, check_good_set
+from bchrom import (
+    DEFAULT_ORACLE_LIMIT,
+    DensityProfile,
+    GoodSet,
+    Graph,
+    InvariantViolation,
+    OracleLimitError,
+    ValidityReport,
+    Violation,
+    check_good_set,
+)
 from bchrom.coloring import PartialColoring
+from bchrom.goodset import find_encircled_vertex
 from bchrom.graph import ensure_min_girth
-from bchrom.oracle import _extend_basis
 
 # ---------------------------------------------------------------- builders
 
@@ -311,14 +322,85 @@ def used_set_greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> di
     return dict(pc.colors)
 
 
+# ------------------------------------------------ reference exact search
+
+
+def set_based_extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int, int] | None:
+    """Backtracking extension where basis[i] must become a b-vertex of color i+1."""
+    color = {v: i + 1 for i, v in enumerate(basis)}
+    full = set(range(1, k + 1))
+    missing: list[set[int]] = []
+    free: list[int] = []
+    for i, b in enumerate(basis):
+        seen = {color[u] for u in g.adj[b] if u in color}
+        missing.append(full - {i + 1} - seen)
+        free.append(sum(1 for u in g.adj[b] if u not in color))
+        if len(missing[i]) > free[i]:
+            return None
+    index = {v: i for i, v in enumerate(basis)}
+    basis_nbrs = {v: [index[u] for u in g.adj[v] if u in index] for v in range(g.n) if v not in color}
+    rest = sorted(basis_nbrs, key=lambda v: (-len(basis_nbrs[v]), -len(g.adj[v]), v))
+
+    def backtrack(pos: int) -> bool:
+        if pos == len(rest):
+            return all(not need for need in missing)
+        v = rest[pos]
+        blocked = {color[u] for u in g.adj[v] if u in color}
+        for c in range(1, k + 1):
+            if c in blocked:
+                continue
+            color[v] = c
+            feasible = True
+            dropped = []
+            for i in basis_nbrs[v]:
+                free[i] -= 1
+                if c in missing[i]:
+                    missing[i].discard(c)
+                    dropped.append(i)
+                if len(missing[i]) > free[i]:
+                    feasible = False
+            if feasible and backtrack(pos + 1):
+                return True
+            for i in basis_nbrs[v]:
+                free[i] += 1
+            for i in dropped:
+                missing[i].add(c)
+            del color[v]
+        return False
+
+    if backtrack(0):
+        return dict(color)
+    return None
+
+
+def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
+    """The exact search on Python sets that the bitmask kernel replaced: the
+    same bases in the same order, the same encirclement prune and the same
+    extension order, so it must return the kernel's witness."""
+    if g.n > limit:
+        raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+    if len(eligible) < k:
+        return None
+    for basis in combinations(eligible, k):
+        if find_encircled_vertex(g, basis, k) is not None:
+            continue
+        result = set_based_extend_basis(g, basis, k)
+        if result is not None:
+            return result
+    return None
+
+
 def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:
-    """The oracle's exact search without its encirclement prune: every
+    """The set-based exact search without its encirclement prune: every
     candidate basis is extended, so it shows what the prune may skip."""
     if k > g.n:
         return None
     eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
     for basis in combinations(eligible, k):
-        result = _extend_basis(g, basis, k)
+        result = set_based_extend_basis(g, basis, k)
         if result is not None:
             return result
     return None

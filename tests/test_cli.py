@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -302,13 +303,13 @@ def test_negative_dimacs_vertex_count_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1: problem line declares -3 vertices, a negative count\n"
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
+def assert_closed_stdout_exits_quietly(tmp_path, unbuffered: bool) -> None:
     # a 20k-vertex path's coloring is far larger than a pipe buffer, so the
-    # writer is still writing when the reader closes the pipe.  Unbuffered
-    # (PYTHONUNBUFFERED), CPython's text layer drops the unwritten rest of a
-    # short write without an error, so the child runs with buffered stdout.
+    # writer is still writing when the reader closes the pipe
     path = write_graph(tmp_path, "path.txt", to_edge_list(path_graph(20_000)))
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(bchrom.__file__).parents[1])
     command = [sys.executable, "-m", "bchrom", "color", path]
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -317,6 +318,46 @@ def test_closed_stdout_exits_quietly(tmp_path):
     stderr = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_CLOSED_PIPE
     assert stderr == b""
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    assert_closed_stdout_exits_quietly(tmp_path, unbuffered=False)
+
+
+def test_closed_unbuffered_stdout_exits_quietly(tmp_path):
+    # unbuffered, CPython's text layer drops the unwritten rest of a short
+    # write without an error; the CLI writes through the byte layer instead
+    assert_closed_stdout_exits_quietly(tmp_path, unbuffered=True)
+
+
+class ShortWrites(io.RawIOBase):
+    """A byte layer that takes at most three bytes per write."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:3])
+        return min(len(b), 3)
+
+
+def test_stdout_writer_completes_short_writes_in_order(monkeypatch):
+    raw = ShortWrites()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("# ")  # still in the text layer, short enough for one write: it must come out first
+    bchrom.cli._write_stdout("k 3\nstatus valid\n")
+    assert raw.data.decode() == "# k 3\nstatus valid\n"
+
+
+def test_stdout_writer_takes_a_text_stream_without_a_byte_layer(monkeypatch):
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    bchrom.cli._write_stdout("k 3\n")
+    assert stdout.getvalue() == "k 3\n"
 
 
 def test_verify_refuses_unknown_label(tmp_path, capsys):

@@ -24,6 +24,7 @@ from helpers import (
     proper_coloring_ok,
     random_simple_graph,
     random_tree,
+    set_based_find_b_coloring_exact,
     star_of_stars,
 )
 
@@ -199,6 +200,33 @@ def test_prune_keeps_the_witness_at_every_k_on_trees(n, seed):
 @pytest.mark.parametrize("k", [3, 4])
 def test_prune_keeps_the_witness_on_the_encircled_tree(k):
     assert_prune_keeps_witness(encircled_tree(), k)
+
+
+def assert_kernel_matches_the_set_based_search(g: Graph, limit: int = 14) -> None:
+    for k in range(1, density_profile(g).m + 1):
+        found = find_b_coloring_exact(g, k, limit=limit)
+        assert found == set_based_find_b_coloring_exact(g, k, limit=limit), k
+
+
+@given(st.integers(1, 10), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
+def test_kernel_matches_the_set_based_search_on_graphs(n, edge_prob, seed):
+    assert_kernel_matches_the_set_based_search(random_simple_graph(n, edge_prob, random.Random(seed)))
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30))
+def test_kernel_matches_the_set_based_search_on_trees(n, seed):
+    assert_kernel_matches_the_set_based_search(random_tree(n, random.Random(seed)))
+
+
+def test_kernel_matches_the_set_based_search_at_benchmark_size():
+    # dense graphs shaped like the benchmark's oracle inputs, then trees above
+    # the default cap, where the search runs under a raised limit
+    rng = random.Random(1212)
+    for _ in range(30):
+        g = random_simple_graph(rng.randint(12, 14), rng.uniform(0.4, 0.6), rng)
+        assert_kernel_matches_the_set_based_search(g)
+    for _ in range(4):
+        assert_kernel_matches_the_set_based_search(random_tree(rng.randint(15, 18), rng), limit=18)
 
 
 @given(st.integers(1, 9), st.integers(0, 2**30))
