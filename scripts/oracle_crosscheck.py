@@ -12,7 +12,7 @@ pipeline's and the exact search's, must pass check_b_coloring, and every
 exact value must respect chi_b <= m(G).
 
 Usage:
-    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --dense 60 --seed 7
+    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from bchrom import (
 
 # about 1 in 80 random trees with 11-14 vertices has no good set
 NO_GOOD_SET_TREES = 20
+# dense graphs whose chi_b only the exact search decides
+DENSE_GRAPHS = 60
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -66,7 +68,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trees", type=int, default=500)
     parser.add_argument("--graphs", type=int, default=200)
-    parser.add_argument("--dense", type=int, default=60)
     parser.add_argument("--max-n", type=int, default=13)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
@@ -111,13 +112,13 @@ def main() -> int:
             if find_good_set(g, density_profile(g)) is None:
                 break
         compare(g, "no-good-set tree", index)
-    for index in range(args.dense):
+    for index in range(DENSE_GRAPHS):
         compare(dense_graph(rng.randint(10, 13), rng.uniform(0.4, 0.6), rng), "dense graph", index)
 
     elapsed = time.perf_counter() - start
-    total = args.trees + args.graphs + NO_GOOD_SET_TREES + args.dense
+    total = args.trees + args.graphs + NO_GOOD_SET_TREES + DENSE_GRAPHS
     print(f"instances  {total} ({drawn} trees drawn to find {NO_GOOD_SET_TREES} without a good set)")
-    print(f"dense      {args.dense} graphs with 10-13 vertices and edge density 0.4-0.6")
+    print(f"dense      {DENSE_GRAPHS} graphs with 10-13 vertices and edge density 0.4-0.6")
     print(f"elapsed    {elapsed:.2f}s")
     for method, count in sorted(methods.items()):
         print(f"method {method:<18} {count}")

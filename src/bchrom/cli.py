@@ -11,6 +11,7 @@ for a program killed by that signal).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -201,20 +202,22 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
 
 
 def _write_stdout(text: str) -> None:
-    """Write text to stdout, through its byte layer when it has one.
+    """Write text to stdout, through its byte layer when that is unbuffered.
 
-    Unbuffered (PYTHONUNBUFFERED), the text layer drops what a short write
-    to a closed pipe left over without an error, so the bytes go to the
-    byte layer in a loop that checks each count: the write after a short
-    one then raises BrokenPipeError.  A stream without a byte layer, such as
-    io.StringIO, takes the text as it is.
+    Unbuffered (PYTHONUNBUFFERED), the text layer sits on a raw byte layer
+    and drops what a short write to a closed pipe left over without an
+    error, so the bytes go to the raw layer in a loop that checks each
+    count: the write after a short one then raises BrokenPipeError.  A
+    buffered byte layer completes each write or raises by itself, and a
+    stream without one, such as io.StringIO, has no byte layer to reach:
+    both take the text as print would, at print's cost.
     """
     out = sys.stdout
     raw = getattr(out, "buffer", None)
-    if raw is None:
+    if not isinstance(raw, io.RawIOBase):
         out.write(text)
         return
-    out.flush()  # whatever the text layer still holds goes first
+    out.flush()  # whatever the text layer still holds goes first; no syscall on a raw layer
     data = memoryview(text.encode(out.encoding, out.errors))
     while data:
         data = data[raw.write(data):]
@@ -286,11 +289,13 @@ def cmd_color(args: argparse.Namespace) -> int:
         force_oracle=args.oracle,
     )
     if args.trace:
+        lines = []
         for event in outcome.trace:
             line = f"step={event.step} vertex={g.labels[event.vertex]} color={event.color}"
             if event.recolored_from is not None:
                 line += f" recolored-from={event.recolored_from}"
-            _print(line)
+            lines.append(line + "\n")
+        _write_stdout("".join(lines))  # one write for the whole trace, whatever its length
     _write_output(format_coloring_file(g, outcome.coloring, outcome.record.chi_b, outcome.basis), args.output)
     return EXIT_OK
 

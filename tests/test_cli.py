@@ -353,6 +353,17 @@ def test_stdout_writer_completes_short_writes_in_order(monkeypatch):
     assert raw.data.decode() == "# k 3\nstatus valid\n"
 
 
+def test_stdout_writer_leaves_a_buffered_byte_layer_buffered(monkeypatch):
+    raw = ShortWrites()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    for line in ("k 3", "proper true", "status valid"):
+        bchrom.cli._print(line)
+    assert raw.data == b""  # one line per write call would be one syscall per line
+    stdout.flush()
+    assert raw.data.decode() == "k 3\nproper true\nstatus valid\n"
+
+
 def test_stdout_writer_takes_a_text_stream_without_a_byte_layer(monkeypatch):
     stdout = io.StringIO()
     monkeypatch.setattr(sys, "stdout", stdout)
