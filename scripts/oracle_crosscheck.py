@@ -3,13 +3,13 @@
 
 Random labeled trees plus random high-girth graphs, all within the oracle
 cap, compared at tolerance zero.  Random trees with 11 to 14 vertices are
-drawn until a fixed number of them have no good set, so the oracle path
-(the exact witness with m(G) - 1 colors) is cross-checked too; it exits 1
-if that path never ran.  A family of dense uniform random graphs (10 to 13
-vertices, edge density 0.4 to 0.6, girth below 9) runs the exact search on
-inputs where it decides chi_b alone.  Every witness coloring, the
-pipeline's and the exact search's, must pass check_b_coloring, and every
-exact value must respect chi_b <= m(G).
+drawn until a fixed number of them have no good set, so the construction
+with m(G) - 1 colors is cross-checked too.  A family of dense uniform
+random graphs (10 to 13 vertices, edge density 0.4 to 0.6, girth below 9)
+runs the exact search on inputs where it decides chi_b alone; the script
+exits 1 if the pipeline never took that oracle path.  Every witness
+coloring, the pipeline's and the exact search's, must pass
+check_b_coloring, and every exact value must respect chi_b <= m(G).
 
 Usage:
     python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
@@ -109,7 +109,8 @@ def main() -> int:
         while True:
             drawn += 1
             g = random_tree(rng.randint(11, 14), rng)
-            if find_good_set(g, density_profile(g)) is None:
+            profile = density_profile(g)
+            if len(find_good_set(g, profile).members) == profile.m - 1:
                 break
         compare(g, "no-good-set tree", index)
     for index in range(DENSE_GRAPHS):

@@ -3,8 +3,8 @@
 For such graphs (every forest included) the b-chromatic number is m(G) or
 m(G) - 1, and the two cases are separated by the existence of a good set:
 with one, a b-coloring with m(G) colors is built constructively; without
-one, chi_b = m(G) - 1 is exact.  A brute-force oracle provides ground truth
-on small instances.
+one, the same construction builds one with m(G) - 1 colors from M(G) less
+one vertex.  A brute-force oracle provides ground truth on small instances.
 """
 
 from .coloring import BResult, TraceEvent, b_coloring_with_good_set

@@ -32,7 +32,8 @@ from .graph import (
     parse_edge_list,
     to_edge_list,
 )
-from .oracle import DEFAULT_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic, find_b_coloring_exact
+from .oracle import DEFAULT_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic
+from .oracle import find_b_coloring_exact  # noqa: F401  (unused: bench/tracing.py wraps this binding)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -61,9 +62,10 @@ def _exit_status(exc: BaseException) -> tuple[int, str]:
 class AnalysisRecord:
     """One graph's analysis: structure, good-set status, and (optionally) chi_b.
 
-    chi_b_method is one of construction, oracle, nogoodset-theorem (exact
-    value from the no-good-set case, witness coloring out of reach) or
-    bounds-only (girth below 9 and the graph is too big for the oracle).
+    chi_b_method is one of construction (girth >= 9: m(G) colors from a
+    good set, or m(G) - 1 from ``find_good_set``'s set when none exists),
+    oracle (the exhaustive search) or bounds-only (girth below 9 and the
+    graph is too big for the oracle).
     """
 
     n: int
@@ -121,11 +123,11 @@ def run_pipeline(
 ) -> PipelineOutcome:
     """Analyze a graph and, on request, compute chi_b with a witness.
 
-    Dispatch: girth >= 9 (or forest) with a good set -> chi_b = m(G) by
-    construction; without one -> chi_b = m(G) - 1, witnessed by the oracle
-    when the graph is small enough.  Below girth 9 the oracle decides when
-    it fits, otherwise only the bound chi_b <= m(G) is reported.  A coloring
-    below girth 9 is refused unless the oracle is forced.
+    Dispatch: girth >= 9 (or forest) -> chi_b by construction from
+    ``find_good_set``'s set, m(G) colors when a good set exists and m(G) - 1
+    otherwise, at any n.  Below girth 9 the oracle decides when it fits,
+    otherwise only the bound chi_b <= m(G) is reported.  A coloring below
+    girth 9 is refused unless the oracle is forced.
     """
     gv = girth(g)
     high_girth = gv >= 9
@@ -134,24 +136,26 @@ def run_pipeline(
             f"girth {gv} is below 9, outside the constructive theory; pass --oracle for exhaustive search"
         )
     profile = density_profile(g)
-    characterizable = gv >= 8
-    good = find_good_set(g, profile, girth_value=gv) if characterizable else None
+    good = find_good_set(g, profile, girth_value=gv) if gv >= 8 else None
+    has_good_set = len(good.members) == profile.m if good is not None else None
     record = AnalysisRecord(
         n=g.n,
         edges=g.edge_count,
         girth=gv,
         m=profile.m,
         dense_count=len(profile.dense),
-        has_good_set=(good is not None) if characterizable else None,
-        good_set=[g.labels[v] for v in good.members] if good is not None else None,
+        has_good_set=has_good_set,
+        good_set=[g.labels[v] for v in good.members] if has_good_set else None,
     )
     outcome = PipelineOutcome(record=record)
     if not (compute_chi_b or need_coloring):
         return outcome
 
-    theory = high_girth and not force_oracle
-    if theory and good is not None:
-        built = b_coloring_with_good_set(g, good, profile=profile, girth_value=gv)
+    if high_girth and not force_oracle:
+        try:
+            built = b_coloring_with_good_set(g, good, girth_value=gv)
+        except ValueError as exc:  # its good-set check refused find_good_set's own set: a bug
+            raise InvariantViolation(f"find_good_set's set was refused: {exc}") from exc
         record.chi_b = built.chi_b
         record.chi_b_method = "construction"
         outcome.coloring = built.coloring
@@ -160,31 +164,15 @@ def run_pipeline(
         return outcome
 
     if g.n > oracle_limit:
-        if theory:
-            record.chi_b = profile.m - 1
-            record.chi_b_method = "nogoodset-theorem"
-            if need_coloring:
-                raise OracleLimitError(
-                    f"chi_b = {record.chi_b} is exact, but a witness coloring needs the exact search "
-                    f"(n = {g.n} exceeds the oracle limit {oracle_limit})"
-                )
-            return outcome
         if force_oracle or need_coloring:
             raise OracleLimitError(f"n = {g.n} exceeds the oracle limit {oracle_limit}")
         record.chi_b_method = "bounds-only"
         record.chi_b_upper = profile.m
         return outcome
 
-    # the exact search witnesses m(G) - 1 when no good set exists, and
-    # decides chi_b itself when forced or when the girth theory does not apply
-    if theory:
-        record.chi_b = profile.m - 1
-        witness = find_b_coloring_exact(g, record.chi_b, limit=oracle_limit)
-    else:
-        record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit)
+    # the exact search decides chi_b when forced or when the girth theory does not apply
+    record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit)
     record.chi_b_method = "oracle"
-    if witness is None:
-        raise InvariantViolation(f"the exact search found no b-coloring with chi_b = {record.chi_b} colors")
     basis = check_b_coloring(g, witness, record.chi_b).basis
     if basis is None:
         raise InvariantViolation(f"the exact search's coloring with {record.chi_b} colors failed the validity check")

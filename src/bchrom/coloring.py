@@ -1,8 +1,9 @@
-"""Constructive b-coloring with m(G) colors from a good set (girth >= 9).
+"""Constructive b-coloring from a good set (girth >= 9).
 
-Given a good set W = {v_1 < ... < v_m}, anchor v_i on color i, then color the
-link vertices (interiors of short W-to-W paths) in four ordered passes, make
-every anchor a b-vertex by finishing its neighborhood, and extend greedily.
+Given a good set W = {v_1 < ... < v_k} for k colors, anchor v_i on color
+i, then color the link vertices (interiors of short W-to-W paths) in four
+ordered passes, make every anchor a b-vertex by finishing its
+neighborhood, and extend greedily.
 The construction re-checks the properties the correctness argument rests on:
 
 * properness at every assignment and recoloring,
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .errors import InvariantViolation
-from .goodset import DensityProfile, GoodSet, check_good_set, density_profile, encirclement_cover
+from .goodset import GoodSet, check_good_set, encirclement_cover
 from .graph import Graph, ensure_min_girth
 
 
@@ -260,8 +261,9 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
 
     The uncolored neighbors of W form a stable set and each has exactly one
     colored neighbor (its anchor), so the assignments never clash.  Leftover
-    neighbors of degree >= m(G) are colored here as well: deferring them to
-    the greedy pass could strand a high-degree vertex with no free color.
+    neighbors of degree >= |W|, the number of colors, are colored here as
+    well: deferring them to the greedy pass could strand a high-degree
+    vertex with no free color.
 
     Each anchor's slack (no fewer uncolored neighbors than missing colors)
     is checked as its turn starts, and that is the state the link passes
@@ -327,30 +329,25 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
     return dict(colors)
 
 
-def b_coloring_with_good_set(
-    g: Graph,
-    anchors: GoodSet,
-    *,
-    profile: DensityProfile | None = None,
-    girth_value: int | float | None = None,
-) -> BResult:
-    """Build a b-coloring with m(G) colors whose basis is the good set.
+def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | float | None = None) -> BResult:
+    """Build a b-coloring with k = len(anchors.members) colors whose basis
+    is the good set: m(G) colors, or m(G) - 1 from the set
+    ``find_good_set`` returns when no good set for m(G) exists.
 
     The finished coloring is re-validated with the independent checker
     before being returned.
     """
-    if profile is None:
-        profile = density_profile(g)
+    k = len(anchors.members)
     ensure_min_girth(g, 9, girth_value)
-    violation = check_good_set(g, anchors.members, profile)
+    violation = check_good_set(g, anchors.members, k)
     if violation is not None:
         raise ValueError(f"anchors are not a good set: {violation.kind}")
     links = classify_links(g, anchors)
     pc = color_links(g, anchors, links)
     complete_b_vertices(g, anchors, pc)
-    total = greedy_extend(g, pc, profile.m)
-    report = oracle.check_b_coloring(g, total, profile.m)
+    total = greedy_extend(g, pc, k)
+    report = oracle.check_b_coloring(g, total, k)
     if report.basis is None:
         raise InvariantViolation("constructed coloring failed the validity check")
     basis = {i + 1: v for i, v in enumerate(anchors.members)}
-    return BResult(chi_b=profile.m, coloring=total, basis=basis, trace=tuple(pc.trace))
+    return BResult(chi_b=k, coloring=total, basis=basis, trace=tuple(pc.trace))

@@ -5,12 +5,14 @@ m(G) is the largest k such that at least k vertices have degree at least
 k - 1; it upper-bounds the b-chromatic number.  A vertex is dense when its
 degree is at least m(G) - 1, and M(G) is the set of dense vertices.
 
-A set W of m(G) dense vertices is *good* when (a) it encircles no outside
-vertex and (b) every outside vertex of degree >= m(G) has a neighbor in W.
-For graphs of girth at least 8 (forests included), a good set fails to exist
-exactly when M(G) itself has size m(G) and encircles some vertex.
-``find_good_set`` makes the other half constructive: the first m(G) dense
-vertices by (-degree, id), or one swap from them, are good.
+A set W of k vertices of degree >= k - 1 is *good* for k when (a) it
+encircles no outside vertex, with witness degree k - 1, and (b) every
+outside vertex of degree >= k has a neighbor in W.  At k = m(G) these are
+m(G) dense vertices.  For graphs of girth at least 8 (forests included), no
+good set for m(G) exists exactly when M(G) itself has size m(G) and
+encircles some vertex.  ``find_good_set`` is constructive on both sides: the
+first m(G) dense vertices by (-degree, id), or one swap from them, are good
+for m(G); without such a set, M(G) less one vertex is good for m(G) - 1.
 """
 
 from __future__ import annotations
@@ -100,32 +102,35 @@ def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | Non
     return None
 
 
-def check_good_set(g: Graph, members: Iterable[int], profile: DensityProfile) -> GoodSetViolation | None:
-    """None if the set is good, otherwise the first violated condition."""
+def check_good_set(g: Graph, members: Iterable[int], k: int) -> GoodSetViolation | None:
+    """None if the set is good for k colors, otherwise the first violated condition."""
     w = tuple(sorted(set(members)))
-    if len(w) != profile.m:
+    if len(w) != k:
         return GoodSetViolation("wrong-size")
     for v in w:
-        if v not in profile.dense:
+        if len(g.adj[v]) < k - 1:
             return GoodSetViolation("not-dense", v)
-    u = find_encircled_vertex(g, w, profile.m)
+    u = find_encircled_vertex(g, w, k)
     if u is not None:
         return GoodSetViolation("encircles", u)
     w_set = set(w)
     for x in range(g.n):
-        if x in w_set or len(g.adj[x]) < profile.m:
+        if x in w_set or len(g.adj[x]) < k:
             continue
         if w_set.isdisjoint(g.adj[x]):
             return GoodSetViolation("uncovered-high-degree", x)
     return None
 
 
-def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet | None:
-    """Return a good set, or None when none exists (girth >= 8 required).
+def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet:
+    """Return a good set for m(G) or, when none exists, for m(G) - 1 (girth >= 8 required).
 
-    Rule: W0 is the first m = m(G) dense vertices by (-degree, id).  Return
-    W0 if it is good, None if |M| = m (M = M(G)), and otherwise the set one
-    swap away, checked once more (a failed check raises InvariantViolation).
+    The set's size is its color count: m = m(G) exactly when a good set for
+    m exists.  Rule: W0 is the first m dense vertices by (-degree, id).
+    Return W0 if it is good.  Otherwise W0 encircles u; if |M| = m (M =
+    M(G)), return M - x for the lowest-id member x not adjacent to u,
+    unchecked (the construction checks it); else return the set one swap
+    away, checked once more (a failed check raises InvariantViolation).
 
     Argument.  The vertices H of degree >= m number at most m and sort
     first, so W0 holds H and (b) holds: W0 can fail only by encircling.
@@ -146,20 +151,34 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
       so y is in N(p0) and outside the set.  The members within distance 2
       of y are then only u, p0 and p0's member neighbors, so p0's m - 1
       neighbors are u and m - 2 members, and none is left for y.
+    - (iii) Otherwise M = W, and no good set for m exists: its m members
+      would be M, which encircles u.  W' = M - x is good for k = m - 1,
+      where "dense" means degree >= m - 2 and a witness has degree m - 2.
+      m >= 4, as 2 <= |W & N(u)| <= deg u <= m - 2 (u is not dense).
+      Members have degree >= m - 1 >= k - 1.  x exists, because
+      deg u <= m - 2 < m.  (b) holds: the vertices of degree >= k are M,
+      so x is the only one outside W'; x is not in N(u), so it reaches u
+      through a witness w, a neighbor of x in W'.  (a) holds: no member has
+      degree m - 2, so W' encircles y only if y is adjacent to all of W'.
+      Such a y has degree >= m - 1, so it is dense, and y = x.  But u has
+      two member neighbors a and b, both in W', and then x-a-u-b is a
+      4-cycle.
     """
     ensure_min_girth(g, 8, girth_value)
     m = profile.m
     first = tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[:m]))
-    violation = check_good_set(g, first, profile)
+    violation = check_good_set(g, first, m)
     if violation is None:
         return GoodSet(first)
     if violation.kind != "encircles":
         raise InvariantViolation(f"the first {m} dense vertices failed the good-set check as {violation.kind}")
-    if len(profile.dense) == m:
-        return None
-    members = _swap(g, profile, first, violation.witness)
-    if check_good_set(g, members, profile) is not None:
-        raise InvariantViolation("the swapped set failed the good-set check", vertex=violation.witness)
+    u = violation.witness
+    if len(profile.dense) == m:  # case (iii)
+        x = next(v for v in first if v not in g.adj[u])
+        return GoodSet(tuple(v for v in first if v != x))
+    members = _swap(g, profile, first, u)
+    if check_good_set(g, members, m) is not None:
+        raise InvariantViolation("the swapped set failed the good-set check", vertex=u)
     return GoodSet(members)
 
 

@@ -203,6 +203,25 @@ def tree_from_prufer(seq: list[int]) -> Graph:
     return Graph(n, edges)
 
 
+def with_tree_and_ring(g: Graph, tree_n: int, ring: int, rng: random.Random) -> Graph:
+    """g with a random tree of ``tree_n`` vertices and a cycle of ``ring``
+    vertices (none when 0), each joined by one edge to a random leaf of g.
+    A ring of 9 or more vertices keeps the girth at least 9."""
+    leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
+    edges = list(g.edges())
+    n = g.n
+    if tree_n:
+        tree = random_tree(tree_n, rng)
+        edges.extend((n + a, n + b) for a, b in tree.edges())
+        edges.append((rng.choice(leaves), n + rng.randrange(tree_n)))
+        n += tree_n
+    if ring:
+        edges.extend((n + i, n + (i + 1) % ring) for i in range(ring))
+        edges.append((rng.choice(leaves), n + rng.randrange(ring)))
+        n += ring
+    return Graph(n, edges)
+
+
 def random_simple_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
     return Graph(n, edges)
@@ -475,7 +494,7 @@ def backtracking_good_set(g: Graph, profile: DensityProfile, girth_value: int | 
     m = profile.m
     if len(profile.dense) == m:
         members = tuple(sorted(profile.dense))
-        violation = check_good_set(g, members, profile)
+        violation = check_good_set(g, members, profile.m)
         if violation is None:
             return GoodSet(members)
         if violation.kind == "encircles":
@@ -502,7 +521,7 @@ def backtracking_good_set(g: Graph, profile: DensityProfile, girth_value: int | 
     def search(start: int) -> GoodSet | None:
         if len(chosen) == m:
             members = tuple(sorted(chosen))
-            if check_good_set(g, members, profile) is None:
+            if check_good_set(g, members, profile.m) is None:
                 return GoodSet(members)
             return None
         needed = m - len(chosen)

@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 from bchrom import (
     ACYCLIC,
+    b_coloring_with_good_set,
     check_b_coloring,
     density_profile,
     exact_b_chromatic,
@@ -58,18 +59,18 @@ def _all_labeled_trees(max_n):
 
 
 def test_criterion_1_high_girth_pipeline_at_scale():
-    """>= 500 generated girth->=9 graphs up to n = 200: chi_b is m or m-1
-    and every emitted coloring validates at the claimed k."""
+    """>= 500 generated girth->=9 graphs up to n = 200: chi_b is m or m-1,
+    by construction, and every coloring validates at the claimed k."""
     graphs = _generated_corpus(count=500, max_n=200, min_girth=9, seed=1_2025)
     checked_colorings = 0
     for g in graphs:
         profile = density_profile(g)
         outcome = run_pipeline(g, compute_chi_b=True)
         assert outcome.record.chi_b in (profile.m - 1, profile.m)
-        if outcome.coloring is not None:
-            report = check_b_coloring(g, outcome.coloring, outcome.record.chi_b)
-            assert report.valid, f"invalid coloring on a generated graph (n={g.n})"
-            checked_colorings += 1
+        assert outcome.record.chi_b_method == "construction"
+        report = check_b_coloring(g, outcome.coloring, outcome.record.chi_b)
+        assert report.valid, f"invalid coloring on a generated graph (n={g.n})"
+        checked_colorings += 1
     assert len(graphs) >= 500
     print(
         f"\nACCEPTANCE 1 PASS: {len(graphs)} girth->=9 graphs, chi_b always in {{m-1, m}}, "
@@ -98,9 +99,9 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_goodset_characterization_vs_enumeration():
-    """find_good_set finds a good set exactly when exhaustive enumeration of
-    all m-subsets of the dense vertices does, on every corpus graph with
-    girth >= 8, |M| <= 18."""
+    """find_good_set finds a good set for m(G) exactly when exhaustive
+    enumeration of all m-subsets of the dense vertices does, and otherwise
+    one for m(G) - 1, on every corpus graph with girth >= 8, |M| <= 18."""
     corpus = [
         path_graph(5),
         cycle_graph(8),
@@ -131,9 +132,10 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
             for subset in combinations(sorted(profile.dense), profile.m)
         )
         found = find_good_set(g, profile)
-        assert (found is not None) is expected
-        if found is not None:
-            assert naive_is_good_set(g, found.members, profile.m, profile.dense)
+        k = len(found.members)
+        assert (k == profile.m) is expected
+        assert k in (profile.m, profile.m - 1)
+        assert naive_is_good_set(g, found.members, k, [v for v in range(g.n) if len(g.adj[v]) >= k - 1])
         checked += 1
     assert checked >= 100
     print(f"\nACCEPTANCE 3 PASS: characterization matches enumeration on {checked} graphs")
@@ -142,11 +144,11 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
 def test_criterion_4_named_instances():
     """P_5, C_9, the star of stars, and the encircled 11-vertex tree."""
     p5 = path_graph(5)
-    assert find_good_set(p5, density_profile(p5)) is not None
+    assert len(find_good_set(p5, density_profile(p5)).members) == 3
     assert run_pipeline(p5, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(p5)[0]
 
     c9 = cycle_graph(9)
-    assert find_good_set(c9, density_profile(c9)) is not None
+    assert len(find_good_set(c9, density_profile(c9)).members) == 3
     assert run_pipeline(c9, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(c9)[0]
 
     sos = star_of_stars()
@@ -155,10 +157,11 @@ def test_criterion_4_named_instances():
     t_enc = encircled_tree()
     profile = density_profile(t_enc)
     assert profile.m == 4
-    assert find_good_set(t_enc, profile) is None
+    assert len(find_good_set(t_enc, profile).members) == 3 == profile.m - 1
     outcome = run_pipeline(t_enc, compute_chi_b=True)
     assert outcome.record.chi_b == 3 == profile.m - 1
-    assert outcome.record.chi_b_method == "oracle"
+    assert outcome.record.chi_b_method == "construction"
+    assert check_b_coloring(t_enc, outcome.coloring, 3).valid
     assert exact_b_chromatic(t_enc)[0] == 3
     print("\nACCEPTANCE 4 PASS: named instances kept their exact values")
 
@@ -167,7 +170,8 @@ def test_criterion_5_internal_certificates_over_a_sweep():
     """The construction re-checks properness at every assignment and
     recoloring, anchor slack, the stable-set certificate, the single-recolor
     rule, and the b-vertex property on every run; here a sweep re-verifies
-    the observable half from the outside as well."""
+    the observable half from the outside as well, with m(G) colors or, from
+    M(G) less one vertex when no good set exists, m(G) - 1."""
     instances = [
         path_graph(5),
         cycle_graph(9),
@@ -188,19 +192,18 @@ def test_criterion_5_internal_certificates_over_a_sweep():
             continue
         profile = density_profile(g)
         anchors = find_good_set(g, profile)
-        if anchors is None:
-            continue
-        from bchrom import b_coloring_with_good_set
-
-        result = b_coloring_with_good_set(g, anchors, profile=profile)
-        report = check_b_coloring(g, result.coloring, profile.m)
+        k = len(anchors.members)
+        assert k in (profile.m, profile.m - 1)
+        result = b_coloring_with_good_set(g, anchors)
+        assert result.chi_b == k
+        report = check_b_coloring(g, result.coloring, k)
         assert report.valid
         recolored = [e.vertex for e in result.trace if e.recolored_from is not None]
         assert len(recolored) == len(set(recolored))
         for color, vertex in result.basis.items():
             assert result.coloring[vertex] == color
             seen = {result.coloring[u] for u in g.adj[vertex]}
-            assert set(range(1, profile.m + 1)) - {color} <= seen
+            assert set(range(1, k + 1)) - {color} <= seen
         runs += 1
     assert runs >= 150
     print(f"\nACCEPTANCE 5 PASS: certificates held on {runs} constructive runs")

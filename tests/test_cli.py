@@ -9,9 +9,10 @@ import pytest
 
 import bchrom
 import bchrom.cli
+import bchrom.coloring
 import bchrom.graph
 import bchrom.oracle
-from bchrom import InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
+from bchrom import GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
 
 from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars, steal_chain_tree
@@ -53,7 +54,7 @@ def test_analyze_encircled_tree(tmp_path, capsys):
     assert record["has_good_set"] is False
     assert record["good_set"] is None
     assert record["chi_b"] == 3
-    assert record["chi_b_method"] == "oracle"
+    assert record["chi_b_method"] == "construction"
 
 
 def test_analyze_nine_cycle(tmp_path, capsys):
@@ -97,12 +98,13 @@ def test_analyze_bounds_only_text_reports_the_upper_bound(tmp_path, capsys):
     assert not any(line.startswith("chi-b ") for line in lines)
 
 
-def test_analyze_no_good_set_above_the_oracle_limit_uses_the_theorem(tmp_path, capsys):
+def test_analyze_no_good_set_above_the_oracle_limit_uses_the_construction(tmp_path, capsys):
     path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
     assert main(["analyze", path, "--chi-b", "--json", "--oracle-limit", "5"]) == 0
     record = record_from(capsys)
     assert record["has_good_set"] is False
-    assert (record["chi_b"], record["chi_b_method"]) == (3, "nogoodset-theorem")
+    assert record["good_set"] is None
+    assert (record["chi_b"], record["chi_b_method"]) == (3, "construction")
 
 
 def test_analyze_low_girth_uses_oracle_within_limit(tmp_path, capsys):
@@ -446,11 +448,14 @@ def test_batch_mode_exits_with_the_refusal_code(tmp_path, capsys):
     assert lines[0]["error"].startswith("line 1: self-loop")
 
 
-def test_color_refuses_large_no_good_set_instance(tmp_path, capsys):
+def test_color_no_good_set_instance_above_the_oracle_limit(tmp_path, capsys):
     path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
-    # the value m-1 is known exactly, but a witness needs the oracle
-    assert main(["color", path, "--oracle-limit", "5", "-o", str(tmp_path / "x")]) == 3
-    assert "oracle limit" in capsys.readouterr().err
+    out_path = str(tmp_path / "tenc.coloring")
+    # without a good set the construction witnesses m - 1 = 3 colors at any n
+    assert main(["color", path, "--oracle-limit", "5", "-o", out_path]) == 0
+    assert open(out_path).read().startswith("# k=3 basis=")
+    assert main(["verify", path, out_path]) == 0
+    assert "status valid" in capsys.readouterr().out
 
 
 def test_run_pipeline_no_chi_b_skips_coloring():
@@ -513,20 +518,41 @@ def test_invariant_violation_exits_with_internal_code(tmp_path, capsys, monkeypa
     assert "internal error:" in capsys.readouterr().err
 
 
+def _monochromatic_greedy(g, pc, num_colors):
+    return dict.fromkeys(range(g.n), 1)
+
+
+@pytest.mark.parametrize(
+    "module, name, broken",
+    [
+        (bchrom.cli, "b_coloring_with_good_set", _broken_construction),  # a certificate fails
+        (bchrom.coloring, "greedy_extend", _monochromatic_greedy),  # the final check rejects the coloring
+        (bchrom.cli, "find_good_set", lambda g, profile, girth_value=None: GoodSet((7, 8, 9))),  # leaves, not dense
+    ],
+    ids=["invariant", "invalid-coloring", "bad-good-set"],
+)
+def test_broken_construction_without_a_good_set_is_an_internal_error(
+    tmp_path, capsys, monkeypatch, module, name, broken
+):
+    monkeypatch.setattr(module, name, broken)
+    path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
+    assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "chi-b" not in captured.out
+    assert captured.err.startswith("internal error: ")
+    out_path = tmp_path / "tenc.coloring"
+    assert main(["color", path, "-o", str(out_path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: ")
+    assert not out_path.exists()
+
+
 def patch_exact_search(monkeypatch, search):
-    """Replace the exact search where run_pipeline and exact_b_chromatic look it up."""
+    """Replace the exact search under every module binding of it."""
     monkeypatch.setattr(bchrom.cli, "find_b_coloring_exact", search)
     monkeypatch.setattr(bchrom.oracle, "find_b_coloring_exact", search)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (T_ENC_TEXT, "internal error: the exact search found no b-coloring with chi_b = 3 colors"),
-        (C5_TEXT, "internal error: no b-coloring at any k"),
-    ],
-    ids=["no-good-set", "low-girth"],
-)
+@pytest.mark.parametrize("text, message", [(C5_TEXT, "internal error: no b-coloring at any k")], ids=["low-girth"])
 def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text, message):
     patch_exact_search(monkeypatch, lambda *args, **kwargs: None)
     path = write_graph(tmp_path, "g.txt", text)
@@ -537,14 +563,17 @@ def test_missing_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("text, oracle_k", [(T_ENC_TEXT, 4), (C5_TEXT, 3)], ids=["no-good-set", "low-girth"])
 def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatch, text, oracle_k):
     # a single color on every vertex: monochromatic edges, no basis.  The
-    # forced oracle takes it at the first k it tries, m(G).
+    # forced oracle takes it at the first k it tries, m(G), and so does the
+    # unforced one below girth 9.
     patch_exact_search(monkeypatch, lambda g, k, **kwargs: dict.fromkeys(range(g.n), 1))
     path = write_graph(tmp_path, "g.txt", text)
     message = "internal error: the exact search's coloring with {} colors failed the validity check"
-    assert main(["analyze", path, "--chi-b"]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert "chi-b" not in captured.out
-    assert captured.err.startswith(message.format(3))
+    # at girth >= 9 only --oracle reaches the exact search
+    for flags in [["--oracle"], []] if text == C5_TEXT else [["--oracle"]]:
+        assert main(["analyze", path, "--chi-b", *flags]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "chi-b" not in captured.out
+        assert captured.err.startswith(message.format(oracle_k))
     out_path = tmp_path / "g.coloring"
     assert main(["color", path, "--oracle", "-o", str(out_path)]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith(message.format(oracle_k))
@@ -553,7 +582,7 @@ def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize(
     "g, searched",
-    [(cycle_graph(5), [3]), (petersen_graph(), [4, 3]), (encircled_tree(), [3])],
+    [(cycle_graph(5), [3]), (petersen_graph(), [4, 3]), (encircled_tree(), [])],
     ids=["c5", "petersen", "encircled-tree"],
 )
 def test_each_k_is_searched_once(monkeypatch, g, searched):

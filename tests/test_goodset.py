@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from bchrom import GoodSet, Graph, PreconditionError, check_good_set, density_profile, find_good_set
+from bchrom import GoodSet, GoodSetViolation, Graph, PreconditionError, check_good_set, density_profile, find_good_set
 from bchrom.goodset import _swap, encirclement_cover
 
 from helpers import (
@@ -44,13 +44,13 @@ def test_is_good_set_path_five():
     g = path_graph(5)
     profile = density_profile(g)
     assert naive_is_good_set(g, {1, 2, 3}, profile.m, profile.dense)
-    assert check_good_set(g, {1, 2, 3}, profile) is None
+    assert check_good_set(g, {1, 2, 3}, profile.m) is None
 
 
 def test_is_good_set_reports_encircled_vertex():
     g = encircled_tree()
     profile = density_profile(g)
-    violation = check_good_set(g, profile.dense, profile)
+    violation = check_good_set(g, profile.dense, profile.m)
     assert violation is not None
     assert violation.kind == "encircles"
     assert violation.witness == 0
@@ -61,14 +61,14 @@ def test_is_good_set_star_of_stars():
     profile = density_profile(g)
     assert profile.m == 3
     assert naive_is_good_set(g, {0, 1, 2}, profile.m, profile.dense)
-    assert check_good_set(g, {0, 1, 2}, profile) is None
+    assert check_good_set(g, {0, 1, 2}, profile.m) is None
 
 
 def test_is_good_set_wrong_size_and_not_dense():
     g = path_graph(5)
     profile = density_profile(g)
-    assert check_good_set(g, {1, 2}, profile).kind == "wrong-size"
-    assert check_good_set(g, {0, 1, 2}, profile).kind == "not-dense"
+    assert check_good_set(g, {1, 2}, profile.m).kind == "wrong-size"
+    assert check_good_set(g, {0, 1, 2}, profile.m).kind == "not-dense"
 
 
 def test_uncovered_high_degree_reason():
@@ -77,24 +77,34 @@ def test_uncovered_high_degree_reason():
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)])
     profile = density_profile(g)
     assert profile.m == 2
-    violation = check_good_set(g, {0, 1}, profile)
+    violation = check_good_set(g, {0, 1}, profile.m)
     assert violation is not None
     assert violation.kind == "uncovered-high-degree"
     assert violation.witness == 4
 
 
+def _assert_good_for_m_minus_one(g, found, profile):
+    """found is the set find_good_set returns without a good set for m(G):
+    M(G) less one vertex, good for m(G) - 1 by the package and by definition."""
+    k = profile.m - 1
+    assert len(found.members) == k and set(found.members) < profile.dense
+    assert check_good_set(g, found.members, k) is None
+    assert naive_is_good_set(g, found.members, k, [v for v in range(g.n) if len(g.adj[v]) >= k - 1])
+
+
 def test_has_good_set_examples():
     t_enc = encircled_tree()
-    assert find_good_set(t_enc, density_profile(t_enc)) is None
+    t_profile = density_profile(t_enc)
+    _assert_good_for_m_minus_one(t_enc, find_good_set(t_enc, t_profile), t_profile)
 
     c9 = cycle_graph(9)
     profile = density_profile(c9)
     assert profile.m == 3
     assert len(profile.dense) == 9
-    assert find_good_set(c9, profile) is not None
+    assert len(find_good_set(c9, profile).members) == profile.m
 
     p5 = path_graph(5)
-    assert find_good_set(p5, density_profile(p5)) is not None
+    assert len(find_good_set(p5, density_profile(p5)).members) == 3
 
 
 def test_has_good_set_requires_girth_eight():
@@ -103,20 +113,28 @@ def test_has_good_set_requires_girth_eight():
         find_good_set(c5, density_profile(c5))
     # girth exactly 8 is allowed
     c8 = cycle_graph(8)
-    assert find_good_set(c8, density_profile(c8)) is not None
+    assert len(find_good_set(c8, density_profile(c8)).members) == 3
 
 
 def test_find_good_set_path_five():
     g = path_graph(5)
     profile = density_profile(g)
     found = find_good_set(g, profile)
-    assert found is not None
-    assert check_good_set(g, found.members, profile) is None
+    assert len(found.members) == profile.m
+    assert check_good_set(g, found.members, profile.m) is None
 
 
-def test_find_good_set_none_for_encircled_tree():
+def test_find_good_set_drops_one_member_for_encircled_tree():
+    # M(G) = {1, 2, 3, 4} encircles 0, which touches 1 and 2; x = 3 is the
+    # lowest-id member not adjacent to 0, and M(G) - x is good for 3 colors
     g = encircled_tree()
-    assert find_good_set(g, density_profile(g)) is None
+    profile = density_profile(g)
+    found = find_good_set(g, profile)
+    assert found.members == (1, 2, 4)
+    (x,) = profile.dense - set(found.members)
+    assert x == 3 and x not in g.adj[0]
+    assert check_good_set(g, profile.dense, profile.m) == GoodSetViolation("encircles", 0)
+    _assert_good_for_m_minus_one(g, found, profile)
 
 
 def test_good_set_members_must_increase():
@@ -132,10 +150,10 @@ def test_characterization_matches_exhaustive_enumeration(n, seed):
     expected = naive_has_good_set(g, profile.m, profile.dense)
     found = find_good_set(g, profile)
     if expected:
-        assert found is not None
+        assert len(found.members) == profile.m
         assert naive_is_good_set(g, found.members, profile.m, profile.dense)
     else:
-        assert found is None
+        _assert_good_for_m_minus_one(g, found, profile)
 
 
 @given(st.integers(1, 12), st.integers(0, 2**30))
@@ -144,7 +162,7 @@ def test_more_dense_than_m_implies_good_set(n, seed):
     g = random_tree(n, rng)
     profile = density_profile(g)
     if len(profile.dense) > profile.m:
-        assert find_good_set(g, profile) is not None
+        assert len(find_good_set(g, profile).members) == profile.m
 
 
 def test_find_good_set_agrees_with_enumeration_on_every_subset():
@@ -252,6 +270,12 @@ def test_find_good_set_makes_at_most_two_checks(monkeypatch):
     g = Graph(7, [(5, 0), (0, 3), (3, 1), (1, 2), (2, 4), (4, 6)])
     assert find_good_set(g, density_profile(g)).members == (0, 2, 4)
     assert calls == [(0, 1, 2), (0, 2, 4)]
+    # without a good set for m(G), the one check that finds the encircled
+    # vertex is the only one: the construction checks M(G) - x
+    calls.clear()
+    t_enc = encircled_tree()
+    assert find_good_set(t_enc, density_profile(t_enc)).members == (1, 2, 4)
+    assert calls == [(1, 2, 3, 4)]
 
 
 @given(
@@ -268,8 +292,10 @@ def test_find_good_set_agrees_with_backtracking_reference(m, seed, u_dense, extr
         profile = density_profile(g)
         found = find_good_set(g, profile)
         reference = backtracking_good_set(g, profile)
-        assert (found is None) == (reference is None)
-        if found is not None:
+        assert (len(found.members) == profile.m) == (reference is not None)
+        if reference is not None:
             assert naive_is_good_set(g, found.members, profile.m, profile.dense)
-        if check_good_set(g, _first_dense(g, profile), profile) is None:
+        else:
+            _assert_good_for_m_minus_one(g, found, profile)
+        if check_good_set(g, _first_dense(g, profile), profile.m) is None:
             assert found == reference
