@@ -11,6 +11,7 @@ for a program killed by that signal).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -19,10 +20,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .coloring import TraceEvent, b_coloring_with_good_set
-from .errors import InvariantViolation, OracleLimitError, PreconditionError
+from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
 from .goodset import density_profile, find_good_set
 from .graph import (
     ACYCLIC,
+    MAX_INPUT_BYTES,
     Graph,
     format_coloring_file,
     generate_girth_constrained,
@@ -181,9 +183,18 @@ def run_pipeline(
     return outcome
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a ParseError, raised before any byte is
+    read, when the file is larger than MAX_INPUT_BYTES."""
+    size = os.stat(path).st_size
+    if size > MAX_INPUT_BYTES:
+        raise ParseError(f"{path} has {size} bytes, above the limit {MAX_INPUT_BYTES}")
+    return Path(path).read_text()
+
+
 def load_graph(path: str, fmt: str | None = None) -> Graph:
     """Read a graph file; the format is inferred from the extension unless forced."""
-    text = Path(path).read_text()
+    text = _read_input(path)
     if fmt is None:
         fmt = "dimacs" if path.endswith(".col") else "edgelist"
     return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
@@ -290,7 +301,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph, args.format)
-    k, coloring = parse_coloring_file(Path(args.coloring).read_text(), g)
+    k, coloring = parse_coloring_file(_read_input(args.coloring), g)
     report = check_b_coloring(g, coloring, k)
     # both reports name vertices by label; a violation's witness is a color or a vertex tuple
     basis = {c: g.labels[v] for c, v in report.basis.items()} if report.basis else None
@@ -377,7 +388,16 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused while the command runs and left
+    as the caller had it on every exit.  Collection passes would rescan the
+    young adjacency lists and tuples of a large graph many times over, while
+    the commands make no reference cycles for a pass to free.
+    """
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
@@ -391,3 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         # so the flush at interpreter exit neither fails nor prints
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
+    finally:
+        if collecting:
+            gc.enable()

@@ -10,6 +10,7 @@ vocabulary.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from collections import deque
@@ -25,6 +26,11 @@ ACYCLIC = math.inf
 #: most distinct labels an edge list may name.  A one-line file must not be
 #: able to allocate an unbounded graph.
 MAX_VERTICES = 10**6
+
+#: Largest input file, in bytes, the command line reads: 32 MiB, about twice
+#: a plain edge list of MAX_VERTICES vertices and as many edges.  A larger
+#: file is refused before it is read.
+MAX_INPUT_BYTES = 32 * 2**20
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
@@ -199,9 +205,12 @@ def _edge_list_bulk(text: str) -> Graph | None:
     if len(pairs) != len(heads) or not pairs.isdisjoint(zip(tails, heads)):
         return None
     labels = _capped_labels({*ends, *range(declared)})
-    index = dict(zip(labels, range(len(labels))))
+    n = len(labels)
+    if not labels or labels[-1] == n - 1:  # the labels are 0..n-1: each is its own id
+        return Graph._trusted(n, zip(heads, tails), labels)
+    index = dict(zip(labels, range(n)))
     ids = map(index.__getitem__, ends)
-    return Graph._trusted(len(labels), zip(ids, ids), labels)
+    return Graph._trusted(n, zip(ids, ids), labels)
 
 
 def _capped_labels(label_set: set[int]) -> list[int]:
@@ -342,31 +351,40 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
     unsigned ASCII decimals, separated by spaces or tabs and each ended by
     "\\n", and that colors every vertex once, is read in bulk.  Any other
     file goes to the line-by-line reader, so an error always names its line.
+    A graph whose labels are its ids 0..n-1 needs no label map in bulk.
     """
-    vertex_of = dict(zip(g.labels, range(g.n)))
-    parsed = _coloring_bulk(text, g, vertex_of)
-    return parsed if parsed is not None else _coloring_lines(text, g, vertex_of)
+    parsed = _coloring_bulk(text, g)
+    return parsed if parsed is not None else _coloring_lines(text, g)
 
 
-def _coloring_bulk(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]] | None:
+def _coloring_bulk(text: str, g: Graph) -> tuple[int, dict[int, int]] | None:
     """The bulk read of ``parse_coloring_file``; None leaves the text to the line loop."""
     header = _PLAIN_COLORING_HEADER.match(text)
     if header is None:
         return None
     k = _declared_count(header.group(1))
     numbers = _plain_pairs(text, header.end())
-    if numbers is None or not 1 <= k <= g.n or len(numbers) != 2 * g.n:
+    n = g.n
+    if numbers is None or not 1 <= k <= n or len(numbers) != 2 * n:
         return None
-    coloring = dict(zip(map(vertex_of.get, numbers[0::2]), numbers[1::2]))
+    labels = numbers[0::2]
+    if g.labels[-1] == n - 1 and all(map(operator.eq, g.labels, range(n))):  # each label is its own id
+        if max(labels) >= n:
+            return None
+        vertices = labels
+    else:
+        vertices = map(dict(zip(g.labels, range(n))).get, labels)
+    coloring = dict(zip(vertices, numbers[1::2]))
     # n lines that color n distinct known vertices color each vertex once
-    if len(coloring) != g.n or None in coloring:
+    if len(coloring) != n or None in coloring:
         return None
     return k, coloring
 
 
-def _coloring_lines(text: str, g: Graph, vertex_of: dict[int, int]) -> tuple[int, dict[int, int]]:
+def _coloring_lines(text: str, g: Graph) -> tuple[int, dict[int, int]]:
     """The line-by-line read of ``parse_coloring_file``: accepts every valid
     file and names the line of the first error."""
+    vertex_of = dict(zip(g.labels, range(g.n)))
     k: int | None = None
     coloring: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -420,7 +438,9 @@ def girth(g: Graph) -> int | float:
        dist(u) + dist(v) + 1, and no candidate is shorter than the girth.
        So BFS runs from the branch vertices only (Itai & Rodeh 1978), each
        one stopping once it can no longer beat the best cycle so far.
-    4. ``dist``/``parent`` are allocated once.  After each root only the
+    4. The component search of step 2 keeps each core vertex's core
+       neighbors, so BFS never meets a peeled leaf.
+    5. ``dist``/``parent`` are allocated once.  After each root only the
        ``dist`` entries that BFS touched are reset; ``parent`` needs no
        reset, since it is written when a vertex is reached, before any read.
 
@@ -444,14 +464,16 @@ def girth(g: Graph) -> int | float:
     best: int | float = ACYCLIC
     branch: list[int] = []
     seen = [False] * n
+    core_adj: list[list[int]] = [[]] * n  # each core vertex gets its own list below
     for start in range(n):
         if not in_core[start] or seen[start]:
             continue
         seen[start] = True
         component = [start]
         for u in component:  # grows while searching
-            for v in adj[u]:
-                if in_core[v] and not seen[v]:
+            core_adj[u] = nbrs = [v for v in adj[u] if in_core[v]]
+            for v in nbrs:
+                if not seen[v]:
                     seen[v] = True
                     component.append(v)
         roots = [u for u in component if core_degree[u] >= 3]
@@ -472,9 +494,7 @@ def girth(g: Graph) -> int | float:
             if 2 * du + 1 >= best:
                 break
             pu = parent[u]
-            for v in adj[u]:
-                if not in_core[v]:
-                    continue
+            for v in core_adj[u]:
                 dv = dist[v]
                 if dv < 0:
                     dist[v] = du + 1

@@ -187,19 +187,22 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         return False
 
     square = n * n
-    for basis, bits in zip(combinations(eligible, k), combinations([1 << v for v in eligible], k)):
-        w_mask = sum(bits)
-        if encircles(w_mask):
-            continue
-        keys = sorted([rank[v] - (nbr[v] & w_mask).bit_count() * square for v in range(n) if not w_mask >> v & 1])
-        order = [key % n for key in keys]
-        chosen = [0] * len(order)
-        near[:] = [nbr[b] for b in basis]
-        if extend(0, w_mask & witnesses):
-            coloring = dict(zip(basis, range(1, k + 1)))
-            coloring.update(zip(order, chosen))
-            return coloring
-    return None
+    try:
+        for basis, bits in zip(combinations(eligible, k), combinations([1 << v for v in eligible], k)):
+            w_mask = sum(bits)
+            if encircles(w_mask):
+                continue
+            keys = sorted([rank[v] - (nbr[v] & w_mask).bit_count() * square for v in range(n) if not w_mask >> v & 1])
+            order = [key % n for key in keys]
+            chosen = [0] * len(order)
+            near[:] = [nbr[b] for b in basis]
+            if extend(0, w_mask & witnesses):
+                coloring = dict(zip(basis, range(1, k + 1)))
+                coloring.update(zip(order, chosen))
+                return coloring
+        return None
+    finally:
+        del extend  # it refers to itself through its closure: a reference cycle only the collector frees
 
 
 def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, dict[int, int]]:

@@ -84,6 +84,11 @@ def outcome(parse, *args):
 @example(f"# n={'9' * 5000}\n0 1\n")  # more digits than int() converts
 @example("# n=3\n0 1\n1 0\n")  # duplicate after the header, on line 3
 @example("# n=3\n# n=3\n")  # duplicate header
+@example("3 0\n1 4\n2 1\n0 2\n")  # labels 0..n-1 in shuffled order: each label is its own id
+@example("# n=6\n1 0\n3 2\n")  # labels 0..n-1 completed by the header
+@example("1 2\n3 4\n")  # near miss: labels 1..n
+@example("0 1\n3 4\n2 0\n")  # near miss: 0..n with one gap
+@example("# n=2\n4 1\n")  # near miss: the header's 0..n-1 and a gap
 def test_edge_list_bulk_read_matches_line_loop(text):
     assert outcome(parse_edge_list, text) == outcome(_edge_list_lines, text)
 
@@ -92,23 +97,19 @@ GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=[2, 3, 5, 6])
 
 
 @st.composite
-def coloring_texts(draw):
-    """A header, then one line per vertex in a drawn order, sometimes broken:
-    a line dropped, or one more line added (a repeat, an unknown label or
-    an odd line)."""
+def coloring_texts(draw, g: Graph = GRAPH):
+    """A header, then one line per vertex of ``g`` in a drawn order, sometimes
+    broken: a line dropped, or one more line added (a repeat, an unknown
+    label or an odd line)."""
     headers = ["# k=2 basis=", "# k=3 basis=2:1,3:2", "#k=2\tbasis= ", "# k=5 basis=", "# k=٢ basis="]
     header = draw(st.sampled_from(headers))
-    labels = draw(st.permutations(GRAPH.labels))
+    labels = draw(st.permutations(g.labels))
     lines = [f"{label}{draw(separators)}{draw(st.integers(1, 3))}" for label in labels]
     if draw(st.booleans()):
         del lines[draw(st.integers(0, len(lines) - 1))]
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(any_lines))
     return join(draw, [header, *lines])
-
-
-def vertex_of(g: Graph) -> dict[int, int]:
-    return dict(zip(g.labels, range(g.n)))
 
 
 @settings(max_examples=400)
@@ -120,8 +121,20 @@ def vertex_of(g: Graph) -> dict[int, int]:
 @example("# k=2 basis=\x0b2 1\n3 2\n5 1\n6 2\n")
 @example("#\x1ck=2 basis=\n2 1\n3 2\n5 1\n6 2\n")
 def test_coloring_bulk_read_matches_line_loop(text):
-    expected = outcome(_coloring_lines, text, GRAPH, vertex_of(GRAPH))
+    expected = outcome(_coloring_lines, text, GRAPH)
     assert outcome(parse_coloring_file, text, GRAPH) == expected
+
+
+#: Graphs whose labels are 0..n-1: as ids (no label map in bulk), and swapped.
+ID_GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)])
+SWAPPED_GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=[1, 0, 2, 3])
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([ID_GRAPH, SWAPPED_GRAPH]).flatmap(lambda g: st.tuples(st.just(g), coloring_texts(g))))
+def test_coloring_bulk_read_on_labels_zero_to_n_matches_line_loop(case):
+    g, text = case
+    assert outcome(parse_coloring_file, text, g) == outcome(_coloring_lines, text, g)
 
 
 def test_plain_texts_take_the_bulk_read():
@@ -129,8 +142,13 @@ def test_plain_texts_take_the_bulk_read():
         g = _edge_list_bulk(text)
         assert isinstance(g, Graph)
         assert g == _edge_list_lines(text)
+    # labels 0..n-1 are read as ids, whatever the order
+    assert _edge_list_bulk("2 0\n1 2\n").adj == ((2,), (2,), (0, 1))
     coloring = "# k=2 basis=1:2,2:3\n2 1\n3 2\n5 1\n6 2\n"
-    assert _coloring_bulk(coloring, GRAPH, vertex_of(GRAPH)) == (2, {0: 1, 1: 2, 2: 1, 3: 2})
+    assert _coloring_bulk(coloring, GRAPH) == (2, {0: 1, 1: 2, 2: 1, 3: 2})
+    for g in (ID_GRAPH, SWAPPED_GRAPH):
+        coloring = "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n"
+        assert _coloring_bulk(coloring, g) == _coloring_lines(coloring, g)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +193,20 @@ def test_distinct_labels_are_capped(monkeypatch, text):
     ],
 )
 def test_coloring_anomaly_in_a_plain_text_names_its_line(text, message):
-    assert _coloring_bulk(text, GRAPH, vertex_of(GRAPH)) is None
+    assert _coloring_bulk(text, GRAPH) is None
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_coloring_file(text, GRAPH)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("# k=2 basis=\n0 1\n1 2\n4 1\n3 2\n", "line 4: unknown vertex label 4"),
+        ("# k=2 basis=\n0 1\n1 2\n0 1\n2 1\n", "line 4: vertex 0 colored twice"),
+        ("# k=2 basis=\n0 1\n1 2\n3 1\n", "coloring is partial: vertex 2 has no color"),
+    ],
+)
+def test_coloring_anomaly_on_labels_zero_to_n_names_its_line(text, message):
+    assert _coloring_bulk(text, ID_GRAPH) is None
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_coloring_file(text, ID_GRAPH)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -607,3 +608,111 @@ def test_batch_mode_records_internal_error_and_continues(tmp_path, capsys, monke
     assert lines[0]["file"] == "a_p5.txt"
     assert lines[0]["error"].startswith("internal error: ") and "step=completion" in lines[0]["error"]
     assert lines[1]["file"] == "b_c5.txt" and lines[1]["chi_b_method"] == "oracle"
+
+
+def test_input_files_are_capped_in_bytes(tmp_path, capsys, monkeypatch):
+    graph = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    coloring = write_graph(tmp_path, "p5.coloring", "# k=3 basis=\n0 1\n1 2\n2 3\n3 1\n4 2\n")
+    coloring_bytes = os.stat(coloring).st_size
+    monkeypatch.setattr(bchrom.cli, "MAX_INPUT_BYTES", coloring_bytes)  # both files at or below the limit
+    assert main(["verify", graph, coloring]) == 0
+    capsys.readouterr()
+    limit = len(P5_TEXT)
+    monkeypatch.setattr(bchrom.cli, "MAX_INPUT_BYTES", limit)  # the graph at the limit, the coloring above
+    assert main(["verify", graph, coloring]) == 2
+    assert capsys.readouterr().err == f"error: {coloring} has {coloring_bytes} bytes, above the limit {limit}\n"
+    monkeypatch.setattr(bchrom.cli, "MAX_INPUT_BYTES", limit - 1)
+    message = f"{graph} has {limit} bytes, above the limit {limit - 1}"
+    for argv in (["analyze", graph], ["color", graph], ["verify", graph, coloring]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["analyze", "--batch", str(tmp_path), "--json"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    coloring_message = f"{coloring} has {coloring_bytes} bytes, above the limit {limit - 1}"
+    assert records[0] == {"file": "p5.coloring", "error": coloring_message}
+    assert records[1] == {"file": "p5.txt", "error": message}
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched on or off for the test, and restored after it."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class ClosedPipeStdout(io.TextIOBase):
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def _raise_unexpected(*args, **kwargs):
+    raise RuntimeError("unexpected")
+
+
+@pytest.mark.parametrize("exit_code", [0, 1, 2, 3, 4, EXIT_CLOSED_PIPE, None], ids=str)
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collector, exit_code):
+    p5 = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    argv = ["color", p5, "-o", str(tmp_path / "p5.coloring")]
+    if exit_code == 1:
+        argv = ["verify", p5, write_graph(tmp_path, "mono.coloring", "# k=2 basis=\n0 1\n1 1\n2 2\n3 1\n4 2\n")]
+    elif exit_code == 2:
+        argv = ["analyze", str(tmp_path / "missing.txt")]
+    elif exit_code == 3:
+        argv = ["color", write_graph(tmp_path, "c5.txt", C5_TEXT)]  # below girth 9 without --oracle
+    elif exit_code == 4:
+        monkeypatch.setattr(bchrom.cli, "b_coloring_with_good_set", _broken_construction)
+    elif exit_code == EXIT_CLOSED_PIPE:
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", ClosedPipeStdout(fd))
+        argv = ["analyze", p5]
+    elif exit_code is None:  # an exception the command line does not report
+        monkeypatch.setattr(bchrom.cli, "load_graph", _raise_unexpected)
+    if exit_code is None:
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            main(argv)
+    else:
+        assert main(argv) == exit_code
+    assert gc.isenabled() is collector
+    if exit_code == EXIT_CLOSED_PIPE:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("command", ["exact-search", "color", "verify-valid", "verify-invalid", "batch"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, command):
+    # main pauses the collector, so whatever reference cycle a command made
+    # would stay until the next collection
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    c5 = write_graph(batch, "c5.txt", C5_TEXT)  # girth 5: the exact search decides
+    p5 = write_graph(batch, "p5.txt", P5_TEXT)
+    write_graph(batch, "tenc.txt", T_ENC_TEXT)
+    write_graph(batch, "bad.txt", "0 0\n")
+    colored = str(tmp_path / "p5.coloring")
+    assert main(["color", p5, "-o", colored]) == 0
+    mono = write_graph(tmp_path, "mono.coloring", "# k=2 basis=\n0 1\n1 1\n2 2\n3 1\n4 2\n")
+    argv = {
+        "exact-search": ["analyze", c5, "--chi-b"],
+        "color": ["color", p5, "-o", str(tmp_path / "again.coloring")],
+        "verify-valid": ["verify", p5, colored],
+        "verify-invalid": ["verify", p5, mono],
+        "batch": ["analyze", "--batch", str(batch), "--chi-b", "--json"],
+    }[command]
+    gc.collect()
+    main(argv)
+    assert gc.collect() == 0

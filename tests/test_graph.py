@@ -295,6 +295,43 @@ def test_girth_matches_all_roots_on_trees_with_extra_edges(n, extra, seed):
     assert girth(g) == all_roots_girth(g)
 
 
+def _hubs_with_leaves(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Hubs joined by paths of length 1 to 3, each hub padded with many pendant leaves."""
+    hubs = rng.randrange(3, 7)
+    edges: list[tuple[int, int]] = []
+    n = hubs
+    for a, b in combinations(range(hubs), 2):
+        if rng.random() < 0.7:
+            path = [a, *range(n, n + rng.randrange(3)), b]
+            n += len(path) - 2
+            edges.extend(zip(path, path[1:]))
+    for hub in range(hubs):
+        leaves = rng.randrange(10, 60)
+        edges.extend((hub, leaf) for leaf in range(n, n + leaves))
+        n += leaves
+    return n, edges
+
+
+def _cycles_with_long_pendant_trees(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A theta graph and a ring, with long paths and trees hung from their vertices."""
+    n, edges = _theta(rng)
+    n = _ring(edges, n, rng.randrange(3, 12))
+    for _ in range(rng.randrange(1, 6)):
+        tail = [rng.randrange(n), *range(n, n + rng.randrange(5, 40))]
+        n += len(tail) - 1
+        edges.extend(zip(tail, tail[1:]))
+        n = _grow(edges, n, rng.randrange(0, 20), rng, lo=tail[-1] if len(tail) > 1 else 0)
+    return n, edges
+
+
+@given(st.sampled_from([_hubs_with_leaves, _cycles_with_long_pendant_trees]), st.integers(0, 2**30))
+@settings(max_examples=60)
+def test_girth_matches_all_roots_on_cores_with_many_peeled_vertices(shape, seed):
+    rng = random.Random(seed)
+    g = _relabeled(*shape(rng), rng)
+    assert girth(g) == all_roots_girth(g)
+
+
 @given(st.integers(1, 10), st.integers(0, 2**30))
 def test_edge_list_round_trip(n, seed):
     rng = random.Random(seed)
