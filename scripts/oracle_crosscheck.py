@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Cross-check the pipeline against the exhaustive oracle on small inputs.
 
-Random labeled trees plus random high-girth graphs, all within the oracle
+TREES random labeled trees with 1 to 10 vertices plus GRAPHS random girth-9
+graphs with 1 to MAX_N vertices, drawn from SEED, all within the oracle
 cap, compared at tolerance zero.  Random trees with 11 to 14 vertices are
 drawn until a fixed number of them have no good set, so the construction
 with m(G) - 1 colors is cross-checked too.  A family of dense uniform
@@ -12,12 +13,11 @@ coloring, the pipeline's and the exact search's, must pass
 check_b_coloring, and every exact value must respect chi_b <= m(G).
 
 Usage:
-    python3 scripts/oracle_crosscheck.py --trees 500 --graphs 200 --seed 7
+    python3 scripts/oracle_crosscheck.py
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 from collections import Counter
@@ -32,6 +32,10 @@ from bchrom import (
     run_pipeline,
 )
 
+TREES = 500
+GRAPHS = 200
+MAX_N = 13
+SEED = 7
 # about 1 in 80 random trees with 11-14 vertices has no good set
 NO_GOOD_SET_TREES = 20
 # dense graphs whose chi_b only the exact search decides
@@ -65,14 +69,7 @@ def dense_graph(n: int, density: float, rng: random.Random) -> Graph:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trees", type=int, default=500)
-    parser.add_argument("--graphs", type=int, default=200)
-    parser.add_argument("--max-n", type=int, default=13)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     mismatches = 0
     invalid = 0
     above_m = 0
@@ -98,10 +95,10 @@ def main() -> int:
             invalid += 1
             print(f"INVALID WITNESS {tag} #{index}: {outcome.record.chi_b_method} n={g.n}")
 
-    for index in range(args.trees):
+    for index in range(TREES):
         compare(random_tree(rng.randint(1, 10), rng), "tree", index)
-    for index in range(args.graphs):
-        n = rng.randint(1, args.max_n)
+    for index in range(GRAPHS):
+        n = rng.randint(1, MAX_N)
         g = generate_girth_constrained(n, 9, n + 3, seed=rng.randrange(2**32))
         compare(g, "graph", index)
     drawn = 0
@@ -117,7 +114,7 @@ def main() -> int:
         compare(dense_graph(rng.randint(10, 13), rng.uniform(0.4, 0.6), rng), "dense graph", index)
 
     elapsed = time.perf_counter() - start
-    total = args.trees + args.graphs + NO_GOOD_SET_TREES + DENSE_GRAPHS
+    total = TREES + GRAPHS + NO_GOOD_SET_TREES + DENSE_GRAPHS
     print(f"instances  {total} ({drawn} trees drawn to find {NO_GOOD_SET_TREES} without a good set)")
     print(f"dense      {DENSE_GRAPHS} graphs with 10-13 vertices and edge density 0.4-0.6")
     print(f"elapsed    {elapsed:.2f}s")

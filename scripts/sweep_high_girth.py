@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Desk-scale sweep: generate high-girth graphs, compute chi_b, verify.
 
-For every generated graph the pipeline value must land in {m-1, m}, with a
+It generates COUNT seeded graphs with 1 to MAX_N vertices and girth at least
+MIN_GIRTH.  For every one the pipeline value must land in {m-1, m}, with a
 coloring that passes the independent checker.  Prints a small summary table
 (method counts, gap distribution, timing).
 
@@ -18,18 +19,22 @@ adds a dense vertex.  Each must get chi_b = m(G) - 1 by construction, with a
 coloring that passes the checker, or the script exits 1.
 
 Usage:
-    python3 scripts/sweep_high_girth.py --count 500 --max-n 200 --seed 12025
+    python3 scripts/sweep_high_girth.py
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 from collections import Counter
 
 from bchrom import Graph, check_b_coloring, density_profile, generate_girth_constrained, run_pipeline
 
+COUNT = 500
+MAX_N = 200
+MIN_GIRTH = 9
+SEED = 12025
+ORACLE_LIMIT = 14
 PLANTED_FORESTS = 200
 NO_GOOD_SET_GRAPHS = 60
 
@@ -103,25 +108,17 @@ def no_good_set_graph(rng: random.Random) -> Graph:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=500)
-    parser.add_argument("--max-n", type=int, default=200)
-    parser.add_argument("--min-girth", type=int, default=9)
-    parser.add_argument("--seed", type=int, default=12025)
-    parser.add_argument("--oracle-limit", type=int, default=14)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     methods = Counter()
     gaps = Counter()
     verified = 0
     start = time.perf_counter()
-    for index in range(args.count):
-        n = rng.randint(1, args.max_n)
+    for index in range(COUNT):
+        n = rng.randint(1, MAX_N)
         budget = rng.randint(max(n - 1, 0), max(n + n // 3, 1))
-        g = generate_girth_constrained(n, args.min_girth, budget, seed=rng.randrange(2**32))
+        g = generate_girth_constrained(n, MIN_GIRTH, budget, seed=rng.randrange(2**32))
         profile = density_profile(g)
-        outcome = run_pipeline(g, compute_chi_b=True, oracle_limit=args.oracle_limit)
+        outcome = run_pipeline(g, compute_chi_b=True, oracle_limit=ORACLE_LIMIT)
         value = outcome.record.chi_b
         if value not in (profile.m - 1, profile.m):
             print(f"FAIL graph #{index}: chi_b={value}, m={profile.m}")
@@ -168,7 +165,7 @@ def main() -> int:
         largest = max(largest, g.n)
     elapsed = time.perf_counter() - start
 
-    print(f"graphs          {args.count}")
+    print(f"graphs          {COUNT}")
     print(f"elapsed         {elapsed:.2f}s")
     print(f"colorings       {verified} emitted, all valid")
     for method, count in sorted(methods.items()):

@@ -409,7 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null device,
         # so the flush at interpreter exit neither fails nor prints
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_CLOSED_PIPE
     finally:
         if collecting:

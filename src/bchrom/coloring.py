@@ -316,7 +316,7 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
     Sound because every vertex of degree >= num_colors was colored earlier;
     the remaining ones see at most num_colors - 1 colors.  Greedy colors only
     the vertex it visits, so the first too-connected vertex it meets is the
-    lowest-id one.
+    lowest-id one.  Returns ``pc.colors`` itself, now total, not a copy.
     """
     colors = pc.colors
     adj = g.adj
@@ -326,7 +326,7 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
         if len(adj[u]) >= num_colors:
             raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
         pc.assign_smallest_free(u, "greedy", num_colors)
-    return dict(colors)
+    return colors
 
 
 def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | float | None = None) -> BResult:

@@ -15,6 +15,7 @@ import random
 import re
 from collections import deque
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from .errors import ParseError, PreconditionError
 
@@ -57,7 +58,8 @@ class Graph:
     duplicate edge (named as (u, v) with u < v, for the lowest such u, and
     found on the sorted adjacency lists) and repeated labels are each a
     ValueError.  The parsers build through ``_trusted``, which skips these
-    checks because every parser has already made them on its input.
+    checks: the line loops make them on their input, and the bulk edge-list
+    read looks for a repeated neighbor on the adjacency ``_trusted`` built.
     """
 
     __slots__ = ("n", "adj", "labels")
@@ -72,10 +74,9 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
         adj = _sorted_adjacency(n, edges)
-        for u, nbrs in enumerate(adj):
-            for v, w in zip(nbrs, nbrs[1:]):
-                if v == w:
-                    raise ValueError(f"duplicate edge ({u}, {v})")
+        repeated = _repeated_neighbor(adj)
+        if repeated is not None:
+            raise ValueError("duplicate edge ({}, {})".format(*repeated))
         label_tuple = tuple(range(n) if labels is None else labels)
         if len(label_tuple) != n:
             raise ValueError("labels must cover every vertex")
@@ -87,8 +88,9 @@ class Graph:
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[tuple[int, int]], labels: Iterable[int]) -> Graph:
-        """Build from input the caller has checked: ids in range, no
-        self-loop, no duplicate edge, one distinct label per vertex."""
+        """Build from input the caller has checked, or checks on the result:
+        ids in range, no self-loop, no duplicate edge, one distinct label per
+        vertex."""
         g = cls.__new__(cls)
         g.n = n
         g.adj = _sorted_adjacency(n, edges)
@@ -158,6 +160,24 @@ def _sorted_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[i
     return tuple(map(tuple, neighbors))
 
 
+def _repeated_neighbor(adj: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """(u, v) for the lowest u whose sorted neighbor list names v twice, and
+    the lowest such v; None when no list repeats a neighbor.
+
+    An edge listed twice, in either direction, puts each end twice in the
+    other's list, and a self-loop puts u twice in its own list, so this one
+    test on the sorted adjacency finds every repeated edge and self-loop.
+    """
+    lists = [nbrs for nbrs in adj if len(nbrs) > 1]  # a shorter list repeats nothing
+    if sum(map(len, map(frozenset, lists))) == sum(map(len, lists)):
+        return None
+    for u, nbrs in enumerate(adj):
+        for v, w in zip(nbrs, nbrs[1:]):
+            if v == w:
+                return u, v
+    return None
+
+
 def _add_edge(edges: set[tuple[int, int]], u: int, v: int, lineno: int) -> None:
     """Add edge {u, v} as (min, max); a self-loop or a repeat is a ParseError."""
     if u == v:
@@ -180,9 +200,11 @@ def parse_edge_list(text: str) -> Graph:
 
     A text made only of "u v" lines (unsigned ASCII decimals, separated by
     spaces or tabs, each line ended by "\\n"), after at most one plain
-    "# n=<count>" line, is read in bulk: one split, one int conversion and
-    one set of edges.  Any other text, and any anomaly the bulk read meets,
-    goes to the line-by-line parser, so an error always names its line.
+    "# n=<count>" line, is read in bulk: one split and one int conversion,
+    then the adjacency is built straight from the integers and a repeated
+    edge or self-loop is found on it.  Any other text, and any anomaly the
+    bulk read meets, goes to the line-by-line parser, so an error always
+    names its line.
     """
     g = _edge_list_bulk(text)
     return g if g is not None else _edge_list_lines(text)
@@ -197,28 +219,17 @@ def _edge_list_bulk(text: str) -> Graph | None:
     ends = _plain_pairs(text, header.end() if header else 0)
     if ends is None:
         return None
-    heads = ends[0::2]
-    tails = ends[1::2]
-    pairs = set(zip(heads, tails))
-    # a repeated line shrinks the set; an edge given both ways, or a
-    # self-loop (its own reverse), meets itself reversed
-    if len(pairs) != len(heads) or not pairs.isdisjoint(zip(tails, heads)):
-        return None
-    labels = _capped_labels({*ends, *range(declared)})
+    labels = sorted({*ends, *range(declared)})
     n = len(labels)
+    if n > MAX_VERTICES:  # the line loop names an earlier error, else refuses the count
+        return None
     if not labels or labels[-1] == n - 1:  # the labels are 0..n-1: each is its own id
-        return Graph._trusted(n, zip(heads, tails), labels)
-    index = dict(zip(labels, range(n)))
-    ids = map(index.__getitem__, ends)
-    return Graph._trusted(n, zip(ids, ids), labels)
-
-
-def _capped_labels(label_set: set[int]) -> list[int]:
-    """The labels of an edge list in increasing order; a ParseError when there
-    are more than MAX_VERTICES of them."""
-    if len(label_set) > MAX_VERTICES:
-        raise ParseError(f"the edge list names {len(label_set)} distinct vertices, above the limit {MAX_VERTICES}")
-    return sorted(label_set)
+        ids = iter(ends)
+    else:
+        ids = map(dict(zip(labels, range(n))).__getitem__, ends)
+    g = Graph._trusted(n, zip(ids, ids), labels)
+    # a repeated line, an edge given both ways or a self-loop: the line loop names it
+    return None if _repeated_neighbor(g.adj) else g
 
 
 def _edge_list_lines(text: str) -> Graph:
@@ -254,7 +265,9 @@ def _edge_list_lines(text: str) -> Graph:
     label_set = {lab for edge in edges for lab in edge}
     if declared_n is not None:
         label_set.update(range(declared_n))
-    labels = _capped_labels(label_set)
+    if len(label_set) > MAX_VERTICES:
+        raise ParseError(f"the edge list names {len(label_set)} distinct vertices, above the limit {MAX_VERTICES}")
+    labels = sorted(label_set)
     index = {lab: i for i, lab in enumerate(labels)}
     return Graph._trusted(len(labels), [(index[a], index[b]) for a, b in edges], labels)
 
@@ -367,16 +380,14 @@ def _coloring_bulk(text: str, g: Graph) -> tuple[int, dict[int, int]] | None:
     n = g.n
     if numbers is None or not 1 <= k <= n or len(numbers) != 2 * n:
         return None
-    labels = numbers[0::2]
+    pairs = iter(numbers)  # label, color, label, color, ...
     if g.labels[-1] == n - 1 and all(map(operator.eq, g.labels, range(n))):  # each label is its own id
-        if max(labels) >= n:
-            return None
-        vertices = labels
-    else:
-        vertices = map(dict(zip(g.labels, range(n))).get, labels)
-    coloring = dict(zip(vertices, numbers[1::2]))
-    # n lines that color n distinct known vertices color each vertex once
-    if len(coloring) != n or None in coloring:
+        vertices = pairs
+    else:  # an unknown label reads as vertex n
+        vertices = map(dict(zip(g.labels, range(n))).get, pairs, repeat(n))
+    coloring = dict(zip(vertices, pairs))
+    # n lines that color n distinct vertices below n color each vertex once
+    if len(coloring) != n or max(coloring) >= n:
         return None
     return k, coloring
 

@@ -16,6 +16,8 @@ from bchrom.graph import (
     _coloring_lines,
     _edge_list_bulk,
     _edge_list_lines,
+    _repeated_neighbor,
+    _sorted_adjacency,
     parse_coloring_file,
 )
 
@@ -157,6 +159,11 @@ def test_plain_texts_take_the_bulk_read():
         ("0 1\n1 2\n2 2\n", "line 3: self-loop at vertex 2"),
         ("0 1\n1 2\n2 1\n", "line 3: duplicate edge 2 1"),
         ("0 1\n1 2\n0 1\n", "line 3: duplicate edge 0 1"),
+        # labels that are not 0..n-1: the bulk read maps them to ids first
+        ("10 11\n11 12\n12 12\n", "line 3: self-loop at vertex 12"),
+        ("10 11\n11 12\n12 11\n", "line 3: duplicate edge 12 11"),
+        ("10 11\n11 12\n10 11\n", "line 3: duplicate edge 10 11"),
+        ("10 10\n", "line 1: self-loop at vertex 10"),
     ],
 )
 def test_edge_list_anomaly_in_a_plain_text_names_its_line(text, message):
@@ -165,11 +172,36 @@ def test_edge_list_anomaly_in_a_plain_text_names_its_line(text, message):
         parse_edge_list(text)
 
 
+def naive_repeated_neighbor(adj):
+    """The first u in id order whose list names some neighbor twice, with the
+    lowest such neighbor."""
+    for u, nbrs in enumerate(adj):
+        twice = [v for v in nbrs if nbrs.count(v) > 1]
+        if twice:
+            return u, min(twice)
+    return None
+
+
+@st.composite
+def adjacencies(draw):
+    """The sorted adjacency of up to 12 random edges on 1 to 9 vertices:
+    repeats, reversals and self-loops are frequent."""
+    n = draw(st.integers(1, 9))
+    ends = st.integers(0, n - 1)
+    return _sorted_adjacency(n, draw(st.lists(st.tuples(ends, ends), max_size=12)))
+
+
+@settings(max_examples=300)
+@given(adjacencies())
+def test_repeated_neighbor_matches_its_definition(adj):
+    assert _repeated_neighbor(adj) == naive_repeated_neighbor(adj)
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        "0 1\n2 3\n",  # plain: the bulk read
-        "# n=3\n5 6\n",  # plain with a header: the bulk read
+        "0 1\n2 3\n",  # plain: the bulk read counts the labels, the line loop refuses them
+        "# n=3\n5 6\n",  # plain with a header: likewise
         "0 1\r\n2 3\r\n",  # the line loop
         "# n=2\n# a comment\n7 8\n",  # the line loop
     ],
@@ -181,6 +213,9 @@ def test_distinct_labels_are_capped(monkeypatch, text):
             parse(text)
     assert parse_edge_list("0 1\n1 2\n").n == 3
     assert parse_edge_list("# n=3\n1 2\n").n == 3
+    # an error on an earlier line is named before the count is refused
+    with pytest.raises(ParseError, match="^line 3: duplicate edge 0 1$"):
+        parse_edge_list("0 1\n2 3\n0 1\n")
 
 
 @pytest.mark.parametrize(

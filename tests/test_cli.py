@@ -693,6 +693,19 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
         os.close(fd)
 
 
+def test_closed_pipe_exits_leave_no_open_descriptor(tmp_path, capsys, monkeypatch):
+    p5 = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedPipeStdout(fd))
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["analyze", p5]) == EXIT_CLOSED_PIPE
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("command", ["exact-search", "color", "verify-valid", "verify-invalid", "batch"])
 def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, command):
     # main pauses the collector, so whatever reference cycle a command made
