@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .coloring import TraceEvent, b_coloring_with_good_set
+from .coloring import b_coloring_with_good_set
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
 from .goodset import density_profile, find_good_set
 from .graph import (
@@ -109,10 +109,15 @@ class AnalysisRecord:
 
 @dataclass
 class PipelineOutcome:
+    """An analysis and, when asked for, its witness.  ``coloring`` is the
+    construction's list of colors by vertex id, or the oracle's mapping;
+    ``trace`` is the construction's log of plain
+    ``(step, vertex, color, recolored_from)`` tuples."""
+
     record: AnalysisRecord
-    coloring: dict[int, int] | None = None
+    coloring: list[int] | dict[int, int] | None = None
     basis: dict[int, int] | None = None
-    trace: tuple[TraceEvent, ...] = ()
+    trace: tuple[tuple[str, int, int, int | None], ...] = ()
 
 
 def run_pipeline(
@@ -162,7 +167,7 @@ def run_pipeline(
         record.chi_b_method = "construction"
         outcome.coloring = built.coloring
         outcome.basis = built.basis
-        outcome.trace = built.trace
+        outcome.trace = built.events
         return outcome
 
     if g.n > oracle_limit:
@@ -227,11 +232,14 @@ def _print(line: str = "") -> None:
     _write_stdout(line + "\n")
 
 
-def _write_output(content: str, path: str | None) -> None:
+def _write_output(blocks: list[str], path: str | None) -> None:
+    """Write the text blocks in order, to stdout or to a file."""
     if path is None or path == "-":
-        _write_stdout(content)
+        for block in blocks:
+            _write_stdout(block)
     else:
-        Path(path).write_text(content)
+        with open(path, "w") as out:
+            out.writelines(blocks)
 
 
 def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = None) -> None:
@@ -289,10 +297,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     )
     if args.trace:
         lines = []
-        for event in outcome.trace:
-            line = f"step={event.step} vertex={g.labels[event.vertex]} color={event.color}"
-            if event.recolored_from is not None:
-                line += f" recolored-from={event.recolored_from}"
+        for step, vertex, color, recolored_from in outcome.trace:
+            line = f"step={step} vertex={g.labels[vertex]} color={color}"
+            if recolored_from is not None:
+                line += f" recolored-from={recolored_from}"
             lines.append(line + "\n")
         _write_stdout("".join(lines))  # one write for the whole trace, whatever its length
     _write_output(format_coloring_file(g, outcome.coloring, outcome.record.chi_b, outcome.basis), args.output)
@@ -334,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     g = generate_girth_constrained(args.n, args.min_girth, args.edges, args.seed)
-    _write_output(to_edge_list(g), args.output)
+    _write_output([to_edge_list(g)], args.output)
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ class LinkStructure:
 
 
 class TraceEvent(NamedTuple):
-    """One assignment or recoloring; a tuple, the cheapest record to create."""
+    """One assignment or recoloring, as ``BResult.trace`` reports it."""
 
     step: str
     vertex: int
@@ -56,36 +56,47 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class BResult:
-    """A witnessed b-coloring: chi_b colors, one designated b-vertex each."""
+    """A witnessed b-coloring: chi_b colors, one designated b-vertex each.
+
+    ``coloring`` holds the color of each vertex id, 1..chi_b.  ``events`` is
+    the construction's log of plain ``(step, vertex, color, recolored_from)``
+    tuples in assignment order; ``trace`` builds its ``TraceEvent``s on read.
+    """
 
     chi_b: int
-    coloring: dict[int, int]
+    coloring: list[int]
     basis: dict[int, int]
-    trace: tuple[TraceEvent, ...] = ()
+    events: tuple[tuple[str, int, int, int | None], ...] = ()
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        return tuple(map(TraceEvent._make, self.events))
 
 
 class PartialColoring:
-    """Mutable vertex -> color map of a graph that traces every assignment and
-    recoloring, and refuses one that would give a vertex a neighbor's color."""
+    """Mutable coloring of a graph, one color per vertex id (0: uncolored),
+    that logs every assignment and recoloring as a plain
+    ``(step, vertex, color, recolored_from)`` tuple and refuses one that would
+    give a vertex a neighbor's color.  Colors are positive."""
 
     def __init__(self, g: Graph):
         self._adj = g.adj
-        self.colors: dict[int, int] = {}
-        self.trace: list[TraceEvent] = []
+        self.colors: list[int] = [0] * g.n
+        self.events: list[tuple[str, int, int, int | None]] = []
         self._recolored: set[int] = set()
 
     def _refuse_clash(self, v: int, color: int, step: str) -> None:
         colors = self.colors
         for u in self._adj[v]:
-            if colors.get(u) == color:
+            if colors[u] == color:
                 raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)
 
     def assign(self, v: int, color: int, step: str) -> None:
-        if v in self.colors:
+        if self.colors[v]:
             raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
         self._refuse_clash(v, color, step)
         self.colors[v] = color
-        self.trace.append(TraceEvent(step, v, color))
+        self.events.append((step, v, color, None))
 
     def assign_smallest_free(self, v: int, step: str, num_colors: int) -> int | None:
         """Give uncolored v the smallest color in 1..num_colors that no
@@ -93,28 +104,28 @@ class PartialColoring:
         color is taken.  The one scan that collects the neighbors' colors is
         also the properness check of ``assign``."""
         colors = self.colors
-        if v in colors:
+        if colors[v]:
             raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
-        used = {colors.get(u) for u in self._adj[v]}
+        used = {colors[u] for u in self._adj[v]}
         color = 1
         while color in used:
             color += 1
         if color > num_colors:
             return None
         colors[v] = color
-        self.trace.append(TraceEvent(step, v, color))
+        self.events.append((step, v, color, None))
         return color
 
     def recolor(self, v: int, color: int, step: str) -> None:
-        if v not in self.colors:
+        old = self.colors[v]
+        if not old:
             raise InvariantViolation("cannot recolor an uncolored vertex", step=step, vertex=v)
         if v in self._recolored:
             raise InvariantViolation("vertex recolored twice", step=step, vertex=v)
         self._refuse_clash(v, color, step)
         self._recolored.add(v)
-        old = self.colors[v]
         self.colors[v] = color
-        self.trace.append(TraceEvent(step, v, color, recolored_from=old))
+        self.events.append((step, v, color, old))
 
 
 def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
@@ -195,6 +206,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     link_set = links.vertices
     anchors_of = links.anchors_of
     pc = PartialColoring(g)
+    colors = pc.colors
     for v in members:
         pc.assign(v, anchor_color[v], "anchor")
 
@@ -211,9 +223,9 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         forbidden = [anchor_color[next(v for v in anchors_of[x] if v != v_i)] for x in star]
         if len(set(forbidden)) != len(forbidden):
             raise InvariantViolation("second-anchor colors collide around an anchor", step="step2", vertex=v_i)
-        pinned = {pc.colors[x] for x in star if x in pc.colors}
+        pinned = {colors[x] for x in star if colors[x]}
         palette = [c for c in forbidden if c not in pinned]
-        targets = [(x, f) for x, f in zip(star, forbidden) if x not in pc.colors]
+        targets = [(x, f) for x, f in zip(star, forbidden) if not colors[x]]
         if not targets:
             continue
         try:
@@ -229,20 +241,20 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         for v in anchors_of[y]:
             first_chained.setdefault(v, y)
     for x in sorted(links.multi_anchored):
-        if x in pc.colors:
+        if colors[x]:
             continue
         v_i = next((v for v in anchors_of[x] if v in first_chained), None)
         if v_i is None:
             continue
         y = first_chained[v_i]
-        pc.assign(x, pc.colors[y], "step3-new")
+        pc.assign(x, colors[y], "step3-new")
         other = next(v for v in anchors_of[x] if v != v_i)
         pc.recolor(y, anchor_color[other], "step3-recolor")
 
     # pass 4: an unencircled vertex always has a safe anchor color left,
     # that of an anchor outside its encirclement cover
     for x in sorted(links.multi_anchored):
-        if x in pc.colors:
+        if colors[x]:
             continue
         cover = encirclement_cover(g, w_set, x, m)
         option = next((v for v in members if v not in cover), None)
@@ -250,7 +262,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
             raise InvariantViolation("uncolored doubly anchored vertex is encircled", step="step4", vertex=x)
         pc.assign(x, anchor_color[option], "step4")
 
-    leftovers = sorted(x for x in link_set if x not in pc.colors)
+    leftovers = sorted(x for x in link_set if not colors[x])
     if leftovers:
         raise InvariantViolation("link vertex survived all four passes", step="step4", vertex=leftovers[0])
     return pc
@@ -274,7 +286,8 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     """
     members = anchors.members
     m = len(members)
-    fringe = sorted({u for v in members for u in g.adj[v] if u not in pc.colors})
+    colors = pc.colors
+    fringe = sorted({u for v in members for u in g.adj[v] if not colors[u]})
     fringe_set = set(fringe)
     for u in fringe:
         if not fringe_set.isdisjoint(g.adj[u]):
@@ -288,9 +301,9 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     for i, v in enumerate(members):
         own = i + 1
         neighborhood = g.adj[v]
-        seen = {pc.colors[u] for u in neighborhood if u in pc.colors}
+        seen = {colors[u] for u in neighborhood}  # 0, for uncolored, is no palette color
         missing = sorted(full_palette - {own} - seen)
-        free = [u for u in neighborhood if u not in pc.colors]
+        free = [u for u in neighborhood if not colors[u]]
         if len(free) < len(missing):
             raise InvariantViolation(
                 f"anchor is missing {len(missing)} colors but has only {len(free)} uncolored neighbors",
@@ -304,13 +317,13 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
                 raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
     for i, v in enumerate(members):
         own = i + 1
-        seen = {pc.colors[u] for u in g.adj[v] if u in pc.colors}
+        seen = {colors[u] for u in g.adj[v]}
         if not (full_palette - {own} <= seen):
             raise InvariantViolation("anchor does not see every other color", step="completion", vertex=v)
     return pc
 
 
-def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, int]:
+def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     """Color the remaining vertices with the smallest free color, by id.
 
     Sound because every vertex of degree >= num_colors was colored earlier;
@@ -321,7 +334,7 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, i
     colors = pc.colors
     adj = g.adj
     for u in range(g.n):
-        if u in colors:
+        if colors[u]:
             continue
         if len(adj[u]) >= num_colors:
             raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
@@ -350,4 +363,4 @@ def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | f
     if report.basis is None:
         raise InvariantViolation("constructed coloring failed the validity check")
     basis = {i + 1: v for i, v in enumerate(anchors.members)}
-    return BResult(chi_b=k, coloring=total, basis=basis, trace=tuple(pc.trace))
+    return BResult(chi_b=k, coloring=total, basis=basis, events=tuple(pc.events))

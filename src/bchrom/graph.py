@@ -14,7 +14,7 @@ import operator
 import random
 import re
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 
 from .errors import ParseError, PreconditionError
@@ -37,6 +37,9 @@ _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 #: The only header line the bulk edge-list read accepts; see ``parse_edge_list``.
 _PLAIN_N_HEADER = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*\n")
+
+#: Most "label color" lines in one text block of ``format_coloring_file``.
+_COLORING_BLOCK_LINES = 2**16
 
 _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
 
@@ -343,13 +346,21 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def format_coloring_file(g: Graph, coloring: dict[int, int], k: int, basis: dict[int, int]) -> str:
-    """The coloring file of a k-coloring: a "# k=<k> basis=<label:color,...>"
-    header, then one "label color" line per vertex in id order."""
-    basis_text = ",".join(f"{g.labels[v]}:{c}" for c, v in sorted(basis.items()))
-    lines = [f"# k={k} basis={basis_text}"]
-    lines.extend(f"{g.labels[u]} {coloring[u]}" for u in range(g.n))
-    return "\n".join(lines) + "\n"
+def format_coloring_file(
+    g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int, basis: dict[int, int]
+) -> list[str]:
+    """The coloring file of a k-coloring, as text blocks to write in order: a
+    "# k=<k> basis=<label:color,...>" header, then one "label color" line per
+    vertex in id order, at most ``_COLORING_BLOCK_LINES`` lines a block, so
+    a large file is never held as one string.  ``coloring`` gives the color
+    of each vertex id, as a list or a mapping."""
+    labels = g.labels
+    basis_text = ",".join(f"{labels[v]}:{c}" for c, v in sorted(basis.items()))
+    blocks = [f"# k={k} basis={basis_text}\n"]
+    for start in range(0, g.n, _COLORING_BLOCK_LINES):
+        stop = min(start + _COLORING_BLOCK_LINES, g.n)
+        blocks.append("".join([f"{labels[u]} {coloring[u]}\n" for u in range(start, stop)]))
+    return blocks
 
 
 def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:

@@ -7,7 +7,7 @@ nondeterministically.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,8 +43,11 @@ class ValidityReport:
         return not self.violations
 
 
-def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityReport:
+def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int) -> ValidityReport:
     """Validate a total coloring as a b-coloring with exactly k colors.
+
+    The coloring is either a list of n colors indexed by vertex id, in which
+    0 marks an uncolored vertex, or a mapping from vertex id to color.
 
     One pass over the edges finds the monochromatic ones, and one sweep over
     the vertices in id order finds each class's b-vertex, so the check costs
@@ -52,11 +55,18 @@ def check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityR
     """
     if k < 1:
         raise ValueError("k must be positive")
-    try:
-        colors = [coloring[u] for u in range(g.n)]
-    except KeyError:
-        missing = next(u for u in range(g.n) if u not in coloring)
-        raise ValueError(f"coloring is partial: vertex {missing} has no color") from None
+    if isinstance(coloring, Mapping):
+        try:
+            colors = [coloring[u] for u in range(g.n)]
+        except KeyError:
+            missing = next(u for u in range(g.n) if u not in coloring)
+            raise ValueError(f"coloring is partial: vertex {missing} has no color") from None
+    else:
+        colors = coloring
+        if len(colors) != g.n:
+            raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
+        if 0 in colors:
+            raise ValueError(f"coloring is partial: vertex {colors.index(0)} has no color")
     violations = [
         Violation("monochromatic-edge", (u, v)) for u, v in g.edges() if colors[u] == colors[v]
     ]

@@ -326,19 +326,19 @@ def naive_check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> Val
     )
 
 
-def used_set_greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> dict[int, int]:
+def used_set_greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     """Greedy extension by id: collect the neighbors' colors into a set, take
     the smallest color outside it, then assign, which scans the neighbors
     again to refuse a clash."""
     for u in range(g.n):
-        if u in pc.colors:
+        if pc.colors[u]:
             continue
         if len(g.adj[u]) >= num_colors:
             raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
-        used = {pc.colors[z] for z in g.adj[u] if z in pc.colors}
+        used = {pc.colors[z] for z in g.adj[u] if pc.colors[z]}
         color = next(c for c in range(1, num_colors + 1) if c not in used)
         pc.assign(u, color, "greedy")
-    return dict(pc.colors)
+    return list(pc.colors)
 
 
 # ------------------------------------------------ reference exact search

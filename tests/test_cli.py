@@ -204,6 +204,56 @@ def test_color_trace_names_the_recolored_color(tmp_path, capsys):
     ]
 
 
+STEAL_CHAIN_TRACE = """\
+step=anchor vertex=3 color=1
+step=anchor vertex=13 color=2
+step=anchor vertex=23 color=3
+step=step1 vertex=43 color=3
+step=step1 vertex=53 color=1
+step=step3-new vertex=33 color=3
+step=step3-recolor vertex=43 color=2 recolored-from=3
+step=completion vertex=73 color=1
+step=completion vertex=93 color=2
+step=greedy vertex=63 color=2
+step=greedy vertex=83 color=1
+step=greedy vertex=103 color=1
+# k=3 basis=3:1,13:2,23:3
+3 1
+13 2
+23 3
+33 3
+43 2
+53 1
+63 2
+73 1
+83 1
+93 2
+103 1
+"""
+
+
+def test_color_trace_golden_listing(tmp_path, capsys):
+    # the steal-chain tree with each label v written as 10 v + 3: the trace
+    # names vertices by label, and every pass but 2 and 4 runs
+    edges = [(0, 3), (0, 4), (0, 6), (1, 3), (1, 7), (1, 8), (2, 5), (2, 9), (2, 10), (4, 5)]
+    text = "".join(f"{10 * u + 3} {10 * v + 3}\n" for u, v in edges)
+    path = write_graph(tmp_path, "steal.txt", text)
+    assert main(["color", path, "--trace"]) == 0
+    assert capsys.readouterr().out == STEAL_CHAIN_TRACE
+
+
+def test_color_output_is_the_same_through_stdout_and_a_file(tmp_path, capsys):
+    # more lines than one block of the coloring file
+    n = 2**16 + 3
+    path = write_graph(tmp_path, "path.txt", "".join(f"{u} {u + 1}\n" for u in range(n - 1)))
+    out_path = tmp_path / "path.coloring"
+    assert main(["color", path, "-o", str(out_path)]) == 0
+    assert main(["color", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# k=3 basis=") and out.count("\n") == n + 1
+    assert out_path.read_text() == out
+
+
 def test_reused_parser_keeps_no_option_between_calls(tmp_path, capsys):
     path = write_graph(tmp_path, "c9.txt", C9_TEXT)
     assert main(["color", "--trace", path]) == 0
@@ -520,7 +570,7 @@ def test_invariant_violation_exits_with_internal_code(tmp_path, capsys, monkeypa
 
 
 def _monochromatic_greedy(g, pc, num_colors):
-    return dict.fromkeys(range(g.n), 1)
+    return [1] * g.n
 
 
 @pytest.mark.parametrize(

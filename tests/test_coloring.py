@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -43,8 +44,8 @@ from helpers import (
 
 
 def last_step(pc: PartialColoring, v: int) -> str:
-    """The step of the last trace event that colored or recolored v."""
-    return next(event.step for event in reversed(pc.trace) if event.vertex == v)
+    """The step of the last logged event that colored or recolored v."""
+    return next(step for step, vertex, _, _ in reversed(pc.events) if vertex == v)
 
 
 # ------------------------------------------------------------ link scan
@@ -150,15 +151,15 @@ def test_color_links_anchor_only_when_no_links():
     g = star_of_stars()
     anchors = GoodSet((0, 1, 2))
     pc = color_links(g, anchors, classify_links(g, anchors))
-    assert pc.colors == {0: 1, 1: 2, 2: 3}
-    assert all(event.step == "anchor" for event in pc.trace)
+    assert pc.colors == [1, 2, 3, 0, 0, 0, 0]
+    assert all(step == "anchor" for step, _, _, _ in pc.events)
 
 
 def test_color_links_nine_cycle_golden():
     g = cycle_graph(9)
     anchors = GoodSet((0, 3, 6))
     pc = color_links(g, anchors, classify_links(g, anchors))
-    assert pc.colors == {0: 1, 3: 2, 6: 3, 1: 2, 2: 1, 4: 3, 5: 2, 7: 1, 8: 3}
+    assert pc.colors == [1, 2, 1, 2, 3, 2, 3, 1, 3]
     for x in (1, 2, 4, 5, 7, 8):
         assert last_step(pc, x) == "step1"
 
@@ -200,9 +201,8 @@ def test_steal_pass_golden_trace():
     assert pc.colors[4] == 2 and last_step(pc, 4) == "step3-recolor"
     assert pc.colors[3] == 3 and last_step(pc, 3) == "step3-new"
     assert pc.colors[5] == 1 and last_step(pc, 5) == "step1"
-    recolors = [event for event in pc.trace if event.recolored_from is not None]
-    assert len(recolors) == 1
-    assert recolors[0].vertex == 4 and recolors[0].recolored_from == 3
+    recolors = [(vertex, old) for _, vertex, _, old in pc.events if old is not None]
+    assert recolors == [(4, 3)]
 
 
 def test_fallback_pass_golden():
@@ -222,7 +222,7 @@ def test_completion_path_five_golden():
     anchors = GoodSet((1, 2, 3))
     pc = color_links(g, anchors, classify_links(g, anchors))
     complete_b_vertices(g, anchors, pc)
-    assert pc.colors == {0: 3, 1: 1, 2: 2, 3: 3, 4: 1}
+    assert pc.colors == [3, 1, 2, 3, 1]
     assert last_step(pc, 0) == "completion"
     assert last_step(pc, 4) == "completion"
 
@@ -235,9 +235,9 @@ def test_completion_star_of_stars_golden():
     # leaves of anchors 1 and 2 supply the missing colors
     assert pc.colors[4] == 3
     assert pc.colors[5] == 2
-    assert 3 not in pc.colors  # spoke 3 is left for the greedy pass
+    assert pc.colors[3] == 0  # spoke 3 is left for the greedy pass
     total = greedy_extend(g, pc, 3)
-    assert total == {0: 1, 1: 2, 2: 3, 3: 2, 4: 3, 5: 2, 6: 1}
+    assert total == [1, 2, 3, 2, 3, 2, 1]
 
 
 def test_completion_checks_anchor_slack():
@@ -259,7 +259,7 @@ def test_assign_refuses_a_neighbor_color():
     with pytest.raises(InvariantViolation, match=r"^edge 0-1 is monochromatic \(step=step1, vertex=1\)$") as info:
         pc.assign(1, 1, "step1")
     assert (info.value.step, info.value.vertex) == ("step1", 1)
-    assert 1 not in pc.colors and len(pc.trace) == 1
+    assert pc.colors[1] == 0 and len(pc.events) == 1
 
 
 def test_recolor_refuses_a_neighbor_color():
@@ -272,7 +272,7 @@ def test_recolor_refuses_a_neighbor_color():
     ) as info:
         pc.recolor(1, 3, "step3-recolor")
     assert (info.value.step, info.value.vertex) == ("step3-recolor", 1)
-    assert pc.colors[1] == 2 and len(pc.trace) == 3
+    assert pc.colors[1] == 2 and len(pc.events) == 3
     pc.recolor(1, 4, "step3-recolor")  # the refusal did not use up the one recoloring
     assert pc.colors[1] == 4
 
@@ -283,12 +283,12 @@ def test_greedy_identity_when_total():
     pc.assign(0, 1, "anchor")
     pc.assign(1, 2, "anchor")
     pc.assign(2, 1, "anchor")
-    assert greedy_extend(g, pc, 2) == {0: 1, 1: 2, 2: 1}
+    assert greedy_extend(g, pc, 2) == [1, 2, 1]
 
 
 def test_greedy_isolated_vertex_gets_one():
     g = Graph(1, [])
-    assert greedy_extend(g, PartialColoring(g), 1) == {0: 1}
+    assert greedy_extend(g, PartialColoring(g), 1) == [1]
 
 
 def test_greedy_pendant_gets_smallest_absent():
@@ -313,13 +313,13 @@ def test_greedy_names_the_lowest_too_connected_vertex():
 
 
 def greedy_outcome(extend, g: Graph, precolored: list[tuple[int, int]], num_colors: int):
-    """The coloring and trace greedy leaves, or the refusal it raises, on a
-    fresh PartialColoring holding ``precolored``."""
+    """The coloring and event log greedy leaves, or the refusal it raises, on
+    a fresh PartialColoring holding ``precolored``."""
     pc = PartialColoring(g)
     for v, color in precolored:
         pc.assign(v, color, "anchor")
     try:
-        return extend(g, pc, num_colors), pc.trace
+        return extend(g, pc, num_colors), pc.events
     except InvariantViolation as exc:
         return str(exc), exc.step, exc.vertex
 
@@ -347,7 +347,7 @@ def test_assign_smallest_free_takes_the_lowest_absent_color():
     pc.assign(1, 1, "anchor")
     pc.assign(3, 3, "anchor")
     assert pc.assign_smallest_free(0, "greedy", 3) == 2
-    assert pc.trace[-1] == TraceEvent("greedy", 0, 2)
+    assert pc.events[-1] == ("greedy", 0, 2, None)
     with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=0\)$"):
         pc.assign_smallest_free(0, "greedy", 3)
 
@@ -358,7 +358,7 @@ def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
     pc.assign(0, 1, "anchor")
     pc.assign(2, 2, "anchor")
     assert pc.assign_smallest_free(1, "completion", 2) is None
-    assert 1 not in pc.colors and len(pc.trace) == 2
+    assert pc.colors[1] == 0 and len(pc.events) == 2
 
 
 def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
@@ -371,7 +371,7 @@ def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
     with pytest.raises(InvariantViolation, match="^no color left for a high-degree neighbor") as info:
         complete_b_vertices(g, GoodSet((0, 1)), pc)
     assert (info.value.step, info.value.vertex) == ("completion", 3)
-    assert 3 not in pc.colors
+    assert pc.colors[3] == 0
 
 
 def test_trace_event_fields():
@@ -381,6 +381,27 @@ def test_trace_event_fields():
     assert moved.recolored_from == 3
     with pytest.raises(AttributeError):
         event.color = 3
+
+
+@pytest.mark.parametrize("builder", [steal_chain_tree, lambda: random_tree(300, random.Random(11))])
+def test_trace_is_built_from_the_event_log_on_read(builder):
+    g = builder()
+    result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
+    assert all(type(event) is tuple for event in result.events)
+    trace = result.trace
+    assert all(type(event) is TraceEvent for event in trace)
+    assert trace == result.events  # field by field, in assignment order
+    assert Counter(event.step for event in trace if event.recolored_from is None) == Counter(
+        step for step, _, _, old in result.events if old is None
+    )
+    assert [event for event in trace if event.recolored_from is not None] == [
+        event for event in result.events if event[3] is not None
+    ]
+    replayed = [0] * g.n
+    for event in trace:
+        assert replayed[event.vertex] == (event.recolored_from or 0)
+        replayed[event.vertex] = event.color
+    assert replayed == result.coloring
 
 
 # ----------------------------------------------------- full construction
@@ -411,7 +432,7 @@ def test_full_construction_matches_oracle(builder, expected):
 def test_full_construction_steal_chain_exact_coloring():
     g = steal_chain_tree()
     result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
-    expected = {0: 1, 1: 2, 2: 3, 3: 3, 4: 2, 5: 1, 6: 2, 7: 1, 8: 1, 9: 2, 10: 1}
+    expected = [1, 2, 3, 3, 2, 1, 2, 1, 1, 2, 1]
     assert result.coloring == expected
 
 

@@ -362,9 +362,20 @@ def colored_graphs(draw):
 @given(colored_graphs())
 def test_coloring_file_round_trip(case):
     g, coloring, k, basis = case
-    text = format_coloring_file(g, coloring, k, basis)
+    text = "".join(format_coloring_file(g, coloring, k, basis))
     assert parse_coloring_file(text, g) == (k, coloring)
     assert parse_coloring_file(text.replace("\n", "\r\n"), g) == (k, coloring)
+
+
+def test_coloring_file_blocks_join_to_the_one_string_file():
+    # the header, one full block of 2**16 lines, and a block of the last 3
+    n = 2**16 + 3
+    g = path_graph(n)
+    coloring = [u % 2 + 1 for u in range(n)]
+    reference = "# k=2 basis=0:1,1:2\n" + "".join(f"{u} {coloring[u]}\n" for u in range(n))
+    blocks = format_coloring_file(g, coloring, 2, {1: 0, 2: 1})
+    assert [block.count("\n") for block in blocks] == [1, 2**16, 3]
+    assert "".join(blocks) == reference
 
 
 def test_generator_deterministic_and_respects_girth():

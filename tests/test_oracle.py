@@ -119,6 +119,21 @@ def test_check_matches_the_naive_checker(n, edge_prob, mode, seed):
     assert report == expected
     if report.basis is not None:
         assert list(report.basis.items()) == list(expected.basis.items())
+    # the same coloring as a list by vertex id, where 0 means uncolored
+    as_list = [coloring[u] for u in range(g.n)]
+    if 0 in as_list:
+        with pytest.raises(ValueError, match=f"^coloring is partial: vertex {as_list.index(0)} has no color$"):
+            check_b_coloring(g, as_list, k)
+    else:
+        assert check_b_coloring(g, as_list, k) == report
+
+
+def test_check_refuses_a_list_with_an_uncolored_vertex():
+    g = path_graph(5)
+    with pytest.raises(ValueError, match="^coloring is partial: vertex 2 has no color$"):
+        check_b_coloring(g, [3, 1, 0, 3, 0], 3)
+    with pytest.raises(ValueError, match="^coloring has 4 entries for 5 vertices$"):
+        check_b_coloring(g, [3, 1, 2, 3], 3)
 
 
 def test_find_exact_examples():
