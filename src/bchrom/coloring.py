@@ -18,8 +18,9 @@ A violation raises InvariantViolation: on a girth->=9 input that is a bug.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import NamedTuple
 
 from . import oracle
@@ -35,8 +36,8 @@ class LinkStructure:
     ``chained`` holds link vertices adjacent to another link vertex;
     ``multi_anchored`` those adjacent to at least two anchors.  Every link
     vertex falls in at least one of the two groups.  ``anchors_of`` maps
-    each vertex outside W with a neighbor in W to its anchor neighbors, in
-    id order; every link vertex is a key.
+    each vertex of degree >= 2 outside W with a neighbor in W to its anchor
+    neighbors, in id order; every link vertex is a key.
     """
 
     vertices: frozenset[int]
@@ -92,11 +93,23 @@ class PartialColoring:
                 raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)
 
     def assign(self, v: int, color: int, step: str) -> None:
-        if self.colors[v]:
-            raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
-        self._refuse_clash(v, color, step)
-        self.colors[v] = color
-        self.events.append((step, v, color, None))
+        self.assign_each(((v, color),), step)
+
+    def assign_each(self, pairs: Iterable[tuple[int, int]], step: str) -> None:
+        """Assign each ``(vertex, color)`` pair in order, all at one step,
+        refusing a second assignment or a neighbor's color as it reaches the
+        pair; the pairs before a refused one stay assigned."""
+        colors = self.colors
+        adj = self._adj
+        log = self.events.append
+        for v, color in pairs:
+            if colors[v]:
+                raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+            for u in adj[v]:
+                if colors[u] == color:
+                    raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)
+            colors[v] = color
+            log((step, v, color, None))
 
     def assign_smallest_free(self, v: int, step: str, num_colors: int) -> int | None:
         """Give uncolored v the smallest color in 1..num_colors that no
@@ -129,25 +142,30 @@ class PartialColoring:
 
 
 def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
-    """Scan all anchor-to-anchor paths of length 2 or 3 with free interiors."""
+    """Scan all anchor-to-anchor paths of length 2 or 3 with free interiors.
+
+    A neighbor of degree 1 is skipped: its one neighbor is its anchor, so it
+    lies on no such path.
+    """
+    adj = g.adj
     w_set = frozenset(anchors.members)
     nbrs_in_w: dict[int, list[int]] = {}
     for v in anchors.members:  # increasing ids, so each list is in id order
-        for x in g.adj[v]:
-            if x not in w_set:
+        for x in adj[v]:
+            if len(adj[x]) > 1 and x not in w_set:
                 nbrs_in_w.setdefault(x, []).append(v)
     anchors_of = {x: tuple(near) for x, near in nbrs_in_w.items()}
     link: set[int] = set()
     for x, near_x in anchors_of.items():
         if len(near_x) >= 2:
             link.add(x)
-        for y in g.adj[x]:
+        for y in adj[x]:
             near_y = anchors_of.get(y)  # None for anchors: they are no keys
             # sorted, nonempty tuples: the union has one anchor only if both are (a,)
             if near_y is not None and (len(near_x) >= 2 or near_y != near_x):
                 link.add(x)
                 link.add(y)
-    chained = frozenset(x for x in link if not link.isdisjoint(g.adj[x]))
+    chained = frozenset(x for x in link if not link.isdisjoint(adj[x]))
     multi = frozenset(x for x in link if len(anchors_of[x]) >= 2)
     return LinkStructure(vertices=frozenset(link), chained=chained, multi_anchored=multi, anchors_of=anchors_of)
 
@@ -286,38 +304,37 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     """
     members = anchors.members
     m = len(members)
+    adj = g.adj
     colors = pc.colors
-    fringe = sorted({u for v in members for u in g.adj[v] if not colors[u]})
-    fringe_set = set(fringe)
-    for u in fringe:
-        if not fringe_set.isdisjoint(g.adj[u]):
-            clash = next(z for z in g.adj[u] if z in fringe_set)
-            raise InvariantViolation(
-                f"uncolored anchor neighbors {u} and {clash} are adjacent",
-                step="completion",
-                vertex=u,
-            )
+    fringe_set = set(filterfalse(colors.__getitem__, chain.from_iterable(map(adj.__getitem__, members))))
+    if not all(map(fringe_set.isdisjoint, map(adj.__getitem__, fringe_set))):
+        u = min(u for u in fringe_set if not fringe_set.isdisjoint(adj[u]))
+        clash = next(z for z in adj[u] if z in fringe_set)
+        raise InvariantViolation(
+            f"uncolored anchor neighbors {u} and {clash} are adjacent",
+            step="completion",
+            vertex=u,
+        )
     full_palette = set(range(1, m + 1))
     for i, v in enumerate(members):
         own = i + 1
-        neighborhood = g.adj[v]
-        seen = {colors[u] for u in neighborhood}  # 0, for uncolored, is no palette color
+        neighborhood = adj[v]
+        seen = set(map(colors.__getitem__, neighborhood))  # 0, for uncolored, is no palette color
         missing = sorted(full_palette - {own} - seen)
-        free = [u for u in neighborhood if not colors[u]]
+        free = list(filterfalse(colors.__getitem__, neighborhood))
         if len(free) < len(missing):
             raise InvariantViolation(
                 f"anchor is missing {len(missing)} colors but has only {len(free)} uncolored neighbors",
                 step="completion",
                 vertex=v,
             )
-        for color, u in zip(missing, free):
-            pc.assign(u, color, "completion")
+        pc.assign_each(zip(free, missing), "completion")
         for u in free[len(missing):]:
-            if len(g.adj[u]) >= m and pc.assign_smallest_free(u, "completion", m) is None:
+            if len(adj[u]) >= m and pc.assign_smallest_free(u, "completion", m) is None:
                 raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
     for i, v in enumerate(members):
         own = i + 1
-        seen = {colors[u] for u in g.adj[v]}
+        seen = set(map(colors.__getitem__, adj[v]))
         if not (full_palette - {own} <= seen):
             raise InvariantViolation("anchor does not see every other color", step="completion", vertex=v)
     return pc

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ge
 
 from .errors import InvariantViolation
 from .graph import Graph, ensure_min_girth
@@ -36,11 +38,15 @@ def density_profile(g: Graph) -> DensityProfile:
     A graph with no edges still has m = 1 (every vertex has degree 0 >= 0).
     Maximality guarantees fewer than m + 1 vertices have degree >= m.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise ValueError("m(G) is undefined for the empty graph")
     degs = sorted(g.degrees(), reverse=True)
-    m = max(k for k in range(1, g.n + 1) if degs[k - 1] >= k - 1)
-    dense = frozenset(u for u in range(g.n) if len(g.adj[u]) >= m - 1)
+    # k = 1 qualifies, and once degs[k - 1] >= k - 1 fails it fails for every larger k
+    m = 1
+    while m < n and degs[m] >= m:
+        m += 1
+    dense = frozenset(compress(range(n), map(ge, map(len, g.adj), repeat(m - 1))))
     return DensityProfile(m=m, dense=dense)
 
 
@@ -114,10 +120,8 @@ def check_good_set(g: Graph, members: Iterable[int], k: int) -> GoodSetViolation
     if u is not None:
         return GoodSetViolation("encircles", u)
     w_set = set(w)
-    for x in range(g.n):
-        if x in w_set or len(g.adj[x]) < k:
-            continue
-        if w_set.isdisjoint(g.adj[x]):
+    for x in compress(range(g.n), map(ge, map(len, g.adj), repeat(k))):
+        if x not in w_set and w_set.isdisjoint(g.adj[x]):
             return GoodSetViolation("uncovered-high-degree", x)
     return None
 

@@ -101,11 +101,11 @@ class Graph:
         return g
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adj]
+        return list(map(len, self.adj))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each edge once, as (u, v) with u < v, in sorted order."""
@@ -129,14 +129,23 @@ def _plain_pairs(text: str, start: int = 0) -> list[int] | None:
     "\\n"; None for any other text, or for a token with more digits than
     int() converts.
 
-    The text is searched for the first line of another shape.  One match of
-    a repeated line pattern would keep backtracking state for every line,
-    megabytes on a large file; the search keeps none.
+    Lines of one space are recognized in one byte pass: with the digits
+    deleted, the text must read " \\n" once per line, and the split must
+    find two tokens per line, so no digit run is empty.  Any other text is
+    searched for the first line of another shape.  One match of a repeated
+    line pattern would keep backtracking state for every line, megabytes on
+    a large file; the search keeps none.
     """
-    if not text.endswith("\n") or _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+    if not text.endswith("\n"):
         return None
-    try:  # the text is ASCII; int() reads bytes tokens faster than str ones
-        return list(map(int, text[start:].encode().split()))
+    data = text[start:].encode("utf-8", "surrogatepass")  # a lone surrogate fails both tests, as any non-ASCII
+    tokens = data.split()
+    lines = data.count(b"\n")
+    one_space = len(tokens) == 2 * lines and data.translate(None, b"0123456789") == b" \n" * lines
+    if not one_space and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+        return None
+    try:  # int() reads bytes tokens faster than str ones
+        return list(map(int, tokens))
     except ValueError:  # more digits than int() converts
         return None
 

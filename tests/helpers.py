@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from collections.abc import Mapping
 from itertools import combinations
@@ -595,3 +596,23 @@ def chromatic_number(g: Graph) -> int:
 
 def proper_coloring_ok(g: Graph, coloring: dict[int, int]) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+# ------------------------------------------------ reference plain-text read
+
+
+#: Start of a line that is not two unsigned decimals separated by blanks.
+_NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
+
+
+def regex_plain_pairs(text: str, start: int = 0) -> list[int] | None:
+    """What ``_plain_pairs`` of ``bchrom.graph`` returns, by a line search
+    alone: the integers of ``text[start:]`` when every line is two unsigned
+    ASCII decimals separated by spaces or tabs and ended by "\\n", else None;
+    None too for a token with more digits than int() converts."""
+    if not text.endswith("\n") or _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+        return None
+    try:
+        return [int(token) for token in text[start:].split()]
+    except ValueError:
+        return None

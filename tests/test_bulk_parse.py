@@ -16,10 +16,13 @@ from bchrom.graph import (
     _coloring_lines,
     _edge_list_bulk,
     _edge_list_lines,
+    _plain_pairs,
     _repeated_neighbor,
     _sorted_adjacency,
     parse_coloring_file,
 )
+
+from helpers import regex_plain_pairs
 
 # labels 0..6 keep self-loops, duplicates and unknown labels frequent
 plain_numbers = st.integers(0, 6).map(str)
@@ -245,3 +248,34 @@ def test_coloring_anomaly_on_labels_zero_to_n_names_its_line(text, message):
     assert _coloring_bulk(text, ID_GRAPH) is None
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_coloring_file(text, ID_GRAPH)
+
+
+# characters that make or break a plain line, "٣" a non-ASCII decimal
+text_chars = st.sampled_from(["0", "1", "9", " ", "\t", "\n", "\r", "#", "x", "٣"])
+plain_lines = st.builds("{} {}\n".format, st.integers(0, 999), st.integers(0, 999))
+noisy_lines = st.text(text_chars, max_size=8).map(lambda line: line + "\n")
+pair_bodies = st.one_of(
+    st.text(text_chars, max_size=30),
+    st.lists(st.one_of(plain_lines, plain_lines, noisy_lines), max_size=8).map("".join),
+)
+# a header the caller has matched, skipped through ``start``; one is not ASCII
+pair_headers = st.sampled_from(["", "", "# n=3\n", "# k=2 basis=\n", "# k=2 basis=٣:1\n"])
+
+
+@settings(max_examples=500)
+@given(pair_headers, pair_bodies)
+@example("", "1  2\n")
+@example("", "1\t2\n")
+@example("", " 1 2\n")
+@example("", "1 2 \n")
+@example("", "1 2")
+@example("", "\n")
+@example("", "007 1\n")
+@example("", "1 2\r\n")
+@example("", "")
+@example("# n=3\n", "")
+@example("", "1 \n2")
+@example("", "1 2\n\ud800 1\n")  # a lone surrogate is not ASCII either
+@example("", f"{'1' * 4301} 2\n")  # more digits than int() converts
+def test_plain_pairs_match_the_line_search(header, body):
+    assert _plain_pairs(header + body, len(header)) == regex_plain_pairs(header + body, len(header))

@@ -91,7 +91,7 @@ def test_links_match_quartic_scan_on_trees(n, seed):
     assert links.anchors_of == {
         x: tuple(v for v in anchors.members if v in g.adj[x])
         for x in range(g.n)
-        if x not in w and w.intersection(g.adj[x])
+        if x not in w and w.intersection(g.adj[x]) and len(g.adj[x]) > 1
     }
 
 
@@ -252,6 +252,21 @@ def test_completion_checks_anchor_slack():
     assert (info.value.step, info.value.vertex) == ("completion", 0)
 
 
+def test_completion_refuses_adjacent_uncolored_anchor_neighbors():
+    # anchors 0 and 1; their uncolored neighbors 3, 9 and 10 are pairwise
+    # adjacent, and CPython iterates over the set {2, 3, 9, 10} as 10, 9, 2, 3
+    g = Graph(11, [(0, 2), (0, 9), (1, 3), (1, 10), (3, 9), (3, 10), (9, 10)])
+    pc = PartialColoring(g)
+    pc.assign(0, 1, "anchor")
+    pc.assign(1, 2, "anchor")
+    with pytest.raises(
+        InvariantViolation, match=r"^uncolored anchor neighbors 3 and 9 are adjacent \(step=completion, vertex=3\)$"
+    ) as info:
+        complete_b_vertices(g, GoodSet((0, 1)), pc)
+    assert (info.value.step, info.value.vertex) == ("completion", 3)
+    assert len(pc.events) == 2
+
+
 def test_assign_refuses_a_neighbor_color():
     g = path_graph(3)
     pc = PartialColoring(g)
@@ -260,6 +275,28 @@ def test_assign_refuses_a_neighbor_color():
         pc.assign(1, 1, "step1")
     assert (info.value.step, info.value.vertex) == ("step1", 1)
     assert pc.colors[1] == 0 and len(pc.events) == 1
+
+
+@pytest.mark.parametrize(
+    ("pairs", "message"),
+    [
+        ([(0, 1), (2, 2), (1, 1)], r"^edge 0-1 is monochromatic \(step=completion, vertex=1\)$"),
+        ([(0, 1), (2, 2), (0, 3)], r"^vertex assigned twice \(step=completion, vertex=0\)$"),
+    ],
+)
+def test_assign_each_refuses_mid_batch_as_assign_does(pairs, message):
+    g = path_graph(3)
+    batched, single = PartialColoring(g), PartialColoring(g)
+    with pytest.raises(InvariantViolation, match=message) as info:
+        batched.assign_each(pairs, "completion")
+    for v, color in pairs[:-1]:
+        single.assign(v, color, "completion")
+    with pytest.raises(InvariantViolation, match=message) as expected:
+        single.assign(*pairs[-1], "completion")
+    assert (info.value.step, info.value.vertex) == (expected.value.step, expected.value.vertex)
+    # the pairs before the refused one stay assigned and logged, as one by one
+    assert batched.colors == single.colors == [1, 0, 2]
+    assert batched.events == single.events == [("completion", 0, 1, None), ("completion", 2, 2, None)]
 
 
 def test_recolor_refuses_a_neighbor_color():
