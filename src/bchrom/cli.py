@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import b_coloring_with_good_set
@@ -104,7 +104,8 @@ class AnalysisRecord:
         return lines
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "girth": "acyclic" if self.girth == ACYCLIC else self.girth}
+        """The fields by name, in field order; ``good_set`` is shared, not copied."""
+        return {**vars(self), "girth": "acyclic" if self.girth == ACYCLIC else self.girth}
 
 
 @dataclass
@@ -354,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="report girth, m(G), good-set status, and optionally chi_b")
-    analyze.add_argument("input", nargs="?", help="graph file (edge list or DIMACS .col)")
-    analyze.add_argument("--batch", metavar="DIR", help="analyze every file in a directory instead")
+    source = analyze.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", help="graph file (edge list or DIMACS .col)")
+    source.add_argument("--batch", metavar="DIR", help="analyze every file in a directory instead")
     analyze.add_argument("--format", choices=["edgelist", "dimacs"])
     analyze.add_argument("--chi-b", action="store_true", dest="chi_b", help="also compute the b-chromatic number")
     analyze.add_argument("--oracle", action="store_true", help="force the exhaustive search even at girth >= 9")

@@ -112,23 +112,40 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
     basis vertex sees at least k - 1 distinct colors around it.  The
     witness is the first b-coloring in this order.
 
-    A candidate basis that encircles an outside vertex, with k - 1 as the
-    witness degree, is skipped at every k.  It can never be a basis: if u
-    is outside a basis W and encircled by it, the b-vertex of u's color is
-    not adjacent to u, so it shares with u a neighbor w in W of degree
-    k - 1.  As a b-vertex, w needs k - 1 distinct colors on its k - 1
-    neighbors, yet two of them, u and that b-vertex, carry u's color.
+    Two tests skip a candidate basis W at every k; each finds a property
+    that no basis of a b-coloring has, so neither changes the witness.
+
+    - Starvation: W is skipped when, for some members b and c that are
+      not adjacent, every neighbor of b outside W is adjacent to c.  As a
+      b-vertex, b needs a neighbor of c's color.  That neighbor is not in
+      W, whose other members carry other colors, and not adjacent to c,
+      as the coloring is proper; so b needs a neighbor outside W and N(c).
+    - Encirclement: W is skipped when it encircles an outside vertex, with
+      k - 1 as the witness degree.  If u is outside a basis W and
+      encircled by it, the b-vertex of u's color is not adjacent to u, so
+      it shares with u a neighbor w in W of degree k - 1.  As a b-vertex,
+      w needs k - 1 distinct colors on its k - 1 neighbors, yet two of
+      them, u and that b-vertex, carry u's color.
 
     The search runs on integer bitmasks, bit v standing for vertex v; each
-    call builds the neighbor mask N(v) of every vertex once.  W encircles
-    an outside u exactly when W lies inside N(u) together with N(w) for the
-    members w of N(u) of degree k - 1.  A color class is kept as the mask
-    of its members' neighbors, so one bit test tells whether a color is
-    blocked at a vertex or already seen by a basis vertex, and the basis
-    vertices that can afford no more repeats form one mask.  The bases, the
-    vertex order, the color order and the prune are those of the set-based
-    search the tests keep as a reference, and every cut removes only
-    branches that hold no b-coloring, so both return the same witness.
+    call builds the neighbor mask N(v) of every vertex once.  Members b and
+    c starve b exactly when W holds c and all of N(b) - N(c), so each call
+    also builds, for every candidate member b and every c not adjacent to
+    it, the mask of c and N(b) - N(c), keeping those of at most k - 1
+    vertices, as no larger one fits beside b in a basis; W starves b when
+    it holds one of b's masks.  W encircles an outside u exactly when W
+    lies inside N(u) together with N(w) for the members w of N(u) of
+    degree k - 1.  That cover lies inside u's reach, N(u) with N(w) for
+    all of u's neighbors w of degree k - 1, which is built once per call,
+    so one mask test passes over every u whose reach misses a member of W,
+    and a u whose reach holds fewer than k vertices is never visited.  A
+    color class is kept as the mask of its members' neighbors, so one bit
+    test tells whether a color is blocked at a vertex or already seen by a
+    basis vertex, and the basis vertices that can afford no more repeats
+    form one mask.  The bases, the vertex order, the color order and the
+    encirclement prune are those of the set-based search the tests keep as
+    a reference, and every cut removes only branches that hold no
+    b-coloring, so both return the same witness.
     """
     if g.n > limit:
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
@@ -140,21 +157,44 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         return None
     nbr = [sum(1 << u for u in nbrs) for nbrs in adj]
     witnesses = sum(1 << v for v in range(n) if len(adj[v]) == k - 1)
-    witness_nbrs = [[w for w in nbrs if witnesses >> w & 1] for nbrs in adj]
     # the sort key (-basis neighbors, -degree, id) as one integer, less n * n per basis neighbor
     rank = [(n - 1 - len(adj[v])) * n + v for v in range(n)]
     colors = range(k)
     near = [0] * k  # per color (0-based): the neighbors of its class
     slack = [len(nbrs) - k + 1 for nbrs in adj]  # repeats a basis vertex can still afford
+    # the vertices a basis may encircle: (bit of u, reach, N(u), [(bit of w, N(w)) per witness neighbor w])
+    circled = []
+    for u, nbrs in enumerate(adj):
+        around = [(1 << w, nbr[w]) for w in nbrs if witnesses >> w & 1]
+        reach = nbr[u]
+        for _, mask in around:
+            reach |= mask
+        if reach.bit_count() >= k:
+            circled.append((1 << u, reach, nbr[u], around))
+    # per candidate member b, the mask of {c} and N(b) - N(c) for each stranger c of b
+    # (neither b nor adjacent to it) when that mask fits beside b in a basis
+    starving: list[list[int]] = [[] for _ in range(n)]
+    for b in eligible:
+        for c in eligible:
+            need = nbr[b] & ~nbr[c]
+            if c != b and not nbr[b] >> c & 1 and need.bit_count() < k - 1:
+                starving[b].append(need | 1 << c)
+
+    def starved(basis: tuple[int, ...], w_mask: int) -> bool:  # some member b misses a stranger's color
+        outside = ~w_mask
+        for b in basis:
+            for mask in starving[b]:
+                if not mask & outside:
+                    return True
+        return False
 
     def encircles(w_mask: int) -> bool:  # some outside u, witness degree k - 1
-        for u in range(n):
-            if w_mask >> u & 1:
+        for bit, reach, cover, around in circled:
+            if w_mask & ~reach or w_mask & bit:
                 continue
-            cover = nbr[u]
-            for w in witness_nbrs[u]:
-                if w_mask >> w & 1:
-                    cover |= nbr[w]
+            for w_bit, mask in around:
+                if w_mask & w_bit:
+                    cover |= mask
             if not w_mask & ~cover:
                 return True
         return False
@@ -200,7 +240,7 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
     try:
         for basis, bits in zip(combinations(eligible, k), combinations([1 << v for v in eligible], k)):
             w_mask = sum(bits)
-            if encircles(w_mask):
+            if starved(basis, w_mask) or encircles(w_mask):
                 continue
             keys = sorted([rank[v] - (nbr[v] & w_mask).bit_count() * square for v in range(n) if not w_mask >> v & 1])
             order = [key % n for key in keys]

@@ -396,7 +396,9 @@ def set_based_extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int
 def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
     """The exact search on Python sets that the bitmask kernel replaced: the
     same bases in the same order, the same encirclement prune and the same
-    extension order, so it must return the kernel's witness."""
+    extension order, so it must return the kernel's witness.  The kernel
+    also skips starved bases (see ``starved_basis``), which hold no
+    b-coloring, so skipping them cannot change the first one found."""
     if g.n > limit:
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:
@@ -411,6 +413,20 @@ def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_OR
         if result is not None:
             return result
     return None
+
+
+def starved_basis(g: Graph, basis: tuple[int, ...]) -> bool:
+    """Definition check of the kernel's starvation test: some member b has
+    no neighbor outside the basis that is also outside N(c), for a member c
+    neither b nor adjacent to b.  Such a b sees no vertex that could carry
+    c's color."""
+    members = set(basis)
+    for b in basis:
+        outside = set(g.adj[b]) - members
+        for c in basis:
+            if c != b and c not in g.adj[b] and not outside - set(g.adj[c]):
+                return True
+    return False
 
 
 def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:

@@ -46,6 +46,19 @@ def test_analyze_path_five(tmp_path, capsys):
     assert record["chi_b_method"] == "construction"
 
 
+def test_analyze_json_bytes_are_pinned(tmp_path, capsys):
+    # the record's fields in field order, girth as text, good_set as a list
+    path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    expected = (
+        '"n": 5, "edges": 4, "girth": "acyclic", "m": 3, "dense_count": 3, "has_good_set": true, '
+        '"good_set": [1, 2, 3], "chi_b": 3, "chi_b_method": "construction", "chi_b_upper": null}\n'
+    )
+    assert main(["analyze", path, "--chi-b", "--json"]) == 0
+    assert capsys.readouterr().out == "{" + expected
+    assert main(["analyze", "--batch", str(tmp_path), "--chi-b", "--json"]) == 0
+    assert capsys.readouterr().out == '{"file": "p5.txt", ' + expected
+
+
 def test_analyze_encircled_tree(tmp_path, capsys):
     path = write_graph(tmp_path, "tenc.txt", T_ENC_TEXT)
     assert main(["analyze", path, "--chi-b", "--json"]) == 0
@@ -481,6 +494,23 @@ def test_batch_mode_text_separates_files_and_reports_errors(tmp_path, capsys):
     assert len(blocks) == 2
     assert blocks[0].splitlines()[:2] == ["file a_ok.txt", "n 5"]
     assert blocks[1] == "file b_bad.txt\nerror line 1: self-loop at vertex 0\n"
+
+
+def test_analyze_without_a_graph_or_a_batch_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--chi-b"])
+    assert exit_info.value.code == 2
+    assert "one of the arguments input --batch is required" in capsys.readouterr().err
+
+
+def test_analyze_with_a_graph_and_a_batch_is_a_usage_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", path, "--batch", str(tmp_path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
 
 
 def test_batch_mode_exits_with_the_refusal_code(tmp_path, capsys):

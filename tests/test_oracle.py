@@ -12,6 +12,7 @@ from bchrom import (
     exact_b_chromatic,
     find_b_coloring_exact,
 )
+from bchrom.goodset import find_encircled_vertex
 
 from helpers import (
     chromatic_number,
@@ -24,8 +25,10 @@ from helpers import (
     proper_coloring_ok,
     random_simple_graph,
     random_tree,
+    set_based_extend_basis,
     set_based_find_b_coloring_exact,
     star_of_stars,
+    starved_basis,
 )
 
 
@@ -215,6 +218,38 @@ def test_prune_keeps_the_witness_at_every_k_on_trees(n, seed):
 @pytest.mark.parametrize("k", [3, 4])
 def test_prune_keeps_the_witness_on_the_encircled_tree(k):
     assert_prune_keeps_witness(encircled_tree(), k)
+
+
+def assert_starved_bases_hold_no_b_coloring(g: Graph) -> None:
+    for k in range(1, density_profile(g).m + 1):
+        eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+        for basis in combinations(eligible, k):
+            if starved_basis(g, basis):
+                assert set_based_extend_basis(g, basis, k) is None, (basis, k)
+
+
+@given(st.integers(1, 10), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
+def test_starved_bases_hold_no_b_coloring_on_graphs(n, edge_prob, seed):
+    assert_starved_bases_hold_no_b_coloring(random_simple_graph(n, edge_prob, random.Random(seed)))
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30))
+def test_starved_bases_hold_no_b_coloring_on_trees(n, seed):
+    assert_starved_bases_hold_no_b_coloring(random_tree(n, random.Random(seed)))
+
+
+def test_starvation_skips_a_basis_that_encircles_nothing():
+    # K_{2,3} with parts {0, 1, 2} and {3, 4}, k = 3, basis (0, 3, 4): every
+    # neighbor of 3 outside the basis is adjacent to 4, so 3 sees no vertex
+    # that could carry 4's color.  Nothing outside is encircled (1 and 2 have
+    # no neighbor of degree 2), so only the starvation test skips it.
+    g = Graph(5, [(u, v) for u in (0, 1, 2) for v in (3, 4)])
+    basis = (0, 3, 4)
+    assert starved_basis(g, basis)
+    assert find_encircled_vertex(g, basis, 3) is None
+    assert set_based_extend_basis(g, basis, 3) is None
+    assert find_b_coloring_exact(g, 3) is None
+    assert find_b_coloring_unpruned(g, 3) is None
 
 
 def assert_kernel_matches_the_set_based_search(g: Graph, limit: int = 14) -> None:
