@@ -354,9 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="report girth, m(G), good-set status, and optionally chi_b")
+    # argparse draws no group around a positional argument, so the usage line
+    # that shows exactly one of GRAPH and --batch is written out
+    analyze = sub.add_parser(
+        "analyze",
+        help="report girth, m(G), good-set status, and optionally chi_b",
+        usage="%(prog)s [-h] (GRAPH | --batch DIR) [--format {edgelist,dimacs}] [--chi-b] [--oracle]"
+        " [--oracle-limit ORACLE_LIMIT] [--json]",
+    )
     source = analyze.add_mutually_exclusive_group(required=True)
-    source.add_argument("input", nargs="?", help="graph file (edge list or DIMACS .col)")
+    source.add_argument("input", nargs="?", metavar="GRAPH", help="graph file (edge list or DIMACS .col)")
     source.add_argument("--batch", metavar="DIR", help="analyze every file in a directory instead")
     analyze.add_argument("--format", choices=["edgelist", "dimacs"])
     analyze.add_argument("--chi-b", action="store_true", dest="chi_b", help="also compute the b-chromatic number")

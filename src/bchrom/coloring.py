@@ -114,20 +114,45 @@ class PartialColoring:
     def assign_smallest_free(self, v: int, step: str, num_colors: int) -> int | None:
         """Give uncolored v the smallest color in 1..num_colors that no
         neighbor has, and return it; None, assigning nothing, when every such
-        color is taken.  The one scan that collects the neighbors' colors is
-        also the properness check of ``assign``."""
-        colors = self.colors
-        if colors[v]:
-            raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
-        used = {colors[u] for u in self._adj[v]}
-        color = 1
-        while color in used:
-            color += 1
-        if color > num_colors:
+        color is taken."""
+        if self.assign_smallest_free_each((v,), step, num_colors) is not None:
             return None
-        colors[v] = color
-        self.events.append((step, v, color, None))
-        return color
+        return self.colors[v]
+
+    def assign_smallest_free_each(self, vertices: Iterable[int], step: str, num_colors: int) -> int | None:
+        """Give each vertex in order, all at one step, the smallest color in
+        1..num_colors that no neighbor has.  Stop at the first vertex left
+        with no such color, assign it nothing and return it; None when every
+        vertex was assigned.  A second assignment is refused as it is
+        reached.  Picking a color no neighbor has is also the properness
+        check of ``assign_each``: a vertex with one or two neighbors compares
+        their colors directly, one with more collects them into a set."""
+        colors = self.colors
+        adj = self._adj
+        log = self.events.append
+        for v in vertices:
+            if colors[v]:
+                raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+            nbrs = adj[v]
+            degree = len(nbrs)
+            if degree == 1:
+                color = 2 if colors[nbrs[0]] == 1 else 1
+            elif degree == 2:
+                a = colors[nbrs[0]]
+                b = colors[nbrs[1]]
+                color = 1 if a != 1 and b != 1 else 2 if a != 2 and b != 2 else 3
+            elif degree:
+                used = set(map(colors.__getitem__, nbrs))
+                color = 1
+                while color in used:
+                    color += 1
+            else:
+                color = 1
+            if color > num_colors:
+                return v
+            colors[v] = color
+            log((step, v, color, None))
+        return None
 
     def recolor(self, v: int, color: int, step: str) -> None:
         old = self.colors[v]
@@ -329,9 +354,10 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
                 vertex=v,
             )
         pc.assign_each(zip(free, missing), "completion")
-        for u in free[len(missing):]:
-            if len(adj[u]) >= m and pc.assign_smallest_free(u, "completion", m) is None:
-                raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=u)
+        high = [u for u in free[len(missing):] if len(adj[u]) >= m]
+        stuck = pc.assign_smallest_free_each(high, "completion", m)
+        if stuck is not None:
+            raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=stuck)
     for i, v in enumerate(members):
         own = i + 1
         seen = set(map(colors.__getitem__, adj[v]))
@@ -344,18 +370,18 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     """Color the remaining vertices with the smallest free color, by id.
 
     Sound because every vertex of degree >= num_colors was colored earlier;
-    the remaining ones see at most num_colors - 1 colors.  Greedy colors only
-    the vertex it visits, so the first too-connected vertex it meets is the
-    lowest-id one.  Returns ``pc.colors`` itself, now total, not a copy.
+    the remaining ones see at most num_colors - 1 colors.  The lowest-id
+    uncolored vertex of higher degree is refused before any vertex is
+    colored.  Returns ``pc.colors`` itself, now total, not a copy.
     """
     colors = pc.colors
     adj = g.adj
-    for u in range(g.n):
-        if colors[u]:
-            continue
-        if len(adj[u]) >= num_colors:
-            raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
-        pc.assign_smallest_free(u, "greedy", num_colors)
+    if max(map(len, map(adj.__getitem__, filterfalse(colors.__getitem__, range(g.n)))), default=0) >= num_colors:
+        u = next(u for u in range(g.n) if not colors[u] and len(adj[u]) >= num_colors)
+        raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
+    # the filter reads each vertex's color before greedy colors that vertex, so
+    # it passes exactly the vertices uncolored at the start; each has a free color
+    pc.assign_smallest_free_each(filterfalse(colors.__getitem__, range(g.n)), "greedy", num_colors)
     return colors
 
 

@@ -362,13 +362,19 @@ def format_coloring_file(
     "# k=<k> basis=<label:color,...>" header, then one "label color" line per
     vertex in id order, at most ``_COLORING_BLOCK_LINES`` lines a block, so
     a large file is never held as one string.  ``coloring`` gives the color
-    of each vertex id, as a list or a mapping."""
+    of each vertex id, as a list or a mapping.  A block is one ``%`` format
+    over its labels and colors, interleaved in one tuple."""
     labels = g.labels
+    if isinstance(coloring, Mapping):
+        coloring = list(map(coloring.__getitem__, range(g.n)))
     basis_text = ",".join(f"{labels[v]}:{c}" for c, v in sorted(basis.items()))
     blocks = [f"# k={k} basis={basis_text}\n"]
     for start in range(0, g.n, _COLORING_BLOCK_LINES):
         stop = min(start + _COLORING_BLOCK_LINES, g.n)
-        blocks.append("".join([f"{labels[u]} {coloring[u]}\n" for u in range(start, stop)]))
+        fields = [0] * (2 * (stop - start))
+        fields[0::2] = labels[start:stop]
+        fields[1::2] = coloring[start:stop]
+        blocks.append(("%s %s\n" * (stop - start)) % tuple(fields))
     return blocks
 
 
@@ -459,6 +465,8 @@ def girth(g: Graph) -> int | float:
 
     1. Peel vertices of degree <= 1 until only the 2-core is left, in
        O(n + m).  Every cycle lies in the 2-core, so a forest stops here.
+       A peeled vertex has at most one core neighbor left, so its scan
+       stops there.
     2. A core component whose vertices all have core degree 2 is a plain
        cycle; its length is its vertex count.
     3. A cycle with no core vertex of core degree >= 3 is a whole core
@@ -485,10 +493,11 @@ def girth(g: Graph) -> int | float:
     for u in leaves:  # grows while peeling
         in_core[u] = False
         for v in adj[u]:
-            if in_core[v]:
+            if in_core[v]:  # u's one core neighbor, if any is left
                 core_degree[v] -= 1
                 if core_degree[v] == 1:
                     leaves.append(v)
+                break
     if len(leaves) == n:
         return ACYCLIC
 

@@ -67,9 +67,12 @@ def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: i
             raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
         if 0 in colors:
             raise ValueError(f"coloring is partial: vertex {colors.index(0)} has no color")
-    violations = [
-        Violation("monochromatic-edge", (u, v)) for u, v in g.edges() if colors[u] == colors[v]
-    ]
+    violations: list[Violation] = []
+    for u, nbrs in enumerate(g.adj):  # each edge once, as (u, v) with u < v, in sorted order
+        c = colors[u]
+        for v in nbrs:
+            if colors[v] == c and u < v:
+                violations.append(Violation("monochromatic-edge", (u, v)))
     proper = not violations
     expected = set(range(1, k + 1))
     used = set(colors)

@@ -19,7 +19,7 @@ import math
 import random
 import re
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import combinations
 
 from bchrom import (
@@ -282,6 +282,20 @@ def all_roots_girth(g: Graph) -> int | float:
         if best == 3:
             break
     return best
+
+
+def fstring_format_coloring_file(
+    g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int, basis: dict[int, int]
+) -> list[str]:
+    """Reference coloring file, one f-string per line: the header block, then
+    blocks of at most 2^16 "label color" lines."""
+    labels = g.labels
+    basis_text = ",".join(f"{labels[v]}:{c}" for c, v in sorted(basis.items()))
+    blocks = [f"# k={k} basis={basis_text}\n"]
+    for start in range(0, g.n, 2**16):
+        stop = min(start + 2**16, g.n)
+        blocks.append("".join([f"{labels[u]} {coloring[u]}\n" for u in range(start, stop)]))
+    return blocks
 
 
 def naive_check_b_coloring(g: Graph, coloring: Mapping[int, int], k: int) -> ValidityReport:

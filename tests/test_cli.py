@@ -500,7 +500,18 @@ def test_analyze_without_a_graph_or_a_batch_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", "--chi-b"])
     assert exit_info.value.code == 2
-    assert "one of the arguments input --batch is required" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bchrom analyze [-h] (GRAPH | --batch DIR) ")
+    assert "one of the arguments GRAPH --batch is required" in err
+
+
+def test_analyze_help_shows_that_exactly_one_source_is_required(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "-h"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith("usage: bchrom analyze [-h] (GRAPH | --batch DIR) [--format {edgelist,dimacs}]")
+    assert usage.endswith("[--oracle-limit ORACLE_LIMIT] [--json]")
 
 
 def test_analyze_with_a_graph_and_a_batch_is_a_usage_error(tmp_path, capsys):

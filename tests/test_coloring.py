@@ -342,7 +342,7 @@ def test_greedy_rejects_high_degree_uncolored():
 
 
 def test_greedy_names_the_lowest_too_connected_vertex():
-    # 0 and 1 are colored on the way; 2 and 6 both have degree 3 = num_colors
+    # 2 and 6 both have degree 3 = num_colors; 0 and 1, below them, would fit
     g = Graph(10, [(0, 1), (2, 3), (2, 4), (2, 5), (6, 7), (6, 8), (6, 9)])
     with pytest.raises(InvariantViolation, match="too connected for greedy completion") as info:
         greedy_extend(g, PartialColoring(g), 3)
@@ -361,21 +361,97 @@ def greedy_outcome(extend, g: Graph, precolored: list[tuple[int, int]], num_colo
         return str(exc), exc.step, exc.vertex
 
 
+def shuffled_forest_or_path(family: str, n: int, rng: random.Random) -> Graph:
+    """A path, or a random recursive forest (each vertex joins an earlier one
+    with probability 0.9), on n vertices whose ids are shuffled."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    if family == "path":
+        edges = [(ids[i - 1], ids[i]) for i in range(1, n)]
+    else:
+        edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n) if rng.random() < 0.9]
+    return Graph(n, edges)
+
+
 @settings(max_examples=300)
-@given(st.integers(0, 12), st.floats(0.0, 0.6), st.integers(1, 6), st.integers(0, 2**30))
-def test_greedy_matches_the_used_set_reference(n, edge_prob, num_colors, seed):
+@given(
+    st.sampled_from(["random", "forest", "path"]),
+    st.integers(0, 12),
+    st.floats(0.0, 0.6),
+    st.integers(1, 6),
+    st.integers(0, 2**30),
+)
+def test_greedy_matches_the_used_set_reference(family, n, edge_prob, num_colors, seed):
+    # dense random graphs at n <= 12; forests and paths of up to ~200
+    # vertices, mostly of degree 1 and 2, with precolored neighbors
     rng = random.Random(seed)
-    g = random_simple_graph(n, edge_prob, rng)
-    # a random proper partial coloring, colors up to one past num_colors
+    if family == "random":
+        g = random_simple_graph(n, edge_prob, rng)
+    else:
+        g = shuffled_forest_or_path(family, rng.randint(0, 200), rng)
+    # a random proper partial coloring, colors up to one past num_colors; on
+    # forests and paths it holds, as completion leaves it, every vertex of
+    # degree >= num_colors, so greedy mostly gets through
     precolored: list[tuple[int, int]] = []
     taken: dict[int, int] = {}
-    for v in range(n):
+    for v in range(g.n):
+        held = family != "random" and len(g.adj[v]) >= num_colors
         color = rng.randint(1, num_colors + 1)
-        if rng.random() < 0.4 and all(taken.get(u) != color for u in g.adj[v]):
-            taken[v] = color
-            precolored.append((v, color))
+        if held or rng.random() < 0.4:
+            near = {taken.get(u) for u in g.adj[v]}
+            while held and color in near:
+                color += 1
+            if color not in near:
+                taken[v] = color
+                precolored.append((v, color))
     expected = greedy_outcome(used_set_greedy_extend, g, precolored, num_colors)
     assert greedy_outcome(greedy_extend, g, precolored, num_colors) == expected
+
+
+@pytest.mark.parametrize(
+    "around, expected",
+    [
+        ((), 1),  # isolated
+        ((1,), 2),
+        ((3,), 1),
+        ((0,), 1),  # next to an uncolored neighbor
+        ((1, 2), 3),
+        ((2, 1), 3),
+        ((1, 1), 2),
+        ((2, 2), 1),
+        ((2, 0), 1),
+        ((1, 3), 2),
+        ((1, 2, 3), 4),
+        ((2, 3, 0), 1),
+        ((3, 1, 1, 2), 4),
+    ],
+)
+def test_assign_smallest_free_each_by_neighbor_colors(around, expected):
+    # vertex 0 is the center of a star whose leaves carry the colors around it (0: uncolored)
+    g = Graph(len(around) + 1, [(0, i) for i in range(1, len(around) + 1)])
+    pc = PartialColoring(g)
+    pc.assign_each([(i, color) for i, color in enumerate(around, 1) if color], "anchor")
+    assert pc.assign_smallest_free_each([0], "greedy", 4) is None
+    assert pc.colors[0] == expected
+    assert pc.events[-1] == ("greedy", 0, expected, None)
+
+
+def test_assign_smallest_free_each_stops_at_a_vertex_with_no_free_color():
+    # 1 sees colors 1 and 2 at num_colors = 2; 0 before it is assigned, 4 after it is not
+    g = Graph(5, [(0, 3), (1, 2), (1, 3)])
+    pc = PartialColoring(g)
+    pc.assign_each([(2, 1), (3, 2)], "anchor")
+    assert pc.assign_smallest_free_each([0, 1, 4], "greedy", 2) == 1
+    assert pc.colors == [1, 0, 1, 2, 0]
+    assert pc.events[2:] == [("greedy", 0, 1, None)]
+
+
+def test_assign_smallest_free_each_refuses_a_second_assignment():
+    g = path_graph(3)
+    pc = PartialColoring(g)
+    with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=1\)$"):
+        pc.assign_smallest_free_each([1, 0, 1], "greedy", 3)
+    assert pc.colors == [2, 1, 0]
 
 
 def test_assign_smallest_free_takes_the_lowest_absent_color():

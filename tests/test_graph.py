@@ -22,6 +22,7 @@ from helpers import (
     all_roots_girth,
     brute_force_girth,
     cycle_graph,
+    fstring_format_coloring_file,
     path_graph,
     petersen_graph,
     random_tree,
@@ -376,6 +377,21 @@ def test_coloring_file_blocks_join_to_the_one_string_file():
     blocks = format_coloring_file(g, coloring, 2, {1: 0, 2: 1})
     assert [block.count("\n") for block in blocks] == [1, 2**16, 3]
     assert "".join(blocks) == reference
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+def test_coloring_file_matches_the_fstring_reference(n):
+    # many-digit labels in no order; negative, small and 10-digit colors
+    rng = random.Random(n)
+    labels = rng.sample(range(10**15, 10**15 + 4 * n + 1), n)
+    g = Graph(n, [(u, u + 1) for u in range(0, n - 1, 3)], labels=labels)
+    coloring = [rng.choice((-7, -1, 1, 2, 9, 10, 1234567890, -9876543210)) for _ in range(n)]
+    basis = {c: rng.randrange(n) for c in (2, 1, 3)} if n else {}
+    expected = fstring_format_coloring_file(g, coloring, 3, basis)
+    assert len(expected) == 1 + -(-n // 2**16)
+    assert format_coloring_file(g, coloring, 3, basis) == expected
+    assert format_coloring_file(g, dict(enumerate(coloring)), 3, basis) == expected
+    assert format_coloring_file(g, dict(reversed(list(enumerate(coloring)))), 3, basis) == expected
 
 
 def test_generator_deterministic_and_respects_girth():
