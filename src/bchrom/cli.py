@@ -111,12 +111,12 @@ class AnalysisRecord:
 @dataclass
 class PipelineOutcome:
     """An analysis and, when asked for, its witness.  ``coloring`` is the
-    construction's list of colors by vertex id, or the oracle's mapping;
+    color of each vertex id, from the construction or the oracle;
     ``trace`` is the construction's log of plain
     ``(step, vertex, color, recolored_from)`` tuples."""
 
     record: AnalysisRecord
-    coloring: list[int] | dict[int, int] | None = None
+    coloring: list[int] | None = None
     basis: dict[int, int] | None = None
     trace: tuple[tuple[str, int, int, int | None], ...] = ()
 

@@ -111,14 +111,6 @@ class PartialColoring:
             colors[v] = color
             log((step, v, color, None))
 
-    def assign_smallest_free(self, v: int, step: str, num_colors: int) -> int | None:
-        """Give uncolored v the smallest color in 1..num_colors that no
-        neighbor has, and return it; None, assigning nothing, when every such
-        color is taken."""
-        if self.assign_smallest_free_each((v,), step, num_colors) is not None:
-            return None
-        return self.colors[v]
-
     def assign_smallest_free_each(self, vertices: Iterable[int], step: str, num_colors: int) -> int | None:
         """Give each vertex in order, all at one step, the smallest color in
         1..num_colors that no neighbor has.  Stop at the first vertex left

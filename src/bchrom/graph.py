@@ -10,11 +10,10 @@ vocabulary.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from .errors import ParseError, PreconditionError
@@ -355,18 +354,14 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def format_coloring_file(
-    g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int, basis: dict[int, int]
-) -> list[str]:
+def format_coloring_file(g: Graph, coloring: Sequence[int], k: int, basis: dict[int, int]) -> list[str]:
     """The coloring file of a k-coloring, as text blocks to write in order: a
     "# k=<k> basis=<label:color,...>" header, then one "label color" line per
     vertex in id order, at most ``_COLORING_BLOCK_LINES`` lines a block, so
     a large file is never held as one string.  ``coloring`` gives the color
-    of each vertex id, as a list or a mapping.  A block is one ``%`` format
-    over its labels and colors, interleaved in one tuple."""
+    of each vertex id.  A block is one ``%`` format over its labels and
+    colors, interleaved in one tuple."""
     labels = g.labels
-    if isinstance(coloring, Mapping):
-        coloring = list(map(coloring.__getitem__, range(g.n)))
     basis_text = ",".join(f"{labels[v]}:{c}" for c, v in sorted(basis.items()))
     blocks = [f"# k={k} basis={basis_text}\n"]
     for start in range(0, g.n, _COLORING_BLOCK_LINES):
@@ -378,25 +373,26 @@ def format_coloring_file(
     return blocks
 
 
-def parse_coloring_file(text: str, g: Graph) -> tuple[int, dict[int, int]]:
-    """Read a coloring file back as (k, vertex-id -> color).
+def parse_coloring_file(text: str, g: Graph) -> tuple[int, list[int]]:
+    """Read a coloring file back as (k, the color of each vertex id).
 
     A b-coloring has k >= 1 nonempty classes, so a header with k = 0 or k
     above the vertex count can never be valid and is refused as a parse
     error, and so is a file that leaves a vertex uncolored (named by its
-    label), a label the graph lacks, and a vertex colored twice.
+    label), a label the graph lacks, and a vertex colored twice.  Any
+    integer is a color, 0 too; the checker judges it.
 
     A file that is a plain header line followed by "label color" lines of
     unsigned ASCII decimals, separated by spaces or tabs and each ended by
     "\\n", and that colors every vertex once, is read in bulk.  Any other
     file goes to the line-by-line reader, so an error always names its line.
-    A graph whose labels are its ids 0..n-1 needs no label map in bulk.
+    A file that lists the vertices in id order needs no label map in bulk.
     """
     parsed = _coloring_bulk(text, g)
     return parsed if parsed is not None else _coloring_lines(text, g)
 
 
-def _coloring_bulk(text: str, g: Graph) -> tuple[int, dict[int, int]] | None:
+def _coloring_bulk(text: str, g: Graph) -> tuple[int, list[int]] | None:
     """The bulk read of ``parse_coloring_file``; None leaves the text to the line loop."""
     header = _PLAIN_COLORING_HEADER.match(text)
     if header is None:
@@ -406,24 +402,23 @@ def _coloring_bulk(text: str, g: Graph) -> tuple[int, dict[int, int]] | None:
     n = g.n
     if numbers is None or not 1 <= k <= n or len(numbers) != 2 * n:
         return None
-    pairs = iter(numbers)  # label, color, label, color, ...
-    if g.labels[-1] == n - 1 and all(map(operator.eq, g.labels, range(n))):  # each label is its own id
-        vertices = pairs
-    else:  # an unknown label reads as vertex n
-        vertices = map(dict(zip(g.labels, range(n))).get, pairs, repeat(n))
-    coloring = dict(zip(vertices, pairs))
-    # n lines that color n distinct vertices below n color each vertex once
-    if len(coloring) != n or max(coloring) >= n:
-        return None
+    labels, coloring = numbers[0::2], numbers[1::2]
+    if labels != list(g.labels):  # not in id order: each color goes to its label's vertex
+        vertices = map(dict(zip(g.labels, range(n))).get, labels, repeat(n))  # an unknown label reads as n
+        by_vertex = dict(zip(vertices, coloring))
+        # n lines that color n distinct vertices below n color each vertex once
+        if len(by_vertex) != n or max(by_vertex) >= n:
+            return None
+        coloring = list(map(by_vertex.__getitem__, range(n)))
     return k, coloring
 
 
-def _coloring_lines(text: str, g: Graph) -> tuple[int, dict[int, int]]:
+def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
     """The line-by-line read of ``parse_coloring_file``: accepts every valid
     file and names the line of the first error."""
     vertex_of = dict(zip(g.labels, range(g.n)))
     k: int | None = None
-    coloring: dict[int, int] = {}
+    coloring: list[int | None] = [None] * g.n  # None: not colored yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -449,14 +444,13 @@ def _coloring_lines(text: str, g: Graph) -> tuple[int, dict[int, int]]:
         vertex = vertex_of.get(label)
         if vertex is None:
             raise ParseError(f"unknown vertex label {label}", lineno)
-        if vertex in coloring:
+        if coloring[vertex] is not None:
             raise ParseError(f"vertex {label} colored twice", lineno)
         coloring[vertex] = color
     if k is None:
         raise ParseError("missing '# k=... basis=...' header")
-    if len(coloring) < g.n:
-        missing = next(v for v in range(g.n) if v not in coloring)
-        raise ParseError(f"coloring is partial: vertex {g.labels[missing]} has no color")
+    if None in coloring:
+        raise ParseError(f"coloring is partial: vertex {g.labels[coloring.index(None)]} has no color")
     return k, coloring
 
 
@@ -582,18 +576,22 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
     are currently at distance >= min_girth - 1, so every cycle it closes has
     length >= min_girth.  Deterministic for a fixed seed.  Stops at
     ``edge_budget`` accepted edges or when the attempt budget runs out, so
-    the result may have fewer edges than asked for.
+    the result may have fewer edges than asked for.  The attempt budget is
+    50 proposals per edge asked for, at most n(n - 1)/2 of them, or per
+    vertex if there are more vertices.  At most MAX_VERTICES vertices.
     """
     if min_girth < 3:
         raise ValueError("min_girth must be at least 3")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} is above the limit {MAX_VERTICES}")
     rng = random.Random(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
     edges: list[tuple[int, int]] = []
     if n >= 2 and edge_budget > 0:
         cap = min_girth - 2  # reject when dist(u, v) <= cap
-        attempts_left = 50 * max(edge_budget, n)
+        attempts_left = 50 * max(min(edge_budget, n * (n - 1) // 2), n)
         while len(edges) < edge_budget and attempts_left > 0:
             attempts_left -= 1
             u = rng.randrange(n)

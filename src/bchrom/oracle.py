@@ -7,7 +7,7 @@ nondeterministically.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -43,11 +43,10 @@ class ValidityReport:
         return not self.violations
 
 
-def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int) -> ValidityReport:
-    """Validate a total coloring as a b-coloring with exactly k colors.
-
-    The coloring is either a list of n colors indexed by vertex id, in which
-    0 marks an uncolored vertex, or a mapping from vertex id to color.
+def check_b_coloring(g: Graph, coloring: Sequence[int], k: int) -> ValidityReport:
+    """Validate a coloring, n colors indexed by vertex id, as a b-coloring
+    with exactly k colors.  Every entry is a color: one outside 1..k,
+    0 among them, is a color-gap.
 
     One pass over the edges finds the monochromatic ones, and one sweep over
     the vertices in id order finds each class's b-vertex, so the check costs
@@ -55,27 +54,17 @@ def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: i
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if isinstance(coloring, Mapping):
-        try:
-            colors = [coloring[u] for u in range(g.n)]
-        except KeyError:
-            missing = next(u for u in range(g.n) if u not in coloring)
-            raise ValueError(f"coloring is partial: vertex {missing} has no color") from None
-    else:
-        colors = coloring
-        if len(colors) != g.n:
-            raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
-        if 0 in colors:
-            raise ValueError(f"coloring is partial: vertex {colors.index(0)} has no color")
+    if len(coloring) != g.n:
+        raise ValueError(f"coloring has {len(coloring)} entries for {g.n} vertices")
     violations: list[Violation] = []
     for u, nbrs in enumerate(g.adj):  # each edge once, as (u, v) with u < v, in sorted order
-        c = colors[u]
+        c = coloring[u]
         for v in nbrs:
-            if colors[v] == c and u < v:
+            if coloring[v] == c and u < v:
                 violations.append(Violation("monochromatic-edge", (u, v)))
     proper = not violations
     expected = set(range(1, k + 1))
-    used = set(colors)
+    used = set(coloring)
     for c in sorted(used - expected):
         violations.append(Violation("color-gap", c))
     for c in sorted(expected - used):
@@ -83,10 +72,10 @@ def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: i
     # a vertex whose degree is below k - 1 cannot see the k - 1 other colors
     basis: dict[int, int] = {}
     for u, nbrs in enumerate(g.adj):
-        c = colors[u]
+        c = coloring[u]
         if c in basis or len(nbrs) < k - 1 or not 1 <= c <= k:
             continue
-        seen = {colors[v] for v in nbrs}
+        seen = {coloring[v] for v in nbrs}
         seen.add(c)
         if expected <= seen:
             basis[c] = u
@@ -102,8 +91,9 @@ def check_b_coloring(g: Graph, coloring: Sequence[int] | Mapping[int, int], k: i
     )
 
 
-def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
-    """Exhaustive search for a b-coloring with exactly k colors.
+def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[int] | None:
+    """Exhaustive search for a b-coloring with exactly k colors, returned as
+    the color of each vertex id.
 
     Iterates over candidate bases (k vertices of degree >= k - 1, in
     ``combinations`` order; the i-th smallest is pinned to color i + 1,
@@ -203,7 +193,7 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         return False
 
     # colors order[pos:]; tight: the basis vertices that can afford no repeat.
-    # w_mask, order and chosen are those of the basis being extended, below.
+    # w_mask, order and chosen (each vertex's color) are those of the basis being extended, below.
     def extend(pos: int, tight: int) -> bool:
         if pos == len(order):
             return True
@@ -228,7 +218,7 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
                     now_tight |= low
                 left ^= low
             near[c] = seen | around
-            chosen[pos] = c + 1
+            chosen[v] = c + 1
             if extend(pos + 1, now_tight):
                 return True
             near[c] = seen
@@ -240,6 +230,7 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         return False
 
     square = n * n
+    chosen = [0] * n  # the color of each vertex: the basis's preset, the others' by extend
     try:
         for basis, bits in zip(combinations(eligible, k), combinations([1 << v for v in eligible], k)):
             w_mask = sum(bits)
@@ -247,18 +238,17 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
                 continue
             keys = sorted([rank[v] - (nbr[v] & w_mask).bit_count() * square for v in range(n) if not w_mask >> v & 1])
             order = [key % n for key in keys]
-            chosen = [0] * len(order)
             near[:] = [nbr[b] for b in basis]
-            if extend(0, w_mask & witnesses):
-                coloring = dict(zip(basis, range(1, k + 1)))
-                coloring.update(zip(order, chosen))
-                return coloring
+            for c, b in enumerate(basis, 1):
+                chosen[b] = c
+            if extend(0, w_mask & witnesses):  # it colored every vertex outside the basis
+                return chosen
         return None
     finally:
         del extend  # it refers to itself through its closure: a reference cycle only the collector frees
 
 
-def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, dict[int, int]]:
+def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, list[int]]:
     """Largest k admitting a b-coloring, found by scanning down from m(G),
     with the witness the search found at k: the search is deterministic, so
     it equals what ``find_b_coloring_exact(g, k)`` returns."""

@@ -628,6 +628,12 @@ def proper_coloring_ok(g: Graph, coloring: dict[int, int]) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
+def by_vertex_id(coloring: Mapping[int, int] | None, n: int) -> list[int] | None:
+    """A reference search's mapping witness as the list of colors by vertex
+    id that the library's search returns; None stays None."""
+    return None if coloring is None else [coloring[u] for u in range(n)]
+
+
 # ------------------------------------------------ reference plain-text read
 
 

@@ -103,13 +103,13 @@ GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=[2, 3, 5, 6])
 
 @st.composite
 def coloring_texts(draw, g: Graph = GRAPH):
-    """A header, then one line per vertex of ``g`` in a drawn order, sometimes
-    broken: a line dropped, or one more line added (a repeat, an unknown
-    label or an odd line)."""
+    """A header, then one line per vertex of ``g`` in a drawn order, colors
+    0..3, sometimes broken: a line dropped, or one more line added (a
+    repeat, an unknown label or an odd line)."""
     headers = ["# k=2 basis=", "# k=3 basis=2:1,3:2", "#k=2\tbasis= ", "# k=5 basis=", "# k=٢ basis="]
     header = draw(st.sampled_from(headers))
     labels = draw(st.permutations(g.labels))
-    lines = [f"{label}{draw(separators)}{draw(st.integers(1, 3))}" for label in labels]
+    lines = [f"{label}{draw(separators)}{draw(st.integers(0, 3))}" for label in labels]
     if draw(st.booleans()):
         del lines[draw(st.integers(0, len(lines) - 1))]
     if draw(st.booleans()):
@@ -130,7 +130,7 @@ def test_coloring_bulk_read_matches_line_loop(text):
     assert outcome(parse_coloring_file, text, GRAPH) == expected
 
 
-#: Graphs whose labels are 0..n-1: as ids (no label map in bulk), and swapped.
+#: Graphs whose labels are 0..n-1: in id order, and with two swapped.
 ID_GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)])
 SWAPPED_GRAPH = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=[1, 0, 2, 3])
 
@@ -150,7 +150,9 @@ def test_plain_texts_take_the_bulk_read():
     # labels 0..n-1 are read as ids, whatever the order
     assert _edge_list_bulk("2 0\n1 2\n").adj == ((2,), (2,), (0, 1))
     coloring = "# k=2 basis=1:2,2:3\n2 1\n3 2\n5 1\n6 2\n"
-    assert _coloring_bulk(coloring, GRAPH) == (2, {0: 1, 1: 2, 2: 1, 3: 2})
+    assert _coloring_bulk(coloring, GRAPH) == (2, [1, 2, 1, 2])
+    # lines out of id order, and a color 0, which is a color like any other
+    assert _coloring_bulk("# k=2 basis=\n6 0\n2 1\n5 1\n3 2\n", GRAPH) == (2, [1, 2, 1, 0])
     for g in (ID_GRAPH, SWAPPED_GRAPH):
         coloring = "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n"
         assert _coloring_bulk(coloring, g) == _coloring_lines(coloring, g)
@@ -226,6 +228,7 @@ def test_distinct_labels_are_capped(monkeypatch, text):
     [
         ("# k=2 basis=\n2 1\n3 2\n7 1\n6 2\n", "line 4: unknown vertex label 7"),
         ("# k=2 basis=\n2 1\n3 2\n2 1\n5 1\n", "line 4: vertex 2 colored twice"),
+        ("# k=2 basis=\n2 0\n3 2\n2 1\n5 1\n", "line 4: vertex 2 colored twice"),  # 0 is a color too
         ("# k=2 basis=\n2 1\n3 2\n5 1\n", "coloring is partial: vertex 6 has no color"),
         ("# k=5 basis=\n2 1\n3 2\n5 1\n6 2\n", "line 1: k=5 exceeds the graph's 4 vertices"),
     ],

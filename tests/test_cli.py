@@ -307,6 +307,23 @@ def test_generate_single_vertex(tmp_path):
     assert out.read_text() == "# n=1\n"
 
 
+def test_generate_refuses_more_vertices_than_the_limit(tmp_path, capsys):
+    out = tmp_path / "big.txt"
+    assert main(["generate", "1000001", "--edges", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: vertex count 1000001 is above the limit 1000000\n"
+    assert not out.exists()
+
+
+def test_generate_with_an_edge_budget_above_every_possible_edge(tmp_path):
+    # 10 vertices have 45 possible edges: the attempts stop at 50 per possible
+    # edge, so a budget of 10^9 writes what a budget of 45 writes
+    big = tmp_path / "big.txt"
+    full = tmp_path / "full.txt"
+    assert main(["generate", "10", "--edges", "1000000000", "-o", str(big)]) == 0
+    assert main(["generate", "10", "--edges", "45", "-o", str(full)]) == 0
+    assert big.read_text() == full.read_text()
+
+
 def test_color_single_vertex(tmp_path):
     graph_path = write_graph(tmp_path, "one.txt", "# n=1\n")
     out_path = tmp_path / "one.coloring"
@@ -435,6 +452,31 @@ def test_stdout_writer_takes_a_text_stream_without_a_byte_layer(monkeypatch):
     monkeypatch.setattr(sys, "stdout", stdout)
     bchrom.cli._write_stdout("k 3\n")
     assert stdout.getvalue() == "k 3\n"
+
+
+@pytest.mark.parametrize("color", [0, 4])
+@pytest.mark.parametrize("comment", ["", "# a comment line sends the file to the line read\n"], ids=["bulk", "lines"])
+def test_verify_reports_a_color_outside_one_to_k_as_a_color_gap(tmp_path, capsys, color, comment):
+    # P5's b-coloring 3 1 2 3 1 with vertex 0 recolored: a color, 0 as much as
+    # 4, that is not in 1..3, and vertex 1 no longer sees color 3
+    graph_path = write_graph(tmp_path, "p5.txt", P5_TEXT)
+    text = f"# k=3 basis=1:1,2:2,3:3\n{comment}0 {color}\n1 1\n2 2\n3 3\n4 1\n"
+    coloring_path = write_graph(tmp_path, "p5.coloring", text)
+    assert (bchrom.graph._coloring_bulk(text, path_graph(5)) is None) == bool(comment)
+    assert main(["verify", graph_path, coloring_path]) == 1
+    assert capsys.readouterr().out == (
+        "k 3\nproper true\ncolors-used 4\nstatus invalid\n"
+        f"violation color-gap {color}\nviolation class-without-b-vertex 1\n"
+    )
+    assert main(["verify", graph_path, coloring_path, "--json"]) == 1
+    assert record_from(capsys) == {
+        "k": 3,
+        "proper": True,
+        "colors_used": 4,
+        "valid": False,
+        "basis": None,
+        "violations": [{"kind": "color-gap", "witness": color}, {"kind": "class-without-b-vertex", "witness": 1}],
+    }
 
 
 def test_verify_refuses_unknown_label(tmp_path, capsys):
@@ -657,7 +699,7 @@ def test_invalid_exact_witness_is_an_internal_error(tmp_path, capsys, monkeypatc
     # a single color on every vertex: monochromatic edges, no basis.  The
     # forced oracle takes it at the first k it tries, m(G), and so does the
     # unforced one below girth 9.
-    patch_exact_search(monkeypatch, lambda g, k, **kwargs: dict.fromkeys(range(g.n), 1))
+    patch_exact_search(monkeypatch, lambda g, k, **kwargs: [1] * g.n)
     path = write_graph(tmp_path, "g.txt", text)
     message = "internal error: the exact search's coloring with {} colors failed the validity check"
     # at girth >= 9 only --oracle reaches the exact search

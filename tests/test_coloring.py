@@ -459,10 +459,11 @@ def test_assign_smallest_free_takes_the_lowest_absent_color():
     pc = PartialColoring(g)
     pc.assign(1, 1, "anchor")
     pc.assign(3, 3, "anchor")
-    assert pc.assign_smallest_free(0, "greedy", 3) == 2
+    assert pc.assign_smallest_free_each([0], "greedy", 3) is None
+    assert pc.colors[0] == 2
     assert pc.events[-1] == ("greedy", 0, 2, None)
     with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=0\)$"):
-        pc.assign_smallest_free(0, "greedy", 3)
+        pc.assign_smallest_free_each([0], "greedy", 3)
 
 
 def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
@@ -470,7 +471,7 @@ def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
     pc = PartialColoring(g)
     pc.assign(0, 1, "anchor")
     pc.assign(2, 2, "anchor")
-    assert pc.assign_smallest_free(1, "completion", 2) is None
+    assert pc.assign_smallest_free_each([1], "completion", 2) == 1
     assert pc.colors[1] == 0 and len(pc.events) == 2
 
 

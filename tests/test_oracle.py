@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bchrom import (
     Graph,
     OracleLimitError,
+    Violation,
     check_b_coloring,
     density_profile,
     exact_b_chromatic,
@@ -15,6 +16,7 @@ from bchrom import (
 from bchrom.goodset import find_encircled_vertex
 
 from helpers import (
+    by_vertex_id,
     chromatic_number,
     cycle_graph,
     encircled_tree,
@@ -34,21 +36,21 @@ from helpers import (
 
 def test_check_path_five_construction():
     g = path_graph(5)
-    coloring = {0: 3, 1: 1, 2: 2, 3: 3, 4: 1}
+    coloring = [3, 1, 2, 3, 1]
     report = check_b_coloring(g, coloring, 3)
     assert report.proper and report.valid
     assert report.basis == {1: 1, 2: 2, 3: 3}
 
 
 def test_check_single_vertex():
-    report = check_b_coloring(Graph(1, []), {0: 1}, 1)
+    report = check_b_coloring(Graph(1, []), [1], 1)
     assert report.valid
     assert report.basis == {1: 0}
 
 
 def test_check_monochromatic_edge():
     g = Graph(2, [(0, 1)])
-    report = check_b_coloring(g, {0: 1, 1: 1}, 1)
+    report = check_b_coloring(g, [1, 1], 1)
     assert not report.proper
     assert any(v.kind == "monochromatic-edge" and v.witness == (0, 1) for v in report.violations)
     assert report.basis is None
@@ -56,52 +58,52 @@ def test_check_monochromatic_edge():
 
 def test_check_color_gap_and_missing_b_vertex():
     g = path_graph(4)
-    report = check_b_coloring(g, {0: 1, 1: 2, 2: 1, 3: 2}, 3)
+    report = check_b_coloring(g, [1, 2, 1, 2], 3)
     kinds = {v.kind for v in report.violations}
     assert "color-gap" in kinds  # color 3 unused
-    report2 = check_b_coloring(g, {0: 1, 1: 2, 2: 3, 3: 1}, 3)
+    report2 = check_b_coloring(g, [1, 2, 3, 1], 3)
     assert any(v.kind == "class-without-b-vertex" for v in report2.violations)
 
 
 def test_check_rejects_partial():
-    with pytest.raises(ValueError, match="partial"):
-        check_b_coloring(path_graph(3), {0: 1, 1: 2}, 2)
+    with pytest.raises(ValueError, match="^coloring has 2 entries for 3 vertices$"):
+        check_b_coloring(path_graph(3), [1, 2], 2)
 
 
 def test_check_picks_the_lowest_id_b_vertex_of_each_class():
     # class 1 is {0, 2, 4} with b-vertices 2 and 4 (0 is isolated);
     # class 2 is {1, 3, 5} with b-vertices 3 and 5
     g = Graph(6, [(2, 3), (4, 5)])
-    coloring = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}
+    coloring = [1, 2, 1, 2, 1, 2]
     report = check_b_coloring(g, coloring, 2)
     assert report.valid
     assert list(report.basis.items()) == [(1, 2), (2, 3)]
-    assert report == naive_check_b_coloring(g, coloring, 2)
+    assert report == naive_check_b_coloring(g, dict(enumerate(coloring)), 2)
 
 
-def draw_coloring(g: Graph, mode: str, rng: random.Random) -> tuple[dict[int, int], int]:
-    """A coloring of g and a k to check it against.
+def draw_coloring(g: Graph, mode: str, rng: random.Random) -> tuple[list[int], int]:
+    """A coloring of g, by vertex id, and a k to check it against.
 
     "random" colors are drawn from -1..k+2, so they may clash, leave gaps
     and fall outside 1..k; "greedy" is a proper first-fit coloring checked
     against a k from one below to two above its color count; "witness" is
     an exact b-coloring where the search finds one.  Half the time one
-    vertex is then recolored at random.
+    vertex is then recolored at random, to a color in 0..k+1.
     """
     if mode == "random":
         k = rng.randint(1, g.n + 2)
-        coloring = {u: rng.randint(-1, k + 2) for u in range(g.n)}
+        coloring = [rng.randint(-1, k + 2) for _ in range(g.n)]
     else:
         coloring = None
         if mode == "witness" and g.n <= 9:
             k = rng.randint(1, density_profile(g).m) if g.n else 1
             coloring = find_b_coloring_exact(g, k)
         if coloring is None:
-            coloring = {}
+            coloring = [0] * g.n  # 0: not colored yet
             for u in rng.sample(range(g.n), g.n):
-                taken = {coloring[v] for v in g.adj[u] if v in coloring}
+                taken = {coloring[v] for v in g.adj[u]}
                 coloring[u] = min(c for c in range(1, g.n + 2) if c not in taken)
-            k = max(1, max(coloring.values(), default=0) + rng.randint(-1, 2))
+            k = max(1, max(coloring, default=0) + rng.randint(-1, 2))
     if g.n and rng.random() < 0.5:
         coloring[rng.randrange(g.n)] = rng.randint(0, k + 1)
     return coloring, k
@@ -118,23 +120,24 @@ def test_check_matches_the_naive_checker(n, edge_prob, mode, seed):
     g = random_simple_graph(n, edge_prob, rng)
     coloring, k = draw_coloring(g, mode, rng)
     report = check_b_coloring(g, coloring, k)
-    expected = naive_check_b_coloring(g, coloring, k)
+    # the reference takes a mapping; a 0 entry is a color to both
+    expected = naive_check_b_coloring(g, dict(enumerate(coloring)), k)
     assert report == expected
     if report.basis is not None:
         assert list(report.basis.items()) == list(expected.basis.items())
-    # the same coloring as a list by vertex id, where 0 means uncolored
-    as_list = [coloring[u] for u in range(g.n)]
-    if 0 in as_list:
-        with pytest.raises(ValueError, match=f"^coloring is partial: vertex {as_list.index(0)} has no color$"):
-            check_b_coloring(g, as_list, k)
-    else:
-        assert check_b_coloring(g, as_list, k) == report
 
 
-def test_check_refuses_a_list_with_an_uncolored_vertex():
+def test_check_reports_a_zero_as_a_color_gap():
     g = path_graph(5)
-    with pytest.raises(ValueError, match="^coloring is partial: vertex 2 has no color$"):
-        check_b_coloring(g, [3, 1, 0, 3, 0], 3)
+    report = check_b_coloring(g, [3, 1, 0, 3, 0], 3)
+    assert report.proper and not report.valid and report.basis is None
+    assert report.colors_used == 3
+    assert report.violations == (
+        Violation("color-gap", 0),
+        Violation("color-gap", 2),
+        Violation("class-without-b-vertex", 1),
+        Violation("class-without-b-vertex", 3),
+    )
     with pytest.raises(ValueError, match="^coloring has 4 entries for 5 vertices$"):
         check_b_coloring(g, [3, 1, 2, 3], 3)
 
@@ -145,13 +148,13 @@ def test_find_exact_examples():
     assert found is not None
     assert check_b_coloring(p5, found, 3).valid
     # the deterministic search lands on the same witness as the construction
-    assert found == {0: 3, 1: 1, 2: 2, 3: 3, 4: 1}
+    assert found == [3, 1, 2, 3, 1]
 
     t_enc = encircled_tree()
     assert find_b_coloring_exact(t_enc, 4) is None
 
     k2 = Graph(2, [(0, 1)])
-    assert find_b_coloring_exact(k2, 2) == {0: 1, 1: 2}
+    assert find_b_coloring_exact(k2, 2) == [1, 2]
 
 
 def test_exact_values_for_named_instances():
@@ -198,7 +201,7 @@ def test_prune_soundness_small_sweep():
 
 def assert_prune_keeps_witness(g: Graph, k: int) -> None:
     pruned = find_b_coloring_exact(g, k)
-    assert pruned == find_b_coloring_unpruned(g, k)
+    assert pruned == by_vertex_id(find_b_coloring_unpruned(g, k), g.n)
 
 
 @given(st.integers(1, 9), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
@@ -255,7 +258,7 @@ def test_starvation_skips_a_basis_that_encircles_nothing():
 def assert_kernel_matches_the_set_based_search(g: Graph, limit: int = 14) -> None:
     for k in range(1, density_profile(g).m + 1):
         found = find_b_coloring_exact(g, k, limit=limit)
-        assert found == set_based_find_b_coloring_exact(g, k, limit=limit), k
+        assert found == by_vertex_id(set_based_find_b_coloring_exact(g, k, limit=limit), g.n), k
 
 
 @given(st.integers(1, 10), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 2**30))
@@ -287,7 +290,7 @@ def test_returned_colorings_always_validate(n, seed):
     assert witness == find_b_coloring_exact(g, value)
     report = check_b_coloring(g, witness, value)
     assert report.valid and report.basis is not None
-    assert proper_coloring_ok(g, witness)
+    assert proper_coloring_ok(g, dict(enumerate(witness)))
 
 
 @given(st.integers(1, 9), st.integers(0, 2**30))
