@@ -179,7 +179,7 @@ def run_pipeline(
         return outcome
 
     # the exact search decides chi_b when forced or when the girth theory does not apply
-    record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit)
+    record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit, profile=profile)
     record.chi_b_method = "oracle"
     basis = check_b_coloring(g, witness, record.chi_b).basis
     if basis is None:

@@ -9,6 +9,7 @@ vocabulary.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -47,6 +48,9 @@ _PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
 
 #: Start of a line that is not two unsigned decimals separated by blanks.
 _NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
+
+#: Maps the space and the newline of a plain line to the commas of a JSON list.
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 class Graph:
@@ -129,19 +133,30 @@ def _plain_pairs(text: str, start: int = 0) -> list[int] | None:
     int() converts.
 
     Lines of one space are recognized in one byte pass: with the digits
-    deleted, the text must read " \\n" once per line, and the split must
-    find two tokens per line, so no digit run is empty.  Any other text is
-    searched for the first line of another shape.  One match of a repeated
-    line pattern would keep backtracking state for every line, megabytes on
-    a large file; the search keeps none.
+    deleted, the text must read " \\n" once per line.  Such a text, with its
+    spaces and newlines turned to commas, is a JSON list of its integers
+    exactly when no digit run is empty or has a leading zero, so one
+    ``json.loads`` decodes it.  When JSON refuses it, and for any other
+    text, the text is split and each token converted by int(): a text of
+    one space per line must then split into two tokens per line, so no
+    digit run is empty, and any other text is searched for the first line
+    of another shape.  One match of a repeated line pattern would keep
+    backtracking state for every line, megabytes on a large file; the
+    search keeps none.
     """
     if not text.endswith("\n"):
         return None
     data = text[start:].encode("utf-8", "surrogatepass")  # a lone surrogate fails both tests, as any non-ASCII
-    tokens = data.split()
     lines = data.count(b"\n")
-    one_space = len(tokens) == 2 * lines and data.translate(None, b"0123456789") == b" \n" * lines
-    if not one_space and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+    one_space = data.translate(None, b"0123456789") == b" \n" * lines
+    if one_space:
+        try:
+            return json.loads(b"[%b]" % data[:-1].translate(_SEPARATORS_TO_COMMAS))
+        except ValueError:  # an empty digit run, a leading zero, or more digits than int() converts
+            pass
+    tokens = data.split()
+    plain = one_space and len(tokens) == 2 * lines  # two tokens a line: no digit run is empty
+    if not plain and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
         return None
     try:  # int() reads bytes tokens faster than str ones
         return list(map(int, tokens))

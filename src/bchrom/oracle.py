@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantViolation, OracleLimitError
-from .goodset import density_profile
+from .goodset import DensityProfile, density_profile
 from .goodset import find_encircled_vertex  # noqa: F401  (unused: bench/tracing.py wraps this binding)
 from .graph import Graph
 
@@ -69,11 +69,13 @@ def check_b_coloring(g: Graph, coloring: Sequence[int], k: int) -> ValidityRepor
         violations.append(Violation("color-gap", c))
     for c in sorted(expected - used):
         violations.append(Violation("color-gap", c))
-    # a vertex whose degree is below k - 1 cannot see the k - 1 other colors
     basis: dict[int, int] = {}
+    others = k - 1
     for u, nbrs in enumerate(g.adj):
+        if len(nbrs) < others:  # too few neighbors to see the k - 1 other colors
+            continue
         c = coloring[u]
-        if c in basis or len(nbrs) < k - 1 or not 1 <= c <= k:
+        if c in basis or not 1 <= c <= k:
             continue
         seen = {coloring[v] for v in nbrs}
         seen.add(c)
@@ -248,13 +250,18 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         del extend  # it refers to itself through its closure: a reference cycle only the collector frees
 
 
-def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, list[int]]:
+def exact_b_chromatic(
+    g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT, profile: DensityProfile | None = None
+) -> tuple[int, list[int]]:
     """Largest k admitting a b-coloring, found by scanning down from m(G),
     with the witness the search found at k: the search is deterministic, so
-    it equals what ``find_b_coloring_exact(g, k)`` returns."""
+    it equals what ``find_b_coloring_exact(g, k)`` returns.  ``profile`` is
+    ``g``'s density profile when the caller already has it; without one,
+    it is computed here."""
     if g.n == 0:
         raise ValueError("the b-chromatic number is undefined for the empty graph")
-    profile = density_profile(g)
+    if profile is None:
+        profile = density_profile(g)
     for k in range(profile.m, 0, -1):
         witness = find_b_coloring_exact(g, k, limit=limit)
         if witness is not None:

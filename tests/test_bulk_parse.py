@@ -5,6 +5,8 @@ line-by-line loop.  Whatever the text, the result must be the loop's: the
 same Graph or coloring, or the same ParseError message and line.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -125,6 +127,9 @@ def coloring_texts(draw, g: Graph = GRAPH):
 @example("# k=5 basis=\n2 1\n3 2\n5 1\n6 2\n")  # k > n on line 1
 @example("# k=2 basis=\x0b2 1\n3 2\n5 1\n6 2\n")
 @example("#\x1ck=2 basis=\n2 1\n3 2\n5 1\n6 2\n")
+@example("# k=2 basis=\n2 1\n3 02\n5 1\n6 2\n")  # a color with a leading zero on line 3
+@example("# k=2 basis=\n2 1\n3 2\n05 1\n6 2\n")  # a label with a leading zero on line 4
+@example("# k=2 basis=\n2 1\n3 2\n5 1\n6 2 \n")  # a trailing space on the last line only
 def test_coloring_bulk_read_matches_line_loop(text):
     expected = outcome(_coloring_lines, text, GRAPH)
     assert outcome(parse_coloring_file, text, GRAPH) == expected
@@ -153,6 +158,9 @@ def test_plain_texts_take_the_bulk_read():
     assert _coloring_bulk(coloring, GRAPH) == (2, [1, 2, 1, 2])
     # lines out of id order, and a color 0, which is a color like any other
     assert _coloring_bulk("# k=2 basis=\n6 0\n2 1\n5 1\n3 2\n", GRAPH) == (2, [1, 2, 1, 0])
+    # leading zeros, which JSON refuses, are read in bulk too: by split and int()
+    assert _edge_list_bulk("00 1\n1 02\n") == _edge_list_lines("0 1\n1 2\n")
+    assert _coloring_bulk("# k=2 basis=\n02 1\n3 02\n5 01\n6 2\n", GRAPH) == (2, [1, 2, 1, 2])
     for g in (ID_GRAPH, SWAPPED_GRAPH):
         coloring = "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n"
         assert _coloring_bulk(coloring, g) == _coloring_lines(coloring, g)
@@ -280,5 +288,31 @@ pair_headers = st.sampled_from(["", "", "# n=3\n", "# k=2 basis=\n", "# k=2 basi
 @example("", "1 \n2")
 @example("", "1 2\n\ud800 1\n")  # a lone surrogate is not ASCII either
 @example("", f"{'1' * 4301} 2\n")  # more digits than int() converts
+# JSON refuses a text of one space per line only on a later line: the split and int() decide
+@example("", "0 1\n2 03\n")
+@example("", "1 2\n00 1\n")
+@example("", f"1 2\n{'1' * 4301} 2\n")
+@example("", "0 0\n")  # zeros without a leading zero: JSON reads them
+@example("# n=3\n", "0 1\n1 2 \n")  # a trailing space on the last line only
 def test_plain_pairs_match_the_line_search(header, body):
     assert _plain_pairs(header + body, len(header)) == regex_plain_pairs(header + body, len(header))
+
+
+def test_bulk_reads_match_the_line_loops_at_size():
+    """A tree and a coloring file of 2^16 lines each, labels 0..n-1 shuffled:
+    both bulk reads take the text, and agree with the line loops."""
+    rng = random.Random(7)
+    n = 2**16 + 1
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[rng.randrange(v)]) for v in range(1, n)]
+    rng.shuffle(edges)
+    edge_text = "".join(f"{a} {b}\n" for a, b in edges)
+    assert _plain_pairs(edge_text) == regex_plain_pairs(edge_text)
+    g = _edge_list_bulk(edge_text)
+    assert g is not None and g == _edge_list_lines(edge_text)
+    header = "# k=3 basis=\n"
+    coloring_text = header + "".join(f"{lab} {rng.randrange(4)}\n" for lab in label)
+    assert _plain_pairs(coloring_text, len(header)) == regex_plain_pairs(coloring_text, len(header))
+    parsed = _coloring_bulk(coloring_text, g)
+    assert parsed is not None and parsed == _coloring_lines(coloring_text, g)

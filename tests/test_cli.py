@@ -11,6 +11,7 @@ import pytest
 import bchrom
 import bchrom.cli
 import bchrom.coloring
+import bchrom.goodset
 import bchrom.graph
 import bchrom.oracle
 from bchrom import GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
@@ -127,6 +128,20 @@ def test_analyze_low_girth_uses_oracle_within_limit(tmp_path, capsys):
     record = record_from(capsys)
     assert record["chi_b"] == 3
     assert record["chi_b_method"] == "oracle"
+
+
+def test_oracle_path_derives_the_density_profile_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return bchrom.goodset.density_profile(g)
+
+    monkeypatch.setattr(bchrom.cli, "density_profile", counted)
+    monkeypatch.setattr(bchrom.oracle, "density_profile", counted)
+    outcome = run_pipeline(petersen_graph(), compute_chi_b=True)
+    assert (outcome.record.chi_b, outcome.record.chi_b_method) == (3, "oracle")
+    assert len(calls) == 1
 
 
 def test_color_verify_round_trip(tmp_path, capsys):
