@@ -347,6 +347,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def count(text: str) -> int:
+    """The argparse type of a count option: an int, refused when negative,
+    so argparse exits 2 with a message that names the option."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bchrom",
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=["edgelist", "dimacs"])
     analyze.add_argument("--chi-b", action="store_true", dest="chi_b", help="also compute the b-chromatic number")
     analyze.add_argument("--oracle", action="store_true", help="force the exhaustive search even at girth >= 9")
-    analyze.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    analyze.add_argument("--oracle-limit", type=count, default=DEFAULT_ORACLE_LIMIT)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--output", "-o", help="destination file (default: stdout)")
     color.add_argument("--format", choices=["edgelist", "dimacs"])
     color.add_argument("--oracle", action="store_true", help="allow exhaustive search below girth 9")
-    color.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    color.add_argument("--oracle-limit", type=count, default=DEFAULT_ORACLE_LIMIT)
     color.add_argument("--trace", action="store_true", help="print one line per coloring decision")
     color.set_defaults(func=cmd_color)
 
@@ -389,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     generate = sub.add_parser("generate", help="write a random graph of prescribed minimum girth")
-    generate.add_argument("n", type=int)
+    generate.add_argument("n", type=count)
     generate.add_argument("--min-girth", type=int, default=9)
-    generate.add_argument("--edges", type=int, required=True, help="edge budget (the output may have fewer)")
+    generate.add_argument("--edges", type=count, required=True, help="edge budget (the output may have fewer)")
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--output", "-o", help="destination file (default: stdout)")
     generate.set_defaults(func=cmd_generate)

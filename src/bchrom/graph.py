@@ -15,7 +15,6 @@ import random
 import re
 from collections import deque
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 
 from .errors import ParseError, PreconditionError
 
@@ -46,11 +45,11 @@ _COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
 #: The only header line the bulk coloring read accepts; see ``parse_coloring_file``.
 _PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
 
-#: Start of a line that is not two unsigned decimals separated by blanks.
-_NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
+#: Reads the tab of a plain line as its space.
+_TAB_TO_SPACE = bytes.maketrans(b"\t", b" ")
 
-#: Maps the space and the newline of a plain line to the commas of a JSON list.
-_SEPARATORS_TO_COMMAS = bytes.maketrans(b" \n", b",,")
+#: Maps the space or tab and the newline of a plain line to the commas of a JSON list.
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b" \t\n", b",,,")
 
 
 class Graph:
@@ -128,39 +127,24 @@ class Graph:
 
 def _plain_pairs(text: str, start: int = 0) -> list[int] | None:
     """The integers of ``text[start:]`` when it is made only of lines of two
-    unsigned ASCII decimals separated by spaces or tabs, each line ended by
-    "\\n"; None for any other text, or for a token with more digits than
-    int() converts.
+    unsigned ASCII decimals without leading zeros, separated by one space or
+    one tab, each line ended by "\\n"; None for any other text, or for a
+    token with more digits than int() converts.
 
-    Lines of one space are recognized in one byte pass: with the digits
-    deleted, the text must read " \\n" once per line.  Such a text, with its
-    spaces and newlines turned to commas, is a JSON list of its integers
+    The shape is one byte test: with the digits deleted and tabs read as
+    spaces, the text must read " \\n" once per line.  Such a text, with its
+    blanks and newlines turned to commas, is a JSON list of its integers
     exactly when no digit run is empty or has a leading zero, so one
-    ``json.loads`` decodes it.  When JSON refuses it, and for any other
-    text, the text is split and each token converted by int(): a text of
-    one space per line must then split into two tokens per line, so no
-    digit run is empty, and any other text is searched for the first line
-    of another shape.  One match of a repeated line pattern would keep
-    backtracking state for every line, megabytes on a large file; the
-    search keeps none.
+    ``json.loads`` decodes it, and JSON's refusal is None too.
     """
     if not text.endswith("\n"):
         return None
-    data = text[start:].encode("utf-8", "surrogatepass")  # a lone surrogate fails both tests, as any non-ASCII
-    lines = data.count(b"\n")
-    one_space = data.translate(None, b"0123456789") == b" \n" * lines
-    if one_space:
-        try:
-            return json.loads(b"[%b]" % data[:-1].translate(_SEPARATORS_TO_COMMAS))
-        except ValueError:  # an empty digit run, a leading zero, or more digits than int() converts
-            pass
-    tokens = data.split()
-    plain = one_space and len(tokens) == 2 * lines  # two tokens a line: no digit run is empty
-    if not plain and _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
+    data = text[start:].encode("utf-8", "surrogatepass")  # a lone surrogate fails the test, as any non-ASCII
+    if data.translate(_TAB_TO_SPACE, b"0123456789") != b" \n" * data.count(b"\n"):
         return None
-    try:  # int() reads bytes tokens faster than str ones
-        return list(map(int, tokens))
-    except ValueError:  # more digits than int() converts
+    try:
+        return json.loads(b"[%b]" % data[:-1].translate(_SEPARATORS_TO_COMMAS))
+    except ValueError:  # an empty digit run, a leading zero, or more digits than int() converts
         return None
 
 
@@ -224,13 +208,13 @@ def parse_edge_list(text: str) -> Graph:
     rejected outright so that corpus bugs surface instead of being silently
     normalized away.
 
-    A text made only of "u v" lines (unsigned ASCII decimals, separated by
-    spaces or tabs, each line ended by "\\n"), after at most one plain
-    "# n=<count>" line, is read in bulk: one split and one int conversion,
-    then the adjacency is built straight from the integers and a repeated
-    edge or self-loop is found on it.  Any other text, and any anomaly the
-    bulk read meets, goes to the line-by-line parser, so an error always
-    names its line.
+    A text made only of "u v" lines (unsigned ASCII decimals without leading
+    zeros, separated by one space or one tab, each line ended by "\\n"),
+    after at most one plain "# n=<count>" line, is read in bulk: one JSON
+    decode, then the adjacency is built straight from the integers and a
+    repeated edge or self-loop is found on it.  Any other text, and any
+    anomaly the bulk read meets, goes to the line-by-line parser, so an
+    error always names its line.
     """
     g = _edge_list_bulk(text)
     return g if g is not None else _edge_list_lines(text)
@@ -397,11 +381,12 @@ def parse_coloring_file(text: str, g: Graph) -> tuple[int, list[int]]:
     label), a label the graph lacks, and a vertex colored twice.  Any
     integer is a color, 0 too; the checker judges it.
 
-    A file that is a plain header line followed by "label color" lines of
-    unsigned ASCII decimals, separated by spaces or tabs and each ended by
-    "\\n", and that colors every vertex once, is read in bulk.  Any other
-    file goes to the line-by-line reader, so an error always names its line.
-    A file that lists the vertices in id order needs no label map in bulk.
+    A file that is a plain header line followed by one "label color" line
+    per vertex in id order, as ``format_coloring_file`` writes it, is read
+    in bulk when its lines are unsigned ASCII decimals without leading
+    zeros, separated by one space or one tab and each ended by "\\n".  Any
+    other file goes to the line-by-line reader, so an error always names
+    its line.
     """
     parsed = _coloring_bulk(text, g)
     return parsed if parsed is not None else _coloring_lines(text, g)
@@ -414,18 +399,10 @@ def _coloring_bulk(text: str, g: Graph) -> tuple[int, list[int]] | None:
         return None
     k = _declared_count(header.group(1))
     numbers = _plain_pairs(text, header.end())
-    n = g.n
-    if numbers is None or not 1 <= k <= n or len(numbers) != 2 * n:
+    # the labels in id order: n lines that color each vertex once
+    if numbers is None or not 1 <= k <= g.n or numbers[0::2] != list(g.labels):
         return None
-    labels, coloring = numbers[0::2], numbers[1::2]
-    if labels != list(g.labels):  # not in id order: each color goes to its label's vertex
-        vertices = map(dict(zip(g.labels, range(n))).get, labels, repeat(n))  # an unknown label reads as n
-        by_vertex = dict(zip(vertices, coloring))
-        # n lines that color n distinct vertices below n color each vertex once
-        if len(by_vertex) != n or max(by_vertex) >= n:
-            return None
-        coloring = list(map(by_vertex.__getitem__, range(n)))
-    return k, coloring
+    return k, numbers[1::2]
 
 
 def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
@@ -593,7 +570,8 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
     ``edge_budget`` accepted edges or when the attempt budget runs out, so
     the result may have fewer edges than asked for.  The attempt budget is
     50 proposals per edge asked for, at most n(n - 1)/2 of them, or per
-    vertex if there are more vertices.  At most MAX_VERTICES vertices.
+    vertex if there are more vertices.  At most MAX_VERTICES vertices; a
+    negative vertex count or edge budget is a ValueError.
     """
     if min_girth < 3:
         raise ValueError("min_girth must be at least 3")
@@ -601,10 +579,12 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
         raise ValueError("vertex count must be nonnegative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} is above the limit {MAX_VERTICES}")
+    if edge_budget < 0:
+        raise ValueError("edge budget must be nonnegative")
     rng = random.Random(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
     edges: list[tuple[int, int]] = []
-    if n >= 2 and edge_budget > 0:
+    if n >= 2:
         cap = min_girth - 2  # reject when dist(u, v) <= cap
         attempts_left = 50 * max(min(edge_budget, n * (n - 1) // 2), n)
         while len(edges) < edge_budget and attempts_left > 0:

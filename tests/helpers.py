@@ -10,7 +10,8 @@ backtracking good-set search reuses ``check_good_set`` at its leaves: it is
 the reference for the selection rule of ``find_good_set``, not for the
 check.  The used-set greedy records through ``PartialColoring.assign``: it
 is the reference for the one-scan color choice of ``greedy_extend``, not
-for the record.
+for the record.  ``tree_disagreement`` is no reference: it compares the
+construction with the exact search, both package code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import random
 import re
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 
 from bchrom import (
@@ -31,7 +32,10 @@ from bchrom import (
     OracleLimitError,
     ValidityReport,
     Violation,
+    check_b_coloring,
     check_good_set,
+    exact_b_chromatic,
+    run_pipeline,
 )
 from bchrom.coloring import PartialColoring
 from bchrom.goodset import find_encircled_vertex
@@ -202,6 +206,93 @@ def tree_from_prufer(seq: list[int]) -> Graph:
     last = [u for u in range(n) if degree[u] == 1]
     edges.append((last[0], last[1]))
     return Graph(n, edges)
+
+
+def free_trees(n: int) -> Iterator[Graph]:
+    """Every tree with n >= 0 vertices, once up to isomorphism.
+
+    Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
+    trees", SIAM J. Comput. 15 (1986).  A rooted tree is written as its
+    level sequence: the depth of each vertex in preorder, the subtrees of
+    every vertex in non-increasing order of their own sequences.  Beyer and
+    Hedetniemi's successor steps through these sequences in decreasing
+    order.  A free tree is kept once, rooted at a centre: the first subtree
+    of the root is lower than the rest of the tree or, when both are as
+    high (two centres), not larger, and not greater when as large.  A
+    sequence that fails this is left by changing its first subtree, which
+    skips every later sequence with the same first subtree, and a rest
+    lower than the new first subtree; where a jump lands is checked like
+    any other sequence.  The walk starts at the path rooted at its centre
+    and ends at the star.
+    """
+    if n <= 2:
+        yield Graph(n, [(0, 1)] if n == 2 else [])
+        return
+    levels: list[int] | None = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]
+    while levels is not None:
+        first_end = _second_child(levels)
+        first = [depth - 1 for depth in levels[1:first_end]]
+        rest = [0, *levels[first_end:]]
+        if (max(first), len(first), first) <= (max(rest), len(rest), rest):
+            yield _tree_of_levels(levels)
+            levels = _next_rooted_tree(levels, max((i for i, depth in enumerate(levels) if depth > 1), default=0))
+        else:
+            last = first_end - 1
+            jumped = _next_rooted_tree(levels, last)
+            if levels[last] > 2:  # end on a path as deep as the new first subtree reaches
+                height = max(jumped[1 : _second_child(jumped)])
+                jumped[n - height :] = range(1, height + 1)
+            levels = jumped
+
+
+def _second_child(levels: list[int]) -> int:
+    """Position of the root's second child in a level sequence; its length
+    when the root has one child."""
+    return levels.index(1, 2) if 1 in levels[2:] else len(levels)
+
+
+def _next_rooted_tree(levels: list[int], p: int) -> list[int] | None:
+    """Beyer and Hedetniemi's successor of a level sequence, changed from
+    position ``p``: with q the parent of ``p`` (the last position before it
+    one level up), everything from ``p`` on becomes copies of the block from
+    q to ``p`` - 1, so ``p`` becomes a sibling of q.  The walk passes the
+    last position deeper than 1 as ``p``, and 0 for the star, which has no
+    successor: None."""
+    if p == 0:
+        return None
+    q = max(i for i in range(p) if levels[i] == levels[p] - 1)  # p's parent
+    result = levels[:p]
+    for i in range(p, len(levels)):
+        result.append(result[i - (p - q)])
+    return result
+
+
+def _tree_of_levels(levels: list[int]) -> Graph:
+    """The tree of a level sequence: each vertex's parent is the last vertex
+    before it one level up."""
+    last_at = [0] * len(levels)
+    edges = []
+    for v, depth in enumerate(levels[1:], start=1):
+        edges.append((last_at[depth - 1], v))
+        last_at[depth] = v
+    return Graph(len(levels), edges)
+
+
+def tree_disagreement(g: Graph, limit: int) -> str | None:
+    """What is wrong with the pipeline's answer on the tree ``g``, or None:
+    chi_b must equal the exact search's (capped at ``limit`` vertices), the
+    witness must pass ``check_b_coloring``, and chi_b must be m - 1 or m
+    (Irving & Manlove, Discrete Appl. Math. 91, 1999)."""
+    outcome = run_pipeline(g, compute_chi_b=True)
+    chi_b, m = outcome.record.chi_b, outcome.record.m
+    expected, _ = exact_b_chromatic(g, limit=limit)
+    if chi_b != expected:
+        return f"chi_b {chi_b} by {outcome.record.chi_b_method}, {expected} by the exact search"
+    if not check_b_coloring(g, outcome.coloring, chi_b).valid:
+        return f"the witness with {chi_b} colors is not a b-coloring"
+    if chi_b not in (m - 1, m):
+        return f"chi_b {chi_b} is neither m - 1 nor m = {m}"
+    return None
 
 
 def with_tree_and_ring(g: Graph, tree_n: int, ring: int, rng: random.Random) -> Graph:
@@ -637,15 +728,17 @@ def by_vertex_id(coloring: Mapping[int, int] | None, n: int) -> list[int] | None
 # ------------------------------------------------ reference plain-text read
 
 
-#: Start of a line that is not two unsigned decimals separated by blanks.
-_NOT_A_PLAIN_PAIR = re.compile(r"^(?![0-9]+[ \t]+[0-9]+$)", re.MULTILINE)
+#: Start of a line that is not two unsigned decimals without leading zeros
+#: separated by one space or one tab.
+_NOT_A_PLAIN_PAIR = re.compile(r"^(?!(?:0|[1-9][0-9]*)[ \t](?:0|[1-9][0-9]*)$)", re.MULTILINE)
 
 
 def regex_plain_pairs(text: str, start: int = 0) -> list[int] | None:
     """What ``_plain_pairs`` of ``bchrom.graph`` returns, by a line search
     alone: the integers of ``text[start:]`` when every line is two unsigned
-    ASCII decimals separated by spaces or tabs and ended by "\\n", else None;
-    None too for a token with more digits than int() converts."""
+    ASCII decimals without leading zeros, separated by one space or one tab
+    and ended by "\\n", else None; None too for a token with more digits
+    than int() converts."""
     if not text.endswith("\n") or _NOT_A_PLAIN_PAIR.search(text, start, len(text) - 1) is not None:
         return None
     try:

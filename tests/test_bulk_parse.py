@@ -154,16 +154,40 @@ def test_plain_texts_take_the_bulk_read():
         assert g == _edge_list_lines(text)
     # labels 0..n-1 are read as ids, whatever the order
     assert _edge_list_bulk("2 0\n1 2\n").adj == ((2,), (2,), (0, 1))
-    coloring = "# k=2 basis=1:2,2:3\n2 1\n3 2\n5 1\n6 2\n"
+    coloring = "# k=2 basis=1:2,2:3\n2 1\n3\t2\n5 1\n6 2\n"
     assert _coloring_bulk(coloring, GRAPH) == (2, [1, 2, 1, 2])
-    # lines out of id order, and a color 0, which is a color like any other
-    assert _coloring_bulk("# k=2 basis=\n6 0\n2 1\n5 1\n3 2\n", GRAPH) == (2, [1, 2, 1, 0])
-    # leading zeros, which JSON refuses, are read in bulk too: by split and int()
-    assert _edge_list_bulk("00 1\n1 02\n") == _edge_list_lines("0 1\n1 2\n")
-    assert _coloring_bulk("# k=2 basis=\n02 1\n3 02\n5 01\n6 2\n", GRAPH) == (2, [1, 2, 1, 2])
-    for g in (ID_GRAPH, SWAPPED_GRAPH):
-        coloring = "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n"
-        assert _coloring_bulk(coloring, g) == _coloring_lines(coloring, g)
+    # a color 0 is a color like any other
+    assert _coloring_bulk("# k=2 basis=\n2 1\n3 2\n5 1\n6 0\n", GRAPH) == (2, [1, 2, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "00 1\n1 02\n",  # leading zeros
+        "0  1\n1 2\n",  # two spaces
+        "0 1\n1 \t2\n",  # a space and a tab
+        "0 1\n\n1 2\n",  # an empty line
+    ],
+)
+def test_edge_lists_outside_the_bulk_form_take_the_line_loop(text):
+    assert _plain_pairs(text) is None
+    assert _edge_list_bulk(text) is None
+    assert parse_edge_list(text) == _edge_list_lines(text) == _edge_list_lines("0 1\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    ("g", "text", "coloring"),
+    [
+        (GRAPH, "# k=2 basis=\n6 0\n2 1\n5 1\n3 2\n", [1, 2, 1, 0]),  # out of id order
+        (GRAPH, "# k=2 basis=\n02 1\n3 02\n5 01\n6 0\n", [1, 2, 1, 0]),  # leading zeros
+        (GRAPH, "# k=2 basis=\n2  1\n3 2\n5 1\n6 0\n", [1, 2, 1, 0]),  # two spaces
+        (ID_GRAPH, "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n", [1, 2, 1, 2]),  # out of id order
+        (SWAPPED_GRAPH, "# k=2 basis=\n3 2\n0 1\n2 1\n1 2\n", [2, 1, 1, 2]),  # out of id order
+    ],
+)
+def test_coloring_files_outside_the_bulk_form_take_the_line_loop(g, text, coloring):
+    assert _coloring_bulk(text, g) is None
+    assert parse_coloring_file(text, g) == _coloring_lines(text, g) == (2, coloring)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +301,9 @@ pair_headers = st.sampled_from(["", "", "# n=3\n", "# k=2 basis=\n", "# k=2 basi
 @given(pair_headers, pair_bodies)
 @example("", "1  2\n")
 @example("", "1\t2\n")
+@example("", "1 \t2\n")
+@example("", "1\t\t2\n")
+@example("", "1\t2\n3 04\n")
 @example("", " 1 2\n")
 @example("", "1 2 \n")
 @example("", "1 2")
@@ -288,7 +315,7 @@ pair_headers = st.sampled_from(["", "", "# n=3\n", "# k=2 basis=\n", "# k=2 basi
 @example("", "1 \n2")
 @example("", "1 2\n\ud800 1\n")  # a lone surrogate is not ASCII either
 @example("", f"{'1' * 4301} 2\n")  # more digits than int() converts
-# JSON refuses a text of one space per line only on a later line: the split and int() decide
+# JSON refuses a text of the right shape only on a later line
 @example("", "0 1\n2 03\n")
 @example("", "1 2\n00 1\n")
 @example("", f"1 2\n{'1' * 4301} 2\n")
@@ -300,7 +327,8 @@ def test_plain_pairs_match_the_line_search(header, body):
 
 def test_bulk_reads_match_the_line_loops_at_size():
     """A tree and a coloring file of 2^16 lines each, labels 0..n-1 shuffled:
-    both bulk reads take the text, and agree with the line loops."""
+    the edge list takes the bulk read, and so does the coloring file in id
+    order but not in shuffled order; each agrees with its line loop."""
     rng = random.Random(7)
     n = 2**16 + 1
     label = list(range(n))
@@ -312,7 +340,11 @@ def test_bulk_reads_match_the_line_loops_at_size():
     g = _edge_list_bulk(edge_text)
     assert g is not None and g == _edge_list_lines(edge_text)
     header = "# k=3 basis=\n"
-    coloring_text = header + "".join(f"{lab} {rng.randrange(4)}\n" for lab in label)
-    assert _plain_pairs(coloring_text, len(header)) == regex_plain_pairs(coloring_text, len(header))
-    parsed = _coloring_bulk(coloring_text, g)
-    assert parsed is not None and parsed == _coloring_lines(coloring_text, g)
+    colors = [rng.randrange(4) for _ in range(n)]
+    in_order = header + "".join(f"{u} {colors[u]}\n" for u in range(n))
+    shuffled = header + "".join(f"{u} {colors[u]}\n" for u in label)
+    for coloring_text in (in_order, shuffled):
+        assert _plain_pairs(coloring_text, len(header)) == regex_plain_pairs(coloring_text, len(header))
+    assert _coloring_bulk(in_order, g) == _coloring_lines(in_order, g) == (3, colors)
+    assert _coloring_bulk(shuffled, g) is None
+    assert parse_coloring_file(shuffled, g) == (3, colors)

@@ -329,6 +329,24 @@ def test_generate_refuses_more_vertices_than_the_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "option"),
+    [
+        (["generate", "5", "--edges", "-3"], "--edges"),
+        (["generate", "--edges", "1", "-3"], "n"),
+        (["analyze", "g.txt", "--oracle-limit", "-3"], "--oracle-limit"),
+        (["color", "g.txt", "--oracle-limit", "-3"], "--oracle-limit"),
+    ],
+)
+def test_negative_counts_are_refused_naming_the_option(capsys, argv, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: argument {option}: must be nonnegative, got -3\n")
+
+
 def test_generate_with_an_edge_budget_above_every_possible_edge(tmp_path):
     # 10 vertices have 45 possible edges: the attempts stop at 50 per possible
     # edge, so a budget of 10^9 writes what a budget of 45 writes

@@ -412,6 +412,13 @@ def test_generator_rejects_girth_below_three():
         generate_girth_constrained(5, 2, 4, seed=0)
 
 
+def test_generator_rejects_negative_counts():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        generate_girth_constrained(-1, 9, 4, seed=0)
+    with pytest.raises(ValueError, match="^edge budget must be nonnegative$"):
+        generate_girth_constrained(5, 9, -3, seed=0)
+
+
 def test_generator_girth_postcondition_sweep():
     # small instances so the independent check stays cheap
     for seed in range(1000):
