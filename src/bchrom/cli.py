@@ -34,7 +34,7 @@ from .graph import (
     parse_edge_list,
     to_edge_list,
 )
-from .oracle import DEFAULT_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic
+from .oracle import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT, check_b_coloring, exact_b_chromatic
 from .oracle import find_b_coloring_exact  # noqa: F401  (unused: bench/tracing.py wraps this binding)
 
 EXIT_OK = 0
@@ -190,12 +190,23 @@ def run_pipeline(
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file; a ParseError, raised before any byte is
-    read, when the file is larger than MAX_INPUT_BYTES."""
-    size = os.stat(path).st_size
-    if size > MAX_INPUT_BYTES:
-        raise ParseError(f"{path} has {size} bytes, above the limit {MAX_INPUT_BYTES}")
-    return Path(path).read_text()
+    """The text of an input file, decoded as ``Path.read_text`` decodes it;
+    a ParseError when the file holds more than MAX_INPUT_BYTES bytes.
+
+    A regular file is refused by its size before any byte is read.  A
+    device or a FIFO reports size 0, and a file may grow after its size is
+    taken, so whatever the file, at most MAX_INPUT_BYTES + 1 bytes are read.
+    """
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        if size > MAX_INPUT_BYTES:
+            raise ParseError(f"{path} has {size} bytes, above the limit {MAX_INPUT_BYTES}")
+        data = file.read(size + 1)  # a regular file ends within this read
+        if len(data) > size:  # a device, a FIFO or a grown file: read on, up to one byte past the limit
+            data += file.read(MAX_INPUT_BYTES - size)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path} has more than {MAX_INPUT_BYTES} bytes, the limit")
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def load_graph(path: str, fmt: str | None = None) -> Graph:
@@ -356,6 +367,15 @@ def count(text: str) -> int:
     return value
 
 
+def oracle_limit_count(text: str) -> int:
+    """The argparse type of --oracle-limit: a count, refused above
+    MAX_ORACLE_LIMIT, the deepest search the interpreter's stack allows."""
+    value = count(text)
+    if value > MAX_ORACLE_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORACLE_LIMIT}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bchrom",
@@ -377,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=["edgelist", "dimacs"])
     analyze.add_argument("--chi-b", action="store_true", dest="chi_b", help="also compute the b-chromatic number")
     analyze.add_argument("--oracle", action="store_true", help="force the exhaustive search even at girth >= 9")
-    analyze.add_argument("--oracle-limit", type=count, default=DEFAULT_ORACLE_LIMIT)
+    analyze.add_argument("--oracle-limit", type=oracle_limit_count, default=DEFAULT_ORACLE_LIMIT)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -386,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--output", "-o", help="destination file (default: stdout)")
     color.add_argument("--format", choices=["edgelist", "dimacs"])
     color.add_argument("--oracle", action="store_true", help="allow exhaustive search below girth 9")
-    color.add_argument("--oracle-limit", type=count, default=DEFAULT_ORACLE_LIMIT)
+    color.add_argument("--oracle-limit", type=oracle_limit_count, default=DEFAULT_ORACLE_LIMIT)
     color.add_argument("--trace", action="store_true", help="print one line per coloring decision")
     color.set_defaults(func=cmd_color)
 

@@ -29,7 +29,8 @@ MAX_VERTICES = 10**6
 
 #: Largest input file, in bytes, the command line reads: 32 MiB, about twice
 #: a plain edge list of MAX_VERTICES vertices and as many edges.  A larger
-#: file is refused before it is read.
+#: regular file is refused before it is read; of a device or a FIFO, at most
+#: one byte more than this is read.
 MAX_INPUT_BYTES = 32 * 2**20
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
@@ -446,92 +447,92 @@ def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
     return k, coloring
 
 
+def _peel(adj: tuple[tuple[int, ...], ...], degree: list[int], live: list[bool], queue: list[int]) -> None:
+    """Delete the vertices of ``queue``, each with at most one live neighbor,
+    and then every live vertex whose live degree drops to 1; ``queue`` grows."""
+    for u in queue:
+        live[u] = False
+        for v in adj[u]:
+            if live[v]:  # u's one live neighbor, if any is left
+                degree[v] -= 1
+                if degree[v] == 1:
+                    queue.append(v)
+                break
+
+
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ACYCLIC for forests.
 
-    1. Peel vertices of degree <= 1 until only the 2-core is left, in
-       O(n + m).  Every cycle lies in the 2-core, so a forest stops here.
-       A peeled vertex has at most one core neighbor left, so its scan
-       stops there.
-    2. A core component whose vertices all have core degree 2 is a plain
-       cycle; its length is its vertex count.
-    3. A cycle with no core vertex of core degree >= 3 is a whole core
-       component (each of its vertices has only its two cycle neighbors
-       left), so every other cycle passes through such a branch vertex.  A
-       BFS over the core from a vertex on a shortest cycle finds that cycle
-       exactly: the first non-tree edge met closes a candidate of length
-       dist(u) + dist(v) + 1, and no candidate is shorter than the girth.
-       So BFS runs from the branch vertices only (Itai & Rodeh 1978), each
-       one stopping once it can no longer beat the best cycle so far.
-    4. The component search of step 2 keeps each core vertex's core
-       neighbors, so BFS never meets a peeled leaf.
-    5. ``dist``/``parent`` are allocated once.  After each root only the
-       ``dist`` entries that BFS touched are reset; ``parent`` needs no
-       reset, since it is written when a vertex is reached, before any read.
+    1. Peel vertices of degree <= 1 until only the 2-core is left.  Every
+       cycle lies in the 2-core, so a forest stops here.
+    2. Take each 2-core vertex as a root, by core degree (highest first,
+       ties by id), skipping roots deleted since.  BFS from the root over
+       the live vertices: a non-tree edge closes a candidate cycle of
+       length dist(u) + dist(v) + 1 (Itai & Rodeh 1978).  The BFS stops
+       once it can no longer beat the best cycle so far.  Then delete the
+       root and peel again whatever drops to one live neighbor.
 
-    O(n + m) on forests; the BFS phase costs O(m) per branch vertex at worst.
+    Why deleting the root is sound.  Let H be the live graph and r the root.
+    If r lies on a shortest cycle of H, its BFS finds that cycle's length,
+    unless best is already no longer.  Otherwise some shortest cycle of H
+    avoids r, so deleting r keeps girth(H).  No BFS candidate is shorter
+    than girth(H), since its two tree paths and its edge hold a cycle of H
+    no longer than it, and peeling removes only vertices that lie on no
+    cycle.  So min(best, girth(H)) = girth(G) holds at every step, and
+    best = girth(G) once H is empty.
+
+    Cost: O(n + m) on forests, since each vertex is deleted once and a
+    deleted vertex's scan stops at its one live neighbor.  Each BFS is
+    bounded by the best cycle so far, in a graph that shrinks root by root.
+    ``dist``/``parent`` are allocated once; after each root only the
+    ``dist`` entries that BFS touched are reset, and ``parent`` is written
+    when a vertex is reached, before any read.
     """
     adj = g.adj
     n = g.n
-    core_degree = [len(nbrs) for nbrs in adj]
-    in_core = [True] * n
-    leaves = [u for u in range(n) if core_degree[u] <= 1]
-    for u in leaves:  # grows while peeling
-        in_core[u] = False
-        for v in adj[u]:
-            if in_core[v]:  # u's one core neighbor, if any is left
-                core_degree[v] -= 1
-                if core_degree[v] == 1:
-                    leaves.append(v)
-                break
+    degree = [len(nbrs) for nbrs in adj]
+    live = [True] * n
+    leaves = [u for u in range(n) if degree[u] <= 1]
+    _peel(adj, degree, live, leaves)
     if len(leaves) == n:
         return ACYCLIC
 
     best: int | float = ACYCLIC
-    branch: list[int] = []
-    seen = [False] * n
-    core_adj: list[list[int]] = [[]] * n  # each core vertex gets its own list below
-    for start in range(n):
-        if not in_core[start] or seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for u in component:  # grows while searching
-            core_adj[u] = nbrs = [v for v in adj[u] if in_core[v]]
-            for v in nbrs:
-                if not seen[v]:
-                    seen[v] = True
-                    component.append(v)
-        roots = [u for u in component if core_degree[u] >= 3]
-        if roots:
-            branch.extend(roots)
-        elif len(component) < best:
-            best = len(component)
-
     dist = [-1] * n
     parent = [-1] * n
-    for start in branch:
+    for root in sorted([u for u in range(n) if live[u]], key=degree.__getitem__, reverse=True):
         if best == 3:
             break
-        dist[start] = 0
-        touched = [start]
+        if not live[root]:
+            continue
+        dist[root] = 0
+        touched = [root]
         for u in touched:  # BFS queue; grows while searching
             du = dist[u]
             if 2 * du + 1 >= best:
                 break
             pu = parent[u]
-            for v in core_adj[u]:
-                dv = dist[v]
-                if dv < 0:
-                    dist[v] = du + 1
-                    parent[v] = u
-                    touched.append(v)
-                elif v != pu:
-                    candidate = du + dv + 1
-                    if candidate < best:
-                        best = candidate
+            for v in adj[u]:
+                if live[v]:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v] = du + 1
+                        parent[v] = u
+                        touched.append(v)
+                    elif v != pu:
+                        candidate = du + dv + 1
+                        if candidate < best:
+                            best = candidate
         for u in touched:
             dist[u] = -1
+        live[root] = False
+        leaves = []
+        for v in adj[root]:
+            if live[v]:
+                degree[v] -= 1
+                if degree[v] == 1:
+                    leaves.append(v)
+        _peel(adj, degree, live, leaves)
     return best
 
 

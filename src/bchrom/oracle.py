@@ -18,6 +18,11 @@ from .graph import Graph
 
 DEFAULT_ORACLE_LIMIT = 14
 
+#: Largest oracle limit accepted.  The backtracking search recurses once per
+#: vertex outside the basis, and Python allows 1000 frames by default; 500
+#: leaves room for the frames of its callers (the CLI, a test runner).
+MAX_ORACLE_LIMIT = 500
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -142,6 +147,8 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
     a reference, and every cut removes only branches that hold no
     b-coloring, so both return the same witness.
     """
+    if limit > MAX_ORACLE_LIMIT:
+        raise ValueError(f"oracle limit {limit} is above the largest allowed, {MAX_ORACLE_LIMIT}")
     if g.n > limit:
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:

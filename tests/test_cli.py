@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import bchrom.graph
 import bchrom.oracle
 from bchrom import GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
+from bchrom.oracle import MAX_ORACLE_LIMIT
 
 from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars, steal_chain_tree
 
@@ -345,6 +347,31 @@ def test_negative_counts_are_refused_naming_the_option(capsys, argv, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f": error: argument {option}: must be nonnegative, got -3\n")
+
+
+def _cycle_with_chord_text(n):
+    return "".join(f"{i} {(i + 1) % n}\n" for i in range(n)) + "0 5\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "color"])
+@pytest.mark.parametrize("limit", [MAX_ORACLE_LIMIT + 1, 1500])
+def test_oracle_limits_above_the_recursion_cap_are_refused_naming_the_option(tmp_path, capsys, command, limit):
+    # a 1,500-vertex search would recurse 1,500 frames deep, past Python's default limit
+    path = write_graph(tmp_path, "c.txt", _cycle_with_chord_text(1500))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, path, "--oracle", "--oracle-limit", str(limit)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: argument --oracle-limit: must be at most {MAX_ORACLE_LIMIT}, got {limit}\n")
+
+
+def test_the_oracle_answers_at_the_recursion_cap(tmp_path, capsys):
+    # girth 6, below the construction's reach: the exact search decides, about MAX_ORACLE_LIMIT frames deep
+    path = write_graph(tmp_path, "c.txt", _cycle_with_chord_text(MAX_ORACLE_LIMIT))
+    assert main(["analyze", path, "--chi-b", "--json", "--oracle-limit", str(MAX_ORACLE_LIMIT)]) == 0
+    record = record_from(capsys)
+    assert (record["n"], record["girth"], record["chi_b"], record["chi_b_method"]) == (MAX_ORACLE_LIMIT, 6, 3, "oracle")
 
 
 def test_generate_with_an_edge_budget_above_every_possible_edge(tmp_path):
@@ -797,6 +824,51 @@ def test_input_files_are_capped_in_bytes(tmp_path, capsys, monkeypatch):
     coloring_message = f"{coloring} has {coloring_bytes} bytes, above the limit {limit - 1}"
     assert records[0] == {"file": "p5.coloring", "error": coloring_message}
     assert records[1] == {"file": "p5.txt", "error": message}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_device_is_read_only_up_to_the_byte_limit(capsys):
+    # a device reports size 0: without a bounded read, /dev/zero fills memory
+    assert main(["analyze", "/dev/zero"]) == 2
+    limit = bchrom.cli.MAX_INPUT_BYTES
+    assert capsys.readouterr().err == f"error: /dev/zero has more than {limit} bytes, the limit\n"
+
+
+def test_crlf_line_ends_read_as_lf(tmp_path, capsys):
+    lf = write_graph(tmp_path, "lf.txt", C9_TEXT)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(C9_TEXT.replace("\n", "\r\n").encode())
+    assert main(["color", lf]) == 0
+    expected = capsys.readouterr().out
+    assert main(["color", str(crlf)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("fed", [len(P5_TEXT), len(P5_TEXT) + 1, 4 * len(P5_TEXT)])
+def test_a_fifo_is_read_only_up_to_the_byte_limit(tmp_path, capsys, monkeypatch, fed):
+    monkeypatch.setattr(bchrom.cli, "MAX_INPUT_BYTES", len(P5_TEXT))
+    fifo = tmp_path / "p5.fifo"
+    os.mkfifo(fifo)
+    text = (P5_TEXT * 4)[:fed]  # a whole P5 at the limit; above it, more edge lines than the limit allows
+
+    def feed():
+        with open(fifo, "w") as writer:  # the pipe buffer holds it all, so the writer never waits on the reader
+            writer.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        code = main(["analyze", str(fifo)])
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    captured = capsys.readouterr()
+    if fed == len(P5_TEXT):
+        assert code == 0 and "girth acyclic" in captured.out
+    else:
+        assert code == 2
+        assert captured.err == f"error: {fifo} has more than {len(P5_TEXT)} bytes, the limit\n"
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

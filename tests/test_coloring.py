@@ -314,6 +314,34 @@ def test_recolor_refuses_a_neighbor_color():
     assert pc.colors[1] == 4
 
 
+def test_recolor_refuses_a_second_recoloring():
+    g = path_graph(3)
+    pc = PartialColoring(g)
+    for v, color in [(0, 1), (1, 2), (2, 1)]:
+        pc.assign(v, color, "anchor")
+    pc.recolor(1, 3, "step3-recolor")
+    with pytest.raises(InvariantViolation, match=r"^vertex recolored twice \(step=step3-recolor, vertex=1\)$"):
+        pc.recolor(1, 2, "step3-recolor")
+    assert pc.colors[1] == 3 and len(pc.events) == 4
+
+
+def test_completion_checks_that_every_anchor_sees_every_other_color():
+    # the closing check does not trust the loop it checks: an assign_each that
+    # drops its last pair leaves anchor 0 without color 3, though its slack held
+    class DroppingLastPair(PartialColoring):
+        def assign_each(self, pairs, step):
+            super().assign_each(list(pairs)[:-1], step)
+
+    # anchors 0, 1 and 2, each the center of a star with two uncolored leaves
+    g = Graph(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
+    pc = DroppingLastPair(g)
+    for v, color in [(0, 1), (1, 2), (2, 3)]:
+        pc.assign(v, color, "anchor")
+    with pytest.raises(InvariantViolation, match="^anchor does not see every other color") as info:
+        complete_b_vertices(g, GoodSet((0, 1, 2)), pc)
+    assert (info.value.step, info.value.vertex) == ("completion", 0)
+
+
 def test_greedy_identity_when_total():
     g = path_graph(3)
     pc = PartialColoring(g)

@@ -325,12 +325,86 @@ def _cycles_with_long_pendant_trees(rng: random.Random) -> tuple[int, list[tuple
     return n, edges
 
 
-@given(st.sampled_from([_hubs_with_leaves, _cycles_with_long_pendant_trees]), st.integers(0, 2**30))
-@settings(max_examples=60)
+def _grid_with_pendant_trees(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A rows x cols grid (girth 4, every inner vertex a branch vertex) with trees hung from it."""
+    rows, cols = rng.randrange(2, 12), rng.randrange(2, 12)
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return _grow(edges, rows * cols, rng.randrange(0, 30), rng), edges
+
+
+def _subdivided_hubs(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Hubs joined by paths of length 2 or 3, beside a triangle whose sides are
+    paths of length 3 (a 9-cycle), with pendant leaves on the hubs."""
+    hubs = rng.randrange(4, 10)
+    edges: list[tuple[int, int]] = []
+    n = hubs
+    for a, b in combinations(range(hubs), 2):
+        if rng.random() < 0.6:
+            path = [a, *range(n, n + rng.randrange(1, 3)), b]
+            n += len(path) - 2
+            edges.extend(zip(path, path[1:]))
+    corners = [n, n + 1, n + 2]
+    n += 3
+    for a, b in combinations(corners, 2):
+        path = [a, n, n + 1, b]
+        n += 2
+        edges.extend(zip(path, path[1:]))
+    edges.append((rng.randrange(hubs), corners[0]))
+    for hub in range(hubs):
+        leaves = rng.randrange(0, 8)
+        edges.extend((hub, leaf) for leaf in range(n, n + leaves))
+        n += leaves
+    return n, edges
+
+
+@given(
+    st.sampled_from([_hubs_with_leaves, _cycles_with_long_pendant_trees, _grid_with_pendant_trees, _subdivided_hubs]),
+    st.integers(0, 2**30),
+)
+@settings(max_examples=100)
 def test_girth_matches_all_roots_on_cores_with_many_peeled_vertices(shape, seed):
     rng = random.Random(seed)
     g = _relabeled(*shape(rng), rng)
     assert girth(g) == all_roots_girth(g)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_girth_matches_all_roots_on_generated_girth_nine_graphs_of_2000_vertices(seed):
+    rng = random.Random(seed)
+    g = generate_girth_constrained(2000, 9, 2300, seed=seed)
+    value = girth(g)
+    assert value >= 9
+    assert value == girth(_relabeled(g.n, list(g.edges()), rng)) == all_roots_girth(g)
+
+
+def test_girth_of_disjoint_rings_with_the_shortest_at_the_highest_ids():
+    # every ring vertex has degree 2, so roots go by id: the 5-cycle comes last
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for length in (12, 10, 8, 7, 5):
+        n = _ring(edges, n, length)
+    assert girth(Graph(n, edges)) == 5
+    # a theta graph of girth 6 at the lowest ids: its branch vertices go first
+    theta = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 8), (8, 3)]
+    shifted = [(u + 9, v + 9) for u, v in edges]
+    assert girth(Graph(n + 9, theta + shifted)) == 5
+    assert girth(Graph(n + 9, theta + shifted[:-5])) == 6  # the 5-cycle dropped
+
+
+def test_girth_of_a_long_ring_with_pendant_trees_is_linear():
+    # one BFS from the first root meets the whole ring; deleting that root then
+    # peels the rest, so no second BFS runs.  The trees hang from the ring's
+    # last ten vertices, so the other ring vertices become roots in id order: a
+    # peel that stopped after one vertex would leave a path whose every other
+    # vertex is a root, each with a BFS over half the ring.
+    rng = random.Random(7)
+    length = 70_000
+    edges: list[tuple[int, int]] = []
+    n = _ring(edges, 0, length)
+    n = _grow(edges, n, 30_000, rng, lo=length - 10)
+    assert girth(Graph(n, edges)) == length
+    assert girth(_relabeled(n, edges, rng)) == length
 
 
 @given(st.integers(1, 10), st.integers(0, 2**30))

@@ -14,6 +14,7 @@ from bchrom import (
     find_b_coloring_exact,
 )
 from bchrom.goodset import find_encircled_vertex
+from bchrom.oracle import MAX_ORACLE_LIMIT
 
 from helpers import (
     by_vertex_id,
@@ -178,6 +179,16 @@ def test_oracle_limit_refusal():
         exact_b_chromatic(big)
     # the cap is configuration, not a hard-coded constant
     assert exact_b_chromatic(big, limit=15)[0] == 3
+
+
+def test_oracle_limit_above_the_recursion_cap_is_a_value_error():
+    # the backtracking search recurses once per vertex outside the basis
+    g = path_graph(5)
+    with pytest.raises(ValueError, match=f"above the largest allowed, {MAX_ORACLE_LIMIT}"):
+        find_b_coloring_exact(g, 2, limit=MAX_ORACLE_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"above the largest allowed, {MAX_ORACLE_LIMIT}"):
+        exact_b_chromatic(g, limit=MAX_ORACLE_LIMIT + 1)
+    assert exact_b_chromatic(g, limit=MAX_ORACLE_LIMIT)[0] == 3
 
 
 def test_encircled_basis_never_witnesses_m_colors():
