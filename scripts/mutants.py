@@ -1,16 +1,16 @@
 """Mutation suite: each entry breaks the program on purpose, and the tests
 named with it must then fail.
 
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py NAME ...   # only these
+    python3 scripts/mutants.py
 
 ``src/``, ``tests/`` and ``pyproject.toml`` are copied to one temporary
 directory.  The tests of every entry first run there unmutated, and must
 pass; that run also sets the entry's time limit.  Then, for each entry, its
 snippet is replaced in its file and ``pytest -x -q`` runs its tests against
-the copy, with no bytecode written, so a stale cache never hides a mutant.
-A mutant is killed when a test fails or the run passes its time limit (a
-mutant that makes a linear pass quadratic shows only as time).  A snippet
+the copy.  No subprocess writes bytecode there, so a stale cache never
+hides a mutant.  A mutant is killed when a test fails or the run passes its
+time limit (a mutant that makes a linear pass quadratic shows only as
+time).  A snippet
 that does not occur exactly once in its file is an error, not a pass, so
 the list has to keep in step with the code.
 
@@ -22,7 +22,6 @@ is killed, 1 when one survives, 2 on an error.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -227,29 +226,25 @@ MUTANTS = [
 ]
 
 
+def copy_env(work: Path) -> dict[str, str]:
+    """The environment of every subprocess on the copy in ``work``: it imports the copy, writes no bytecode."""
+    return {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_tests(work: Path, tests: tuple[str, ...], timeout: float | None) -> tuple[int | None, float]:
     """pytest's exit code on ``tests`` in ``work`` (None past ``timeout``) and the seconds it took."""
-    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
     start = time.perf_counter()
     try:
-        code = subprocess.run(argv, cwd=work, env=env, capture_output=True, timeout=timeout).returncode
+        code = subprocess.run(argv, cwd=work, env=copy_env(work), capture_output=True, timeout=timeout).returncode
     except subprocess.TimeoutExpired:
         code = None
     return code, time.perf_counter() - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    known = {m.name for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     errors = []
-    for m in chosen:
+    for m in MUTANTS:
         found = (ROOT / m.path).read_text().count(m.snippet)
         if found != 1:
             errors.append(f"{m.name}: its snippet occurs {found} times in {m.path}, not once")
@@ -262,17 +257,16 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-        env = {**os.environ, "PYTHONPATH": str(work / "src")}
         imported = subprocess.run(
             [sys.executable, "-c", "import bchrom; print(bchrom.__file__)"],
-            cwd=work, env=env, capture_output=True, text=True, check=True,
+            cwd=work, env=copy_env(work), capture_output=True, text=True, check=True,
         ).stdout.strip()
         if not Path(imported).is_relative_to(work):
             print(f"error: the tests would import bchrom from {imported}, not from the mutated copy")
             return 2
 
         limits: dict[tuple[str, ...], float] = {}
-        for tests in dict.fromkeys(m.tests for m in chosen):
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
             code, seconds = run_tests(work, tests, None)
             if code != 0:
                 print(f"error: unmutated, {' '.join(tests)} exits {code}, not 0")
@@ -280,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             limits[tests] = max(TIME_FLOOR_S, TIME_FACTOR * seconds)
 
         killed = counted = 0
-        for m in chosen:
+        for m in MUTANTS:
             target = work / m.path
             original = target.read_text()
             target.write_text(original.replace(m.snippet, m.replacement))

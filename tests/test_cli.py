@@ -856,7 +856,7 @@ def test_a_fifo_is_read_only_up_to_the_byte_limit(tmp_path, capsys, monkeypatch,
         with open(fifo, "w") as writer:  # the pipe buffer holds it all, so the writer never waits on the reader
             writer.write(text)
 
-    writer = threading.Thread(target=feed)
+    writer = threading.Thread(target=feed, daemon=True)  # a writer left blocked must not hang the interpreter's exit
     writer.start()
     try:
         code = main(["analyze", str(fifo)])
