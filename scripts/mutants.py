@@ -51,6 +51,7 @@ GRAPH = "src/bchrom/graph.py"
 ORACLE = "src/bchrom/oracle.py"
 COLORING = "src/bchrom/coloring.py"
 GOODSET = "src/bchrom/goodset.py"
+CLI = "src/bchrom/cli.py"
 
 _GIRTH_BFS = """\
         dist[root] = 0
@@ -122,7 +123,7 @@ MUTANTS = [
         "                if degree[v] == 0:\n",
         ("tests/test_graph.py::test_girth_of_a_long_ring_with_pendant_trees_is_linear",),
     ),
-    # the bulk edge-list read
+    # the bulk reads of an edge list and of a coloring file
     Mutant(
         "bulk-read-without-repeated-neighbor-check",
         GRAPH,
@@ -137,6 +138,13 @@ MUTANTS = [
         "    if not labels:",
         ("tests/test_bulk_parse.py",),
         equivalent="labels 0..n-1 map to themselves, so the map gives the identity the plain read gives",
+    ),
+    Mutant(
+        "bulk-coloring-read-accepts-labels-out-of-id-order",
+        GRAPH,
+        "numbers[0::2] != list(g.labels)",
+        "sorted(numbers[0::2]) != list(g.labels)",
+        ("tests/test_bulk_parse.py",),
     ),
     Mutant(
         "generate-attempt-clamp-doubled",
@@ -208,7 +216,14 @@ MUTANTS = [
         "        if False:\n",
         ("tests/test_coloring.py",),
     ),
-    # the two conditions of a good set
+    # m(G), and the two conditions of a good set
+    Mutant(
+        "density-profile-off-by-one",
+        GOODSET,
+        "    while m < n and degs[m] >= m:\n",
+        "    while m < n and degs[m] > m:\n",
+        ("tests/test_density.py",),
+    ),
     Mutant(
         "good-set-condition-a-encirclement",
         GOODSET,
@@ -222,6 +237,14 @@ MUTANTS = [
         "        if x not in w_set and w_set.isdisjoint(g.adj[x]):\n",
         "        if False:\n",
         ("tests/test_goodset.py",),
+    ),
+    # the CLI's exit codes
+    Mutant(
+        "internal-error-exits-1",
+        CLI,
+        '        return EXIT_INTERNAL, "internal error"\n',
+        '        return EXIT_INVALID, "internal error"\n',
+        ("tests/test_cli.py",),
     ),
 ]
 

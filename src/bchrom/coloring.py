@@ -233,6 +233,41 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     4. Any remaining doubly anchored x takes the color of an anchor that
        neither touches x nor shares with x a witness neighbor; condition (a)
        of the good set guarantees such an anchor exists.
+
+    Why the checks hold, at k = m(G) - 1 too.  The argument uses girth >= 9
+    and what any good set W for k = |W| has: members of degree >= k - 1,
+    and conditions (a) and (b) of ``bchrom.goodset`` at k.  It never uses
+    k = m(G).  Without a good set for m(G), ``find_good_set`` returns
+    W' = M(G) - x0 for k = m(G) - 1 (its case (iii)), where a witness has
+    degree k - 1 = m(G) - 2.  W' has (a) and (b) at that k, and its members
+    are dense, of degree >= m(G) - 1 = k, so none of them is a witness.
+
+    * Properness, checked at every assignment: girth alone.  Pass 1 gives x
+      the color of an anchor b of x'; b next to x, or a chained neighbor of
+      x with b's color, closes a cycle of length 5 or less.  A vertex that
+      passes 2 to 4 color is not chained (pass 1 took those), so its only
+      colored neighbors are anchors, and it gets the color of an anchor it
+      is not adjacent to: in pass 2 the second anchor of another member of
+      the star (x next to it closes a 4-cycle), in pass 3 the anchor whose
+      color y took in pass 1 (x next to it closes a 5-cycle through y), in
+      pass 4 one outside N(x).  The y that pass 3 recolors takes the color
+      of x's other anchor, which y's neighbors lack, or a cycle shorter than
+      9 runs through x and y.
+    * Distinct second-anchor colors around v_i: girth alone.  Two
+      neighbors of v_i with a common second anchor close a 4-cycle.
+    * A feasible derangement: girth alone.  A colored member of the star
+      has neither its own forbidden color (properness) nor another's (a
+      cycle shorter than 9), so the palette is every forbidden color: at
+      least two, and one for each target.
+    * At most one recoloring per vertex: no girth and no k.  An x that
+      pass 2 left uncolored is the only doubly anchored neighbor of each of
+      its anchors, and the y it steals from has no anchor but v_i, or it
+      would be a second one.  So only x ever takes y's color.
+    * An anchor outside the encirclement cover of a pass-4 x: condition (a)
+      at witness degree k - 1.  For W' no member has degree m(G) - 2, so the
+      cover is N(x), and (a) says that x is not adjacent to all of W'.
+    * No link vertex left over: every link vertex is chained, which pass 1
+      colors, or doubly anchored, which passes 2 to 4 leave none of.
     """
     members = anchors.members
     m = len(members)
@@ -318,6 +353,31 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     neighbor, since a second would make it a link vertex, which the passes
     color.  So completing anchor j never changes anchor i's free neighbors
     or missing colors.
+
+    Why the checks hold, at k = m(G) - 1 too: as in ``color_links``, the
+    argument uses girth >= 9, members of degree >= k - 1 and conditions (a)
+    and (b) at k, never k = m(G).  W' = M(G) - x0, the set ``find_good_set``
+    returns for k = m(G) - 1, has all of them, and members of degree
+    >= m(G) - 1 = k, so no witness (degree m(G) - 2).
+
+    * A stable set of uncolored anchor neighbors: two adjacent ones next to
+      anchors v != w lie on the path v-u-u'-w, so both are link vertices,
+      colored; with v = w they close a triangle.  Girth alone.
+    * Slack: an anchor v of degree d has slack d - (k - 1) >= 0 for the
+      colors it may see twice.  The link passes repeat a color around v
+      only when pass 4 gives v's one doubly anchored neighbor the color of
+      an anchor adjacent to v (any other repeat closes a cycle shorter than
+      9 through v).  With d = k - 1, v is a witness and the cover excludes
+      that anchor; with d >= k the one repeat fits.  Every member of W' has
+      d >= k, so every anchor of W' has slack >= 1.
+    * Every anchor sees every other color: by slack, each anchor takes its
+      missing colors on its own uncolored neighbors, which no other anchor
+      shares and which form a stable set.
+    * A color for each leftover neighbor of degree >= k: its one colored
+      neighbor is its anchor (the set is stable, and a member next to a
+      link vertex would be a link vertex), so color 1 or 2 is free, k >= 3
+      for W' (case (iii) has m(G) >= 4).  By (b), each vertex of degree >= k
+      outside W is colored here or by the passes; for W' that is x0 alone.
     """
     members = anchors.members
     m = len(members)

@@ -24,6 +24,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 
 from bchrom import (
+    AnalysisRecord,
     DEFAULT_ORACLE_LIMIT,
     DensityProfile,
     GoodSet,
@@ -278,21 +279,97 @@ def _tree_of_levels(levels: list[int]) -> Graph:
     return Graph(len(levels), edges)
 
 
-def tree_disagreement(g: Graph, limit: int) -> str | None:
-    """What is wrong with the pipeline's answer on the tree ``g``, or None:
-    chi_b must equal the exact search's (capped at ``limit`` vertices), the
-    witness must pass ``check_b_coloring``, and chi_b must be m - 1 or m
-    (Irving & Manlove, Discrete Appl. Math. 91, 1999)."""
+def chorded_trees(n: int, rank: int) -> Iterator[Graph]:
+    """Every tree with n vertices plus each set of ``rank`` <= 2 chords
+    whose graph has girth >= 9; rank 0 gives the trees themselves.
+
+    A connected graph of cycle rank r is a spanning tree plus r chords, so
+    this is every connected graph of girth >= 9, n vertices and rank r, up
+    to isomorphism.  Each chord set is taken once per tree; isomorphic
+    graphs from different trees are all kept.
+
+    One chord closes one cycle, one longer than its ends' tree distance, so
+    a chord joins two vertices at distance >= 8.  Two chords (a, b) and
+    (c, d) close those two cycles and, when the tree paths a-b and c-d share
+    L >= 1 edges, a third of length d(a, b) + d(c, d) - 2L + 2; the graph
+    has rank 2, so it has no other cycle.  Of the three sums d(a, b) +
+    d(c, d), d(a, c) + d(b, d) and d(a, d) + d(b, c), the two largest are
+    equal in a tree; with L >= 1 the first is one of them and the smallest
+    is the first less 2L, and with L = 0 the first is the smallest.  So the
+    pair is kept exactly when the last two sums are both at least 7.
+    """
+    for tree in free_trees(n):
+        dist = []
+        for root in range(n):
+            row = [-1] * n
+            row[root] = 0
+            queue = [root]
+            for u in queue:  # grows while searching
+                for v in tree.adj[u]:
+                    if row[v] < 0:
+                        row[v] = row[u] + 1
+                        queue.append(v)
+            dist.append(row)
+        chords = [(u, v) for u, v in combinations(range(n), 2) if dist[u][v] >= 8]
+        for chosen in combinations(chords, rank):
+            if rank > 1:
+                (a, b), (c, d) = chosen
+                if dist[a][c] + dist[b][d] < 7 or dist[a][d] + dist[b][c] < 7:
+                    continue
+            yield Graph(n, [*tree.edges(), *chosen])
+
+
+def pivoted(g: Graph, m: int) -> bool:
+    """Irving & Manlove's pivot rule for the tree ``g`` with m = m(g):
+    chi_b is m - 1 when g is pivoted and m otherwise (Discrete Appl.
+    Math. 91, 1999).  g is pivoted when it has exactly m dense vertices
+    (degree >= m - 1) and some vertex v that is not dense, where every dense
+    vertex is adjacent to v or to a dense vertex adjacent to v, and every
+    dense vertex adjacent to v and to another dense vertex has degree m - 1.
+
+    In a tree, the dense neighbors of v and their dense neighbors, v not
+    among them, are all distinct, so v reaches the sum over its dense
+    neighbors w of 1 + (dense neighbors of w) dense vertices.  One pass
+    counts every vertex's dense neighbors and one more tries every v:
+    O(n + sum of degrees).
+    """
+    adj = g.adj
+    dense = [len(nbrs) >= m - 1 for nbrs in adj]
+    if sum(dense) != m:
+        return False
+    dense_nbrs = [sum(map(dense.__getitem__, nbrs)) for nbrs in adj]
+    for v in range(g.n):
+        if dense[v]:
+            continue
+        near = [w for w in adj[v] if dense[w]]
+        if sum(1 + dense_nbrs[w] for w in near) == m and all(len(adj[w]) == m - 1 for w in near if dense_nbrs[w]):
+            return True
+    return False
+
+
+def tree_disagreement(g: Graph, limit: int) -> tuple[str | None, AnalysisRecord]:
+    """What is wrong with the pipeline's answer on ``g``, a connected graph
+    of girth >= 9, or None, and the pipeline's record.  The girth must be
+    at least 9, chi_b must equal the exact search's (capped at ``limit``
+    vertices), both witnesses must pass ``check_b_coloring``, chi_b must be
+    m - 1 or m, and on a tree it must be m - [pivoted]."""
     outcome = run_pipeline(g, compute_chi_b=True)
-    chi_b, m = outcome.record.chi_b, outcome.record.m
-    expected, _ = exact_b_chromatic(g, limit=limit)
+    record = outcome.record
+    chi_b, m = record.chi_b, record.m
+    if record.girth < 9:
+        return f"girth {record.girth} is below 9", record
+    expected, exact_witness = exact_b_chromatic(g, limit=limit)
     if chi_b != expected:
-        return f"chi_b {chi_b} by {outcome.record.chi_b_method}, {expected} by the exact search"
+        return f"chi_b {chi_b} by {record.chi_b_method}, {expected} by the exact search", record
+    if not check_b_coloring(g, exact_witness, expected).valid:
+        return f"the exact search's witness with {expected} colors is not a b-coloring", record
     if not check_b_coloring(g, outcome.coloring, chi_b).valid:
-        return f"the witness with {chi_b} colors is not a b-coloring"
+        return f"the witness with {chi_b} colors is not a b-coloring", record
     if chi_b not in (m - 1, m):
-        return f"chi_b {chi_b} is neither m - 1 nor m = {m}"
-    return None
+        return f"chi_b {chi_b} is neither m - 1 nor m = {m}", record
+    if g.edge_count == g.n - 1 and chi_b != m - pivoted(g, m):
+        return f"chi_b {chi_b} on a tree that is {'' if chi_b == m else 'not '}pivoted, m = {m}", record
+    return None, record
 
 
 def with_tree_and_ring(g: Graph, tree_n: int, ring: int, rng: random.Random) -> Graph:

@@ -1,10 +1,11 @@
-"""Every small tree, up to isomorphism, against the exact search."""
+"""Every small tree, and every small tree plus one or two chords at girth >= 9,
+up to isomorphism, against the exact search."""
 
 import pytest
 
 from bchrom import Graph
 
-from helpers import free_trees, tree_disagreement
+from helpers import chorded_trees, free_trees, tree_disagreement
 
 #: OEIS A000055: trees with n unlabeled vertices, n = 0..16.
 A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -48,10 +49,23 @@ def test_free_trees_are_distinct_trees(n):
     assert len(codes) == A000055[n]
 
 
-def test_every_tree_with_4_to_14_vertices_agrees_with_the_exact_search():
-    trees = 0
-    for n in range(4, 15):
-        for g in free_trees(n):
-            trees += 1
-            assert tree_disagreement(g, limit=14) is None, g.adj
-    assert trees == 5444
+@pytest.mark.parametrize(
+    ("chords", "sizes", "graphs", "below_m"),
+    [(0, range(1, 15), 5447, 113), (1, range(9, 15), 7148, 81), (2, range(1, 16), 5163, 29)],
+    ids=["trees", "one-chord", "two-chords"],
+)
+def test_every_small_tree_plus_chords_agrees_with_the_exact_search(chords, sizes, graphs, below_m):
+    """Every connected graph of girth >= 9 with cycle rank ``chords`` and
+    ``sizes`` vertices, up to isomorphism; ``below_m`` of them answer
+    m(G) - 1, on trees exactly the pivoted ones.  5,163 is the number of
+    chord pairs whose graph ``girth`` puts at 9 or more, and each graph
+    yielded is checked to have girth >= 9, so ``chorded_trees``' distance
+    rule keeps exactly those pairs."""
+    count = below = 0
+    for n in sizes:
+        for g in chorded_trees(n, chords):
+            problem, record = tree_disagreement(g, limit=15)
+            assert problem is None, (g.adj, problem)
+            count += 1
+            below += record.chi_b == record.m - 1
+    assert (count, below) == (graphs, below_m)
