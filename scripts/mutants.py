@@ -140,6 +140,13 @@ MUTANTS = [
         equivalent="labels 0..n-1 map to themselves, so the map gives the identity the plain read gives",
     ),
     Mutant(
+        "bulk-decode-accepts-leading-zeros",
+        GRAPH,
+        'json.loads(b"[%b]" % data[:-1].translate(_SEPARATORS_TO_COMMAS))',
+        "list(map(int, data.split()))",
+        ("tests/test_bulk_parse.py::test_plain_pairs_match_the_line_search",),
+    ),
+    Mutant(
         "bulk-coloring-read-accepts-labels-out-of-id-order",
         GRAPH,
         "numbers[0::2] != list(g.labels)",
@@ -245,6 +252,37 @@ MUTANTS = [
         '        return EXIT_INTERNAL, "internal error"\n',
         '        return EXIT_INVALID, "internal error"\n',
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "os-error-on-a-path-not-reported",
+        CLI,
+        "_REPORTED_ERRORS = (ValueError, OracleLimitError, InvariantViolation, OSError)\n",
+        "_REPORTED_ERRORS = (\n"
+        "    ValueError, OracleLimitError, InvariantViolation, FileNotFoundError, IsADirectoryError, PermissionError\n"
+        ")\n",
+        ("tests/test_cli.py::test_an_os_error_on_a_path_is_an_input_error",),
+    ),
+    Mutant(
+        "closed-pipe-exits-2",
+        CLI,
+        "    except BrokenPipeError:\n        # the reader is gone",
+        "    except ZeroDivisionError:\n        # the reader is gone",
+        ("tests/test_cli.py::test_closed_pipe_exits_leave_no_open_descriptor",),
+    ),
+    # the CLI's input limits
+    Mutant(
+        "input-byte-limit-refuses-a-file-at-the-limit",
+        CLI,
+        "        if size > MAX_INPUT_BYTES:\n",
+        "        if size >= MAX_INPUT_BYTES:\n",
+        ("tests/test_cli.py::test_input_files_are_capped_in_bytes",),
+    ),
+    Mutant(
+        "oracle-limit-cap-off-by-one",
+        CLI,
+        "    if value > MAX_ORACLE_LIMIT:\n",
+        "    if value > MAX_ORACLE_LIMIT + 1:\n",
+        ("tests/test_cli.py::test_oracle_limits_above_the_recursion_cap_are_refused_naming_the_option",),
     ),
 ]
 

@@ -46,9 +46,9 @@ EXIT_CLOSED_PIPE = 141
 
 #: Exceptions the CLI reports as an exit code instead of a traceback.
 #: ParseError, PreconditionError and UnicodeDecodeError are ValueErrors.
-_REPORTED_ERRORS = (
-    ValueError, OracleLimitError, InvariantViolation, FileNotFoundError, IsADirectoryError, PermissionError
-)
+#: An OSError is an input error, except a BrokenPipeError, which each
+#: handler lets through to main's exit 141.
+_REPORTED_ERRORS = (ValueError, OracleLimitError, InvariantViolation, OSError)
 
 
 def _exit_status(exc: BaseException) -> tuple[int, str]:
@@ -280,6 +280,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 if not args.json and index:
                     _print()
                 _print_record(outcome.record, args.json, extra={"file": path.name})
+            except BrokenPipeError:
+                raise
             except _REPORTED_ERRORS as exc:
                 code, prefix = _exit_status(exc)
                 worst = max(worst, code)
@@ -448,10 +450,6 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
-    except _REPORTED_ERRORS as exc:
-        code, prefix = _exit_status(exc)
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null device,
         # so the flush at interpreter exit neither fails nor prints
@@ -459,6 +457,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_PIPE
+    except _REPORTED_ERRORS as exc:
+        code, prefix = _exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     finally:
         if collecting:
             gc.enable()

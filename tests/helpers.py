@@ -10,8 +10,8 @@ backtracking good-set search reuses ``check_good_set`` at its leaves: it is
 the reference for the selection rule of ``find_good_set``, not for the
 check.  The used-set greedy records through ``PartialColoring.assign``: it
 is the reference for the one-scan color choice of ``greedy_extend``, not
-for the record.  ``tree_disagreement`` is no reference: it compares the
-construction with the exact search, both package code.
+for the record.  ``disagreement`` is no reference: it compares the
+pipeline with the exact search, both package code, and with the pivot rule.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 
 from bchrom import (
+    ACYCLIC,
     AnalysisRecord,
     DEFAULT_ORACLE_LIMIT,
     DensityProfile,
@@ -158,30 +159,37 @@ def greedy_trap_forest() -> Graph:
 def planted_encircling_forest(
     m: int, witnesses: int, u_dense: bool, extra_stars: int, rng: random.Random
 ) -> Graph:
-    """Forest with m(G) = m whose m members of degree m - 1 encircle u.
+    """Forest with m(G) = m whose members 0..m-1, each of degree m - 1,
+    encircle u = m.
 
     ``witnesses`` members (2 <= witnesses <= m - 1) are adjacent to u, and
     each other member hangs off one of them; leaves pad every member to
     degree m - 1, and u too when ``u_dense``.  Each of ``extra_stars`` stars
     adds one more dense vertex, a center with m - 1 leaves.  No vertex has
-    degree >= m, so m(G) = m.  Vertex ids are shuffled with ``rng``.
+    degree >= m, so m(G) = m, and the members are the first m dense vertices
+    by id: the set ``find_good_set`` tries first, which encircles u.
     """
-    members = list(range(1, m + 1))
-    edges = [(0, w) for w in members[:witnesses]]
-    for v in members[witnesses:]:
-        open_witnesses = [w for w in members[:witnesses] if sum(w in e for e in edges) < m - 1]
+    u = m
+    edges = [(w, u) for w in range(witnesses)]
+    for v in range(witnesses, m):
+        open_witnesses = [w for w in range(witnesses) if sum(w in e for e in edges) < m - 1]
         edges.append((rng.choice(open_witnesses), v))
     n = m + 1
-    for v in members + ([0] if u_dense else []):
+    for v in [*range(m), *([u] if u_dense else [])]:
         while sum(v in e for e in edges) < m - 1:
             edges.append((v, n))
             n += 1
     for _ in range(extra_stars):
         edges.extend((n, n + i) for i in range(1, m))
         n += m
-    ids = list(range(n))
+    return Graph(n, edges)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertex ids shuffled by ``rng``."""
+    ids = list(range(g.n))
     rng.shuffle(ids)
-    return Graph(n, [(ids[a], ids[b]) for a, b in edges])
+    return Graph(g.n, [(ids[a], ids[b]) for a, b in g.edges()])
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -347,27 +355,32 @@ def pivoted(g: Graph, m: int) -> bool:
     return False
 
 
-def tree_disagreement(g: Graph, limit: int) -> tuple[str | None, AnalysisRecord]:
-    """What is wrong with the pipeline's answer on ``g``, a connected graph
-    of girth >= 9, or None, and the pipeline's record.  The girth must be
-    at least 9, chi_b must equal the exact search's (capped at ``limit``
-    vertices), both witnesses must pass ``check_b_coloring``, chi_b must be
-    m - 1 or m, and on a tree it must be m - [pivoted]."""
+def disagreement(g: Graph, limit: int) -> tuple[str | None, AnalysisRecord]:
+    """What is wrong with the pipeline's answer on ``g``, or None, and the
+    pipeline's record.  The pipeline's witness, when it gives one, must pass
+    ``check_b_coloring``, and chi_b must be at most m.  At girth >= 9 the
+    construction must answer, with a witness, m - 1 or m.  With at most
+    ``limit`` vertices, chi_b must equal the exact search's value, whose
+    witness must pass the checker too.  On a tree chi_b must be
+    m - [pivoted]."""
     outcome = run_pipeline(g, compute_chi_b=True)
     record = outcome.record
     chi_b, m = record.chi_b, record.m
-    if record.girth < 9:
-        return f"girth {record.girth} is below 9", record
-    expected, exact_witness = exact_b_chromatic(g, limit=limit)
-    if chi_b != expected:
-        return f"chi_b {chi_b} by {record.chi_b_method}, {expected} by the exact search", record
-    if not check_b_coloring(g, exact_witness, expected).valid:
-        return f"the exact search's witness with {expected} colors is not a b-coloring", record
-    if not check_b_coloring(g, outcome.coloring, chi_b).valid:
+    if chi_b is None:
+        return f"no chi_b, by {record.chi_b_method}", record
+    if outcome.coloring is not None and not check_b_coloring(g, outcome.coloring, chi_b).valid:
         return f"the witness with {chi_b} colors is not a b-coloring", record
-    if chi_b not in (m - 1, m):
-        return f"chi_b {chi_b} is neither m - 1 nor m = {m}", record
-    if g.edge_count == g.n - 1 and chi_b != m - pivoted(g, m):
+    if chi_b > m:
+        return f"chi_b {chi_b} is above m = {m}", record
+    if record.girth >= 9 and (record.chi_b_method != "construction" or outcome.coloring is None or chi_b < m - 1):
+        return f"chi_b {chi_b} by {record.chi_b_method} at girth {record.girth_text()}, m = {m}", record
+    if g.n <= limit:
+        expected, exact_witness = exact_b_chromatic(g, limit=limit)
+        if chi_b != expected:
+            return f"chi_b {chi_b} by {record.chi_b_method}, {expected} by the exact search", record
+        if not check_b_coloring(g, exact_witness, expected).valid:
+            return f"the exact search's witness with {expected} colors is not a b-coloring", record
+    if record.girth == ACYCLIC and g.edge_count == g.n - 1 and chi_b != m - pivoted(g, m):
         return f"chi_b {chi_b} on a tree that is {'' if chi_b == m else 'not '}pivoted, m = {m}", record
     return None, record
 
@@ -375,13 +388,32 @@ def tree_disagreement(g: Graph, limit: int) -> tuple[str | None, AnalysisRecord]
 def with_tree_and_ring(g: Graph, tree_n: int, ring: int, rng: random.Random) -> Graph:
     """g with a random tree of ``tree_n`` vertices and a cycle of ``ring``
     vertices (none when 0), each joined by one edge to a random leaf of g.
-    A ring of 9 or more vertices keeps the girth at least 9."""
+
+    With d the largest degree of g, each tree vertex hangs off a random
+    earlier one of degree below d - 2, so tree vertices have degree at most
+    d - 1 once joined (for d = 3, ``tree_n`` is at most 2).  Ring vertices
+    have degree at most 3, and so do the leaves of g once joined: for
+    d >= 4, no vertex reaches degree d that did not have it in g.  A ring
+    of 9 or more vertices keeps the girth at least 9.
+    """
     leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
     edges = list(g.edges())
     n = g.n
     if tree_n:
-        tree = random_tree(tree_n, rng)
-        edges.extend((n + a, n + b) for a, b in tree.edges())
+        cap = max(map(len, g.adj)) - 2
+        degree = [0] * tree_n
+        open_ends = [0]  # tree vertices below the cap
+        for v in range(1, tree_n):
+            i = rng.randrange(len(open_ends))
+            parent = open_ends[i]
+            edges.append((n + parent, n + v))
+            degree[parent] += 1
+            degree[v] = 1
+            if degree[parent] == cap:
+                open_ends[i] = open_ends[-1]
+                open_ends.pop()
+            if cap > 1:
+                open_ends.append(v)
         edges.append((rng.choice(leaves), n + rng.randrange(tree_n)))
         n += tree_n
     if ring:

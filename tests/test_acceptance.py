@@ -24,6 +24,7 @@ from bchrom import (
 from helpers import (
     brute_force_girth,
     cycle_graph,
+    disagreement,
     encircled_tree,
     fallback_pick_tree,
     greedy_trap_forest,
@@ -62,40 +63,28 @@ def test_criterion_1_high_girth_pipeline_at_scale():
     """>= 500 generated girth->=9 graphs up to n = 200: chi_b is m or m-1,
     by construction, and every coloring validates at the claimed k."""
     graphs = _generated_corpus(count=500, max_n=200, min_girth=9, seed=1_2025)
-    checked_colorings = 0
     for g in graphs:
-        profile = density_profile(g)
-        outcome = run_pipeline(g, compute_chi_b=True)
-        assert outcome.record.chi_b in (profile.m - 1, profile.m)
-        assert outcome.record.chi_b_method == "construction"
-        report = check_b_coloring(g, outcome.coloring, outcome.record.chi_b)
-        assert report.valid, f"invalid coloring on a generated graph (n={g.n})"
-        checked_colorings += 1
+        problem, record = disagreement(g, limit=0)
+        assert problem is None and record.girth >= 9, (g.n, problem)
     assert len(graphs) >= 500
     print(
-        f"\nACCEPTANCE 1 PASS: {len(graphs)} girth->=9 graphs, chi_b always in {{m-1, m}}, "
-        f"{checked_colorings} emitted colorings all valid"
+        f"\nACCEPTANCE 1 PASS: {len(graphs)} girth->=9 graphs, chi_b always in {{m-1, m}} by construction, "
+        "every coloring valid"
     )
 
 
 def test_criterion_2_oracle_equivalence():
-    """Pipeline chi_b equals the exact oracle on every labeled tree with
-    n <= 6, on >= 2000 random labeled trees with n <= 10, and on >= 200
-    random girth->=9 graphs with n <= 14.  Tolerance zero."""
-    trees = 0
-    for g in _all_labeled_trees(6):
-        assert run_pipeline(g, compute_chi_b=True).record.chi_b == exact_b_chromatic(g)[0]
-        trees += 1
+    """Pipeline chi_b equals the exact oracle, and both witnesses validate,
+    on every labeled tree with n <= 6, on >= 2000 random labeled trees with
+    n <= 10, and on >= 200 random girth->=9 graphs with n <= 14.  Tolerance
+    zero."""
     rng = random.Random(77)
-    for _ in range(2000):
-        g = random_tree(rng.randint(1, 10), rng)
-        assert run_pipeline(g, compute_chi_b=True).record.chi_b == exact_b_chromatic(g)[0]
-        trees += 1
-    graphs = 0
-    for g in _generated_corpus(count=200, max_n=14, min_girth=9, seed=4242):
-        assert run_pipeline(g, compute_chi_b=True).record.chi_b == exact_b_chromatic(g)[0]
-        graphs += 1
-    print(f"\nACCEPTANCE 2 PASS: oracle equality on {trees} trees and {graphs} girth->=9 graphs")
+    trees = [*_all_labeled_trees(6), *(random_tree(rng.randint(1, 10), rng) for _ in range(2000))]
+    graphs = _generated_corpus(count=200, max_n=14, min_girth=9, seed=4242)
+    for g in trees + graphs:
+        problem, _ = disagreement(g, limit=14)
+        assert problem is None, (g.adj, problem)
+    print(f"\nACCEPTANCE 2 PASS: oracle equality on {len(trees)} trees and {len(graphs)} girth->=9 graphs")
 
 
 def test_criterion_3_goodset_characterization_vs_enumeration():

@@ -826,6 +826,38 @@ def test_input_files_are_capped_in_bytes(tmp_path, capsys, monkeypatch):
     assert records[1] == {"file": "p5.txt", "error": message}
 
 
+@pytest.mark.parametrize(
+    ("argv", "errno_text"),
+    [
+        (["verify", "{g}", "{g}/c"], "Not a directory"),
+        (["analyze", "--batch", "{g}"], "Not a directory"),
+        (["color", "{g}", "-o", "{g}/out"], "Not a directory"),
+        (["analyze", "{g}" + "x" * 300], "File name too long"),
+    ],
+    ids=["coloring-under-a-file", "batch-of-a-file", "output-under-a-file", "name-too-long"],
+)
+def test_an_os_error_on_a_path_is_an_input_error(tmp_path, capsys, argv, errno_text):
+    # exit 1 means "this coloring is invalid": an unreadable or unwritable path is exit 2
+    g = write_graph(tmp_path, "g.txt", P5_TEXT)
+    assert main([arg.format(g=g) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and errno_text in captured.err
+
+
+def test_a_closed_pipe_in_batch_mode_exits_141(tmp_path, capsys, monkeypatch):
+    # BrokenPipeError is an OSError, yet not an input error: it ends the batch
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_graph(batch, "p5.txt", P5_TEXT)
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedPipeStdout(fd))
+    try:
+        assert main(["analyze", "--batch", str(batch)]) == EXIT_CLOSED_PIPE
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
 def test_an_endless_device_is_read_only_up_to_the_byte_limit(capsys):
     # a device reports size 0: without a bounded read, /dev/zero fills memory

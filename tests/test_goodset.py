@@ -17,6 +17,7 @@ from helpers import (
     path_graph,
     planted_encircling_forest,
     random_tree,
+    relabeled,
     star_of_stars,
     tree_from_prufer,
 )
@@ -288,7 +289,8 @@ def test_find_good_set_makes_at_most_two_checks(monkeypatch):
 def test_find_good_set_agrees_with_backtracking_reference(m, seed, u_dense, extra_stars, tree_n):
     rng = random.Random(seed)
     witnesses = rng.randint(2, m - 1)
-    for g in (planted_encircling_forest(m, witnesses, u_dense, extra_stars, rng), random_tree(tree_n, rng)):
+    forest = relabeled(planted_encircling_forest(m, witnesses, u_dense, extra_stars, rng), rng)
+    for g in (forest, random_tree(tree_n, rng)):
         profile = density_profile(g)
         found = find_good_set(g, profile)
         reference = backtracking_good_set(g, profile)

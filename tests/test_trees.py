@@ -5,7 +5,7 @@ import pytest
 
 from bchrom import Graph
 
-from helpers import chorded_trees, free_trees, tree_disagreement
+from helpers import chorded_trees, disagreement, free_trees
 
 #: OEIS A000055: trees with n unlabeled vertices, n = 0..16.
 A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -64,8 +64,8 @@ def test_every_small_tree_plus_chords_agrees_with_the_exact_search(chords, sizes
     count = below = 0
     for n in sizes:
         for g in chorded_trees(n, chords):
-            problem, record = tree_disagreement(g, limit=15)
-            assert problem is None, (g.adj, problem)
+            problem, record = disagreement(g, limit=15)
+            assert problem is None and record.girth >= 9, (g.adj, problem, record.girth)
             count += 1
             below += record.chi_b == record.m - 1
     assert (count, below) == (graphs, below_m)
