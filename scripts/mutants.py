@@ -269,6 +269,13 @@ MUTANTS = [
         "    except ZeroDivisionError:\n        # the reader is gone",
         ("tests/test_cli.py::test_closed_pipe_exits_leave_no_open_descriptor",),
     ),
+    Mutant(
+        "closed-pipe-in-batch-reported-as-input-error",
+        CLI,
+        "            except BrokenPipeError:\n                raise\n",
+        "",
+        ("tests/test_cli.py::test_a_closed_pipe_in_batch_mode_exits_141",),
+    ),
     # the CLI's input limits
     Mutant(
         "input-byte-limit-refuses-a-file-at-the-limit",

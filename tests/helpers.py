@@ -401,6 +401,7 @@ def with_tree_and_ring(g: Graph, tree_n: int, ring: int, rng: random.Random) -> 
     n = g.n
     if tree_n:
         cap = max(map(len, g.adj)) - 2
+        assert cap > 1 or tree_n <= 2, f"a tree of {tree_n} vertices under degree cap {cap}"
         degree = [0] * tree_n
         open_ends = [0]  # tree vertices below the cap
         for v in range(1, tree_n):

@@ -847,15 +847,21 @@ def test_an_os_error_on_a_path_is_an_input_error(tmp_path, capsys, argv, errno_t
 
 def test_a_closed_pipe_in_batch_mode_exits_141(tmp_path, capsys, monkeypatch):
     # BrokenPipeError is an OSError, yet not an input error: it ends the batch
+    # at once, though the stdout here would take the per-file error report
     batch = tmp_path / "batch"
     batch.mkdir()
-    write_graph(batch, "p5.txt", P5_TEXT)
+    write_graph(batch, "a.txt", P5_TEXT)
+    write_graph(batch, "b.txt", P5_TEXT)
+    loaded = []
+    load_graph = bchrom.cli.load_graph
+    monkeypatch.setattr(bchrom.cli, "load_graph", lambda *args: loaded.append(args[0]) or load_graph(*args))
     fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
-    monkeypatch.setattr(sys, "stdout", ClosedPipeStdout(fd))
+    monkeypatch.setattr(sys, "stdout", ClosedPipeStdout(fd, writes_that_raise=1))
     try:
         assert main(["analyze", "--batch", str(batch)]) == EXIT_CLOSED_PIPE
     finally:
         os.close(fd)
+    assert loaded == [str(batch / "a.txt")]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
@@ -919,15 +925,20 @@ def collector(request):
 
 
 class ClosedPipeStdout(io.TextIOBase):
-    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+    """A stdout whose reader is gone: every write raises BrokenPipeError,
+    or only the first ``writes_that_raise`` writes, the rest going nowhere."""
 
-    def __init__(self, fd: int):
+    def __init__(self, fd: int, writes_that_raise: float = float("inf")):
         self.fd = fd
+        self.writes_that_raise = writes_that_raise
 
     def fileno(self):
         return self.fd
 
     def write(self, text):
+        if self.writes_that_raise <= 0:
+            return len(text)
+        self.writes_that_raise -= 1
         raise BrokenPipeError
 
 
