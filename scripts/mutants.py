@@ -254,6 +254,13 @@ MUTANTS = [
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "refusal-exits-2",
+        CLI,
+        '        return EXIT_REFUSED, "refused"\n',
+        '        return EXIT_INPUT, "refused"\n',
+        ("tests/test_cli.py::test_color_refuses_low_girth_without_oracle",),
+    ),
+    Mutant(
         "os-error-on-a-path-not-reported",
         CLI,
         "_REPORTED_ERRORS = (ValueError, OracleLimitError, InvariantViolation, OSError)\n",

@@ -27,7 +27,7 @@ from .oracle import (
     exact_b_chromatic,
     find_b_coloring_exact,
 )
-from .cli import AnalysisRecord, PipelineOutcome, run_pipeline
+from .cli import AnalysisRecord, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "InvariantViolation",
     "OracleLimitError",
     "ParseError",
-    "PipelineOutcome",
     "PreconditionError",
     "TraceEvent",
     "ValidityReport",

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coloring import b_coloring_with_good_set
+from .coloring import BResult, b_coloring_with_good_set
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
 from .goodset import density_profile, find_good_set
 from .graph import (
@@ -108,19 +108,6 @@ class AnalysisRecord:
         return {**vars(self), "girth": "acyclic" if self.girth == ACYCLIC else self.girth}
 
 
-@dataclass
-class PipelineOutcome:
-    """An analysis and, when asked for, its witness.  ``coloring`` is the
-    color of each vertex id, from the construction or the oracle;
-    ``trace`` is the construction's log of plain
-    ``(step, vertex, color, recolored_from)`` tuples."""
-
-    record: AnalysisRecord
-    coloring: list[int] | None = None
-    basis: dict[int, int] | None = None
-    trace: tuple[tuple[str, int, int, int | None], ...] = ()
-
-
 def run_pipeline(
     g: Graph,
     *,
@@ -128,7 +115,7 @@ def run_pipeline(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     force_oracle: bool = False,
     need_coloring: bool = False,
-) -> PipelineOutcome:
+) -> tuple[AnalysisRecord, BResult | None]:
     """Analyze a graph and, on request, compute chi_b with a witness.
 
     Dispatch: girth >= 9 (or forest) -> chi_b by construction from
@@ -136,6 +123,10 @@ def run_pipeline(
     otherwise, at any n.  Below girth 9 the oracle decides when it fits,
     otherwise only the bound chi_b <= m(G) is reported.  A coloring below
     girth 9 is refused unless the oracle is forced.
+
+    Returns the record and the witness: the construction's ``BResult``, or
+    one holding the oracle's coloring, the basis its check found and no
+    events; None when chi_b is not asked for or only bounded.
     """
     gv = girth(g)
     high_girth = gv >= 9
@@ -155,9 +146,8 @@ def run_pipeline(
         has_good_set=has_good_set,
         good_set=[g.labels[v] for v in good.members] if has_good_set else None,
     )
-    outcome = PipelineOutcome(record=record)
     if not (compute_chi_b or need_coloring):
-        return outcome
+        return record, None
 
     if high_girth and not force_oracle:
         try:
@@ -166,17 +156,14 @@ def run_pipeline(
             raise InvariantViolation(f"find_good_set's set was refused: {exc}") from exc
         record.chi_b = built.chi_b
         record.chi_b_method = "construction"
-        outcome.coloring = built.coloring
-        outcome.basis = built.basis
-        outcome.trace = built.events
-        return outcome
+        return record, built
 
     if g.n > oracle_limit:
         if force_oracle or need_coloring:
             raise OracleLimitError(f"n = {g.n} exceeds the oracle limit {oracle_limit}")
         record.chi_b_method = "bounds-only"
         record.chi_b_upper = profile.m
-        return outcome
+        return record, None
 
     # the exact search decides chi_b when forced or when the girth theory does not apply
     record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit, profile=profile)
@@ -184,9 +171,7 @@ def run_pipeline(
     basis = check_b_coloring(g, witness, record.chi_b).basis
     if basis is None:
         raise InvariantViolation(f"the exact search's coloring with {record.chi_b} colors failed the validity check")
-    outcome.coloring = witness
-    outcome.basis = basis
-    return outcome
+    return record, BResult(record.chi_b, witness, basis)
 
 
 def _read_input(path: str) -> str:
@@ -271,7 +256,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for index, path in enumerate(paths):
             try:
                 g = load_graph(str(path), args.format)
-                outcome = run_pipeline(
+                record, _ = run_pipeline(
                     g,
                     compute_chi_b=args.chi_b,
                     oracle_limit=args.oracle_limit,
@@ -279,7 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 )
                 if not args.json and index:
                     _print()
-                _print_record(outcome.record, args.json, extra={"file": path.name})
+                _print_record(record, args.json, extra={"file": path.name})
             except BrokenPipeError:
                 raise
             except _REPORTED_ERRORS as exc:
@@ -295,14 +280,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     _print(f"error {message}")
         return worst
     g = load_graph(args.input, args.format)
-    outcome = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
-    _print_record(outcome.record, args.json)
+    record, _ = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
+    _print_record(record, args.json)
     return EXIT_OK
 
 
 def cmd_color(args: argparse.Namespace) -> int:
     g = load_graph(args.input, args.format)
-    outcome = run_pipeline(
+    _, result = run_pipeline(
         g,
         compute_chi_b=True,
         need_coloring=True,
@@ -311,13 +296,13 @@ def cmd_color(args: argparse.Namespace) -> int:
     )
     if args.trace:
         lines = []
-        for step, vertex, color, recolored_from in outcome.trace:
+        for step, vertex, color, recolored_from in result.events:
             line = f"step={step} vertex={g.labels[vertex]} color={color}"
             if recolored_from is not None:
                 line += f" recolored-from={recolored_from}"
             lines.append(line + "\n")
         _write_stdout("".join(lines))  # one write for the whole trace, whatever its length
-    _write_output(format_coloring_file(g, outcome.coloring, outcome.record.chi_b, outcome.basis), args.output)
+    _write_output(format_coloring_file(g, result.coloring, result.chi_b, result.basis), args.output)
     return EXIT_OK
 
 

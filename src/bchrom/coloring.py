@@ -62,6 +62,9 @@ class BResult:
     ``coloring`` holds the color of each vertex id, 1..chi_b.  ``events`` is
     the construction's log of plain ``(step, vertex, color, recolored_from)``
     tuples in assignment order; ``trace`` builds its ``TraceEvent``s on read.
+    ``run_pipeline`` returns one from either witness: the construction's, or
+    the oracle's coloring with the basis ``check_b_coloring`` found and no
+    events.
     """
 
     chi_b: int

@@ -355,24 +355,36 @@ def pivoted(g: Graph, m: int) -> bool:
     return False
 
 
+def m_by_degrees(g: Graph) -> int:
+    """m(G) from its definition, the largest k with at least k vertices of
+    degree >= k - 1: with the degrees sorted in decreasing order, k such
+    vertices exist exactly when the k-th degree is at least k - 1.
+    O(n log n), for graphs too large for ``naive_m``."""
+    degrees = sorted(map(len, g.adj), reverse=True)
+    return max((k for k in range(1, g.n + 1) if degrees[k - 1] >= k - 1), default=0)
+
+
 def disagreement(g: Graph, limit: int) -> tuple[str | None, AnalysisRecord]:
     """What is wrong with the pipeline's answer on ``g``, or None, and the
-    pipeline's record.  The pipeline's witness, when it gives one, must pass
-    ``check_b_coloring``, and chi_b must be at most m.  At girth >= 9 the
+    pipeline's record.  The record's m must be m(G) by its definition, and
+    that m, not the record's, is the one the other checks use.  The
+    pipeline's witness, when it gives one, must pass ``check_b_coloring``
+    with chi_b colors, and chi_b must be at most m.  At girth >= 9 the
     construction must answer, with a witness, m - 1 or m.  With at most
     ``limit`` vertices, chi_b must equal the exact search's value, whose
     witness must pass the checker too.  On a tree chi_b must be
     m - [pivoted]."""
-    outcome = run_pipeline(g, compute_chi_b=True)
-    record = outcome.record
-    chi_b, m = record.chi_b, record.m
+    record, result = run_pipeline(g, compute_chi_b=True)
+    chi_b, m = record.chi_b, m_by_degrees(g)
+    if record.m != m:
+        return f"m {record.m} in the record, {m} by its definition", record
     if chi_b is None:
         return f"no chi_b, by {record.chi_b_method}", record
-    if outcome.coloring is not None and not check_b_coloring(g, outcome.coloring, chi_b).valid:
-        return f"the witness with {chi_b} colors is not a b-coloring", record
+    if result is not None and (result.chi_b != chi_b or not check_b_coloring(g, result.coloring, chi_b).valid):
+        return f"the witness ({result.chi_b} colors) is not a b-coloring with {chi_b} colors", record
     if chi_b > m:
         return f"chi_b {chi_b} is above m = {m}", record
-    if record.girth >= 9 and (record.chi_b_method != "construction" or outcome.coloring is None or chi_b < m - 1):
+    if record.girth >= 9 and (record.chi_b_method != "construction" or result is None or chi_b < m - 1):
         return f"chi_b {chi_b} by {record.chi_b_method} at girth {record.girth_text()}, m = {m}", record
     if g.n <= limit:
         expected, exact_witness = exact_b_chromatic(g, limit=limit)

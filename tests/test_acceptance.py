@@ -5,7 +5,6 @@ Each criterion is one test that prints a single PASS line (visible with
 and checked at tolerance zero.
 """
 
-import math
 import random
 from itertools import combinations, product
 
@@ -134,23 +133,23 @@ def test_criterion_4_named_instances():
     """P_5, C_9, the star of stars, and the encircled 11-vertex tree."""
     p5 = path_graph(5)
     assert len(find_good_set(p5, density_profile(p5)).members) == 3
-    assert run_pipeline(p5, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(p5)[0]
+    assert run_pipeline(p5, compute_chi_b=True)[0].chi_b == 3 == exact_b_chromatic(p5)[0]
 
     c9 = cycle_graph(9)
     assert len(find_good_set(c9, density_profile(c9)).members) == 3
-    assert run_pipeline(c9, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(c9)[0]
+    assert run_pipeline(c9, compute_chi_b=True)[0].chi_b == 3 == exact_b_chromatic(c9)[0]
 
     sos = star_of_stars()
-    assert run_pipeline(sos, compute_chi_b=True).record.chi_b == 3 == exact_b_chromatic(sos)[0]
+    assert run_pipeline(sos, compute_chi_b=True)[0].chi_b == 3 == exact_b_chromatic(sos)[0]
 
     t_enc = encircled_tree()
     profile = density_profile(t_enc)
     assert profile.m == 4
     assert len(find_good_set(t_enc, profile).members) == 3 == profile.m - 1
-    outcome = run_pipeline(t_enc, compute_chi_b=True)
-    assert outcome.record.chi_b == 3 == profile.m - 1
-    assert outcome.record.chi_b_method == "construction"
-    assert check_b_coloring(t_enc, outcome.coloring, 3).valid
+    record, result = run_pipeline(t_enc, compute_chi_b=True)
+    assert record.chi_b == 3 == profile.m - 1
+    assert record.chi_b_method == "construction"
+    assert check_b_coloring(t_enc, result.coloring, 3).valid
     assert exact_b_chromatic(t_enc)[0] == 3
     print("\nACCEPTANCE 4 PASS: named instances kept their exact values")
 

@@ -15,11 +15,11 @@ import bchrom.coloring
 import bchrom.goodset
 import bchrom.graph
 import bchrom.oracle
-from bchrom import GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
+from bchrom import BResult, GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
 from bchrom.oracle import MAX_ORACLE_LIMIT
 
-from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, star_of_stars, steal_chain_tree
+from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, steal_chain_tree
 
 
 def write_graph(tmp_path, name, text):
@@ -141,8 +141,8 @@ def test_oracle_path_derives_the_density_profile_once(monkeypatch):
 
     monkeypatch.setattr(bchrom.cli, "density_profile", counted)
     monkeypatch.setattr(bchrom.oracle, "density_profile", counted)
-    outcome = run_pipeline(petersen_graph(), compute_chi_b=True)
-    assert (outcome.record.chi_b, outcome.record.chi_b_method) == (3, "oracle")
+    record, _ = run_pipeline(petersen_graph(), compute_chi_b=True)
+    assert (record.chi_b, record.chi_b_method) == (3, "oracle")
     assert len(calls) == 1
 
 
@@ -653,18 +653,24 @@ def test_color_no_good_set_instance_above_the_oracle_limit(tmp_path, capsys):
 
 
 def test_run_pipeline_no_chi_b_skips_coloring():
-    outcome = run_pipeline(path_graph(5))
-    assert outcome.record.chi_b is None
-    assert outcome.coloring is None
-    assert outcome.record.has_good_set is True
+    record, result = run_pipeline(path_graph(5))
+    assert record.chi_b is None
+    assert result is None
+    assert record.has_good_set is True
 
 
 def test_run_pipeline_refuses_low_girth_coloring_unless_oracle_forced():
     c8 = cycle_graph(8)
     with pytest.raises(PreconditionError, match="girth 8 is below 9"):
         run_pipeline(c8, compute_chi_b=True, need_coloring=True)
-    outcome = run_pipeline(c8, compute_chi_b=True, need_coloring=True, force_oracle=True)
-    assert check_b_coloring(c8, outcome.coloring, outcome.record.chi_b).valid
+    record, result = run_pipeline(c8, compute_chi_b=True, need_coloring=True, force_oracle=True)
+    assert record.chi_b_method == "oracle"
+    # the oracle's witness comes as a BResult: chi_b colors, the checker's basis, no events
+    assert isinstance(result, BResult)
+    assert result.chi_b == record.chi_b
+    assert result.events == ()
+    report = check_b_coloring(c8, result.coloring, record.chi_b)
+    assert report.valid and result.basis == report.basis
 
 
 @pytest.fixture
