@@ -212,7 +212,7 @@ MUTANTS = [
     Mutant(
         "certificate-stable-fringe",
         COLORING,
-        "    if not all(map(fringe_set.isdisjoint, map(adj.__getitem__, fringe_set))):\n",
+        "    if not all(map(fringe.isdisjoint, map(adj.__getitem__, fringe))):\n",
         "    if False:\n",
         ("tests/test_coloring.py",),
     ),
@@ -222,6 +222,14 @@ MUTANTS = [
         "        if not (full_palette - {own} <= seen):\n",
         "        if False:\n",
         ("tests/test_coloring.py",),
+    ),
+    # the construction checks every set that find_good_set did not certify on its graph
+    Mutant(
+        "construction-trusts-any-good-set",
+        COLORING,
+        "    if anchors.certified_on is not g:\n",
+        "    if False:\n",
+        ("tests/test_coloring.py::test_construction_rejects_non_good_set",),
     ),
     # m(G), and the two conditions of a good set
     Mutant(
@@ -244,6 +252,14 @@ MUTANTS = [
         "        if x not in w_set and w_set.isdisjoint(g.adj[x]):\n",
         "        if False:\n",
         ("tests/test_goodset.py",),
+    ),
+    # find_good_set certifies every set it returns
+    Mutant(
+        "case-iii-set-unchecked",
+        GOODSET,
+        "        members, k = tuple(v for v in first if v != x), m - 1\n",
+        "        return _certified(tuple(v for v in first if v != x), g)\n",
+        ("tests/test_goodset.py::test_case_iii_set_is_checked",),
     ),
     # the CLI's exit codes
     Mutant(

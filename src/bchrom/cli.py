@@ -150,10 +150,7 @@ def run_pipeline(
         return record, None
 
     if high_girth and not force_oracle:
-        try:
-            built = b_coloring_with_good_set(g, good, girth_value=gv)
-        except ValueError as exc:  # its good-set check refused find_good_set's own set: a bug
-            raise InvariantViolation(f"find_good_set's set was refused: {exc}") from exc
+        built = b_coloring_with_good_set(g, good, girth_value=gv)
         record.chi_b = built.chi_b
         record.chi_b_method = "construction"
         return record, built

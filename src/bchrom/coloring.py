@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import NamedTuple
 
 from . import oracle
@@ -284,13 +284,20 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         pc.assign(v, anchor_color[v], "anchor")
 
     # pass 1: chained link vertices copy an anchor color from across the chain
-    for x in sorted(links.chained):
+    chained = sorted(links.chained)
+    for x in chained:
         x2 = next(y for y in g.adj[x] if y in link_set)
         pc.assign(x, anchor_color[anchors_of[x2][0]], "step1")
 
-    # pass 2: deranged second-anchor colors around each anchor
+    # pass 2: deranged second-anchor colors around each anchor; each star
+    # lists the anchor's doubly anchored neighbors in id order
+    multi = sorted(links.multi_anchored)
+    stars: dict[int, list[int]] = {}
+    for x in multi:
+        for v in anchors_of[x]:
+            stars.setdefault(v, []).append(x)
     for v_i in members:
-        star = [x for x in g.adj[v_i] if x in links.multi_anchored]
+        star = stars.get(v_i, ())
         if len(star) <= 1:
             continue
         forbidden = [anchor_color[next(v for v in anchors_of[x] if v != v_i)] for x in star]
@@ -310,10 +317,10 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
 
     # pass 3: steal a chained neighbor's color, then move that neighbor
     first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor
-    for y in sorted(links.chained):
+    for y in chained:
         for v in anchors_of[y]:
             first_chained.setdefault(v, y)
-    for x in sorted(links.multi_anchored):
+    for x in multi:
         if colors[x]:
             continue
         v_i = next((v for v in anchors_of[x] if v in first_chained), None)
@@ -326,7 +333,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
 
     # pass 4: an unencircled vertex always has a safe anchor color left,
     # that of an anchor outside its encirclement cover
-    for x in sorted(links.multi_anchored):
+    for x in multi:
         if colors[x]:
             continue
         cover = encirclement_cover(g, w_set, x, m)
@@ -341,8 +348,11 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     return pc
 
 
-def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> PartialColoring:
+def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: LinkStructure) -> PartialColoring:
     """Hand each anchor its missing colors via distinct uncolored neighbors.
+
+    ``pc`` has every anchor colored, and ``links`` is
+    ``classify_links(g, anchors)``.
 
     The uncolored neighbors of W form a stable set and each has exactly one
     colored neighbor (its anchor), so the assignments never clash.  Leftover
@@ -365,7 +375,12 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
 
     * A stable set of uncolored anchor neighbors: two adjacent ones next to
       anchors v != w lie on the path v-u-u'-w, so both are link vertices,
-      colored; with v = w they close a triangle.  Girth alone.
+      colored; with v = w they close a triangle.  Girth alone.  The check
+      scans only the uncolored keys of ``links.anchors_of`` and names the
+      same u and neighbor as a scan of every uncolored anchor neighbor: an
+      uncolored neighbor of degree 1 touches only its (colored) anchor, and
+      one of degree >= 2 is a key.  So every uncolored neighbor adjacent to
+      another one is a key, and so is that other one.
     * Slack: an anchor v of degree d has slack d - (k - 1) >= 0 for the
       colors it may see twice.  The link passes repeat a color around v
       only when pass 4 gives v's one doubly anchored neighbor the color of
@@ -386,10 +401,10 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> Part
     m = len(members)
     adj = g.adj
     colors = pc.colors
-    fringe_set = set(filterfalse(colors.__getitem__, chain.from_iterable(map(adj.__getitem__, members))))
-    if not all(map(fringe_set.isdisjoint, map(adj.__getitem__, fringe_set))):
-        u = min(u for u in fringe_set if not fringe_set.isdisjoint(adj[u]))
-        clash = next(z for z in adj[u] if z in fringe_set)
+    fringe = set(filterfalse(colors.__getitem__, links.anchors_of))
+    if not all(map(fringe.isdisjoint, map(adj.__getitem__, fringe))):
+        u = min(u for u in fringe if not fringe.isdisjoint(adj[u]))
+        clash = next(z for z in adj[u] if z in fringe)
         raise InvariantViolation(
             f"uncolored anchor neighbors {u} and {clash} are adjacent",
             step="completion",
@@ -431,12 +446,11 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     """
     colors = pc.colors
     adj = g.adj
-    if max(map(len, map(adj.__getitem__, filterfalse(colors.__getitem__, range(g.n)))), default=0) >= num_colors:
-        u = next(u for u in range(g.n) if not colors[u] and len(adj[u]) >= num_colors)
+    uncolored = list(filterfalse(colors.__getitem__, range(g.n)))
+    if max(map(len, map(adj.__getitem__, uncolored)), default=0) >= num_colors:
+        u = next(u for u in uncolored if len(adj[u]) >= num_colors)
         raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
-    # the filter reads each vertex's color before greedy colors that vertex, so
-    # it passes exactly the vertices uncolored at the start; each has a free color
-    pc.assign_smallest_free_each(filterfalse(colors.__getitem__, range(g.n)), "greedy", num_colors)
+    pc.assign_smallest_free_each(uncolored, "greedy", num_colors)
     return colors
 
 
@@ -445,17 +459,20 @@ def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | f
     is the good set: m(G) colors, or m(G) - 1 from the set
     ``find_good_set`` returns when no good set for m(G) exists.
 
-    The finished coloring is re-validated with the independent checker
-    before being returned.
+    A set that ``find_good_set`` certified on this same ``g`` is used as
+    it is; any other set is checked first, and refused with a ValueError
+    when it is not good for k.  The finished coloring is re-validated with
+    the independent checker before being returned.
     """
     k = len(anchors.members)
     ensure_min_girth(g, 9, girth_value)
-    violation = check_good_set(g, anchors.members, k)
-    if violation is not None:
-        raise ValueError(f"anchors are not a good set: {violation.kind}")
+    if anchors.certified_on is not g:
+        violation = check_good_set(g, anchors.members, k)
+        if violation is not None:
+            raise ValueError(f"anchors are not a good set: {violation.kind}")
     links = classify_links(g, anchors)
     pc = color_links(g, anchors, links)
-    complete_b_vertices(g, anchors, pc)
+    complete_b_vertices(g, anchors, pc, links)
     total = greedy_extend(g, pc, k)
     report = oracle.check_b_coloring(g, total, k)
     if report.basis is None:

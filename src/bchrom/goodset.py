@@ -18,7 +18,7 @@ for m(G); without such a set, M(G) less one vertex is good for m(G) - 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import ge
 
@@ -56,9 +56,14 @@ class GoodSet:
 
     The position of a vertex fixes its anchor color: members[i] is the
     designated b-vertex for color i + 1 in the constructive coloring.
+    ``certified_on`` is the graph ``find_good_set`` checked the set on, and
+    None for any set built by hand; ``b_coloring_with_good_set`` checks a
+    set only when that is not its graph.  The mark is no constructor
+    argument and takes no part in equality or repr.
     """
 
     members: tuple[int, ...]
+    certified_on: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.members, self.members[1:])):
@@ -132,9 +137,12 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
     The set's size is its color count: m = m(G) exactly when a good set for
     m exists.  Rule: W0 is the first m dense vertices by (-degree, id).
     Return W0 if it is good.  Otherwise W0 encircles u; if |M| = m (M =
-    M(G)), return M - x for the lowest-id member x not adjacent to u,
-    unchecked (the construction checks it); else return the set one swap
-    away, checked once more (a failed check raises InvariantViolation).
+    M(G)), return M - x for the lowest-id member x not adjacent to u; else
+    return the set one swap away.  Every returned set is checked in full,
+    whatever ``profile`` says, and marked as certified on g, so the
+    construction does not check it again: W0 at m, then the swapped set at
+    m, or M - x at m - 1.  A failed check raises InvariantViolation, naming
+    u when it is not W0's.
 
     Argument.  The vertices H of degree >= m number at most m and sort
     first, so W0 holds H and (b) holds: W0 can fail only by encircling.
@@ -173,17 +181,26 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
     first = tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[:m]))
     violation = check_good_set(g, first, m)
     if violation is None:
-        return GoodSet(first)
+        return _certified(first, g)
     if violation.kind != "encircles":
         raise InvariantViolation(f"the first {m} dense vertices failed the good-set check as {violation.kind}")
     u = violation.witness
     if len(profile.dense) == m:  # case (iii)
         x = next(v for v in first if v not in g.adj[u])
-        return GoodSet(tuple(v for v in first if v != x))
-    members = _swap(g, profile, first, u)
-    if check_good_set(g, members, m) is not None:
-        raise InvariantViolation("the swapped set failed the good-set check", vertex=u)
-    return GoodSet(members)
+        members, k = tuple(v for v in first if v != x), m - 1
+    else:
+        members, k = _swap(g, profile, first, u), m
+    violation = check_good_set(g, members, k)
+    if violation is not None:
+        raise InvariantViolation(f"the set for {k} colors failed the good-set check as {violation.kind}", vertex=u)
+    return _certified(members, g)
+
+
+def _certified(members: tuple[int, ...], g: Graph) -> GoodSet:
+    """A GoodSet of members, marked as checked on g."""
+    good = GoodSet(members)
+    object.__setattr__(good, "certified_on", g)
+    return good
 
 
 def _swap(g: Graph, profile: DensityProfile, members: tuple[int, ...], u: int) -> tuple[int, ...]:

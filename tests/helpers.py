@@ -808,6 +808,19 @@ def naive_link_vertices(g: Graph, members) -> set[int]:
     return found
 
 
+def full_fringe_clash(g: Graph, members, colors: Sequence[int]) -> tuple[int, int] | None:
+    """Reference for the completion's stable-set check, which scans only the
+    link structure's keys: a scan of every uncolored neighbor of the
+    anchors, giving the lowest-id one adjacent to another one and its first
+    such neighbor in adjacency order; None when they form a stable set."""
+    fringe = {u for v in members for u in g.adj[v] if not colors[u]}
+    for u in sorted(fringe):
+        for z in g.adj[u]:
+            if z in fringe:
+                return u, z
+    return None
+
+
 def chromatic_number(g: Graph) -> int:
     """Small brute-force chromatic number (for sanity bounds only)."""
     if g.n == 0:

@@ -15,8 +15,9 @@ import bchrom.coloring
 import bchrom.goodset
 import bchrom.graph
 import bchrom.oracle
-from bchrom import BResult, GoodSet, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
+from bchrom import BResult, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
+from bchrom.goodset import _certified
 from bchrom.oracle import MAX_ORACLE_LIMIT
 
 from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, steal_chain_tree
@@ -727,7 +728,8 @@ def _monochromatic_greedy(g, pc, num_colors):
     [
         (bchrom.cli, "b_coloring_with_good_set", _broken_construction),  # a certificate fails
         (bchrom.coloring, "greedy_extend", _monochromatic_greedy),  # the final check rejects the coloring
-        (bchrom.cli, "find_good_set", lambda g, profile, girth_value=None: GoodSet((7, 8, 9))),  # leaves, not dense
+        # leaves, not dense, yet certified: the construction trusts the set, and its completion certificate fails
+        (bchrom.cli, "find_good_set", lambda g, profile, girth_value=None: _certified((7, 8, 9), g)),
     ],
     ids=["invariant", "invalid-coloring", "bad-good-set"],
 )

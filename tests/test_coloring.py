@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -16,6 +17,8 @@ from bchrom import (
     density_profile,
     exact_b_chromatic,
     find_good_set,
+    generate_girth_constrained,
+    run_pipeline,
 )
 from bchrom.coloring import (
     PartialColoring,
@@ -28,8 +31,11 @@ from bchrom.coloring import (
 )
 
 from helpers import (
+    chorded_trees,
     cycle_graph,
+    encircled_tree,
     fallback_pick_tree,
+    full_fringe_clash,
     greedy_trap_forest,
     high_degree_leftover_forest,
     naive_link_vertices,
@@ -220,8 +226,9 @@ def test_fallback_pass_golden():
 def test_completion_path_five_golden():
     g = path_graph(5)
     anchors = GoodSet((1, 2, 3))
-    pc = color_links(g, anchors, classify_links(g, anchors))
-    complete_b_vertices(g, anchors, pc)
+    links = classify_links(g, anchors)
+    pc = color_links(g, anchors, links)
+    complete_b_vertices(g, anchors, pc, links)
     assert pc.colors == [3, 1, 2, 3, 1]
     assert last_step(pc, 0) == "completion"
     assert last_step(pc, 4) == "completion"
@@ -230,8 +237,9 @@ def test_completion_path_five_golden():
 def test_completion_star_of_stars_golden():
     g = star_of_stars()
     anchors = GoodSet((0, 1, 2))
-    pc = color_links(g, anchors, classify_links(g, anchors))
-    complete_b_vertices(g, anchors, pc)
+    links = classify_links(g, anchors)
+    pc = color_links(g, anchors, links)
+    complete_b_vertices(g, anchors, pc, links)
     # leaves of anchors 1 and 2 supply the missing colors
     assert pc.colors[4] == 3
     assert pc.colors[5] == 2
@@ -244,27 +252,87 @@ def test_completion_checks_anchor_slack():
     # anchor 0 (color 1) misses color 2 and has no uncolored neighbor left,
     # its one neighbor holding a color from outside the palette
     g = path_graph(3)
+    anchors = GoodSet((0, 2))
     pc = PartialColoring(g)
     for v, color in [(0, 1), (1, 3), (2, 2)]:
         pc.assign(v, color, "anchor")
     with pytest.raises(InvariantViolation, match="anchor is missing 1 colors but has only 0 uncolored") as info:
-        complete_b_vertices(g, GoodSet((0, 2)), pc)
+        complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 0)
 
 
 def test_completion_refuses_adjacent_uncolored_anchor_neighbors():
     # anchors 0 and 1; their uncolored neighbors 3, 9 and 10 are pairwise
-    # adjacent, and CPython iterates over the set {2, 3, 9, 10} as 10, 9, 2, 3
+    # adjacent, and CPython iterates over the set {3, 9, 10} as 9, 10, 3
     g = Graph(11, [(0, 2), (0, 9), (1, 3), (1, 10), (3, 9), (3, 10), (9, 10)])
+    anchors = GoodSet((0, 1))
     pc = PartialColoring(g)
     pc.assign(0, 1, "anchor")
     pc.assign(1, 2, "anchor")
     with pytest.raises(
         InvariantViolation, match=r"^uncolored anchor neighbors 3 and 9 are adjacent \(step=completion, vertex=3\)$"
     ) as info:
-        complete_b_vertices(g, GoodSet((0, 1)), pc)
+        complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 3)
     assert len(pc.events) == 2
+    assert full_fringe_clash(g, anchors.members, pc.colors) == (3, 9)
+
+
+def _completion_clash(g, anchors, pc, links):
+    """The adjacent pair that the completion's stable-set check names, or
+    None when that check passes (a later certificate may still refuse)."""
+    try:
+        complete_b_vertices(g, anchors, pc, links)
+    except InvariantViolation as exc:
+        found = re.match(r"uncolored anchor neighbors (\d+) and (\d+) are adjacent", str(exc))
+        if found:
+            return int(found[1]), int(found[2])
+    return None
+
+
+@pytest.mark.parametrize(
+    ("chords", "sizes", "graphs", "clashes"),
+    [(0, range(1, 15), 5447, 946), (1, range(9, 15), 7148, 3514), (2, range(1, 16), 5163, 3145)],
+    ids=["trees", "one-chord", "two-chords"],
+)
+def test_stable_set_check_matches_the_full_fringe_scan(chords, sizes, graphs, clashes):
+    """On every graph that test_trees.py enumerates, the completion's check
+    over the link structure's keys names the same pair as the scan of every
+    uncolored anchor neighbor: as the link passes leave the graph (always a
+    stable set), and with every link vertex uncolored again, which leaves
+    an adjacent pair wherever two link vertices are adjacent."""
+    count = seen = 0
+    for n in sizes:
+        for g in chorded_trees(n, chords):
+            anchors = find_good_set(g, density_profile(g))
+            links = classify_links(g, anchors)
+            for uncolored in ((), links.vertices):
+                pc = color_links(g, anchors, links)
+                for x in uncolored:
+                    pc.colors[x] = 0
+                expected = full_fringe_clash(g, anchors.members, pc.colors)
+                assert _completion_clash(g, anchors, pc, links) == expected, (g.adj, uncolored)
+                seen += expected is not None
+            count += 1
+    assert (count, seen) == (graphs, clashes)
+
+
+@given(st.integers(1, 14), st.floats(0.05, 0.5), st.integers(0, 2**30))
+def test_stable_set_check_matches_the_full_fringe_scan_on_hand_built_states(n, edge_prob, seed):
+    # any graph, any anchors (colored 1..k), every other vertex uncolored or
+    # given a random color: the two checks agree whatever the passes did
+    rng = random.Random(seed)
+    g = random_simple_graph(n, edge_prob, rng)
+    anchors = GoodSet(tuple(sorted(rng.sample(range(n), rng.randint(1, n)))))
+    k = len(anchors.members)
+    pc = PartialColoring(g)
+    for i, v in enumerate(anchors.members):
+        pc.colors[v] = i + 1
+    for x in range(n):
+        if not pc.colors[x] and rng.random() < 0.3:
+            pc.colors[x] = rng.randint(1, k)
+    expected = full_fringe_clash(g, anchors.members, pc.colors)
+    assert _completion_clash(g, anchors, pc, classify_links(g, anchors)) == expected
 
 
 def test_assign_refuses_a_neighbor_color():
@@ -334,11 +402,12 @@ def test_completion_checks_that_every_anchor_sees_every_other_color():
 
     # anchors 0, 1 and 2, each the center of a star with two uncolored leaves
     g = Graph(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
+    anchors = GoodSet((0, 1, 2))
     pc = DroppingLastPair(g)
     for v, color in [(0, 1), (1, 2), (2, 3)]:
         pc.assign(v, color, "anchor")
     with pytest.raises(InvariantViolation, match="^anchor does not see every other color") as info:
-        complete_b_vertices(g, GoodSet((0, 1, 2)), pc)
+        complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 0)
 
 
@@ -507,11 +576,12 @@ def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
     # anchors 0 (color 1) and 1 (color 2) already see every other color;
     # anchor 0's leftover neighbor 3 has degree m = 2 and sees colors 1 and 2
     g = Graph(6, [(0, 2), (0, 3), (3, 4), (1, 5)])
+    anchors = GoodSet((0, 1))
     pc = PartialColoring(g)
     for v, color in [(0, 1), (1, 2), (2, 2), (4, 2), (5, 1)]:
         pc.assign(v, color, "anchor")
     with pytest.raises(InvariantViolation, match="^no color left for a high-degree neighbor") as info:
-        complete_b_vertices(g, GoodSet((0, 1)), pc)
+        complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 3)
     assert pc.colors[3] == 0
 
@@ -582,6 +652,54 @@ def test_construction_rejects_non_good_set():
     g = path_graph(5)
     with pytest.raises(ValueError, match="not a good set"):
         b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
+    # a mark for another graph object is no certificate for this one
+    marked = GoodSet((0, 1, 2))
+    object.__setattr__(marked, "certified_on", path_graph(5))
+    with pytest.raises(ValueError, match="not a good set"):
+        b_coloring_with_good_set(g, marked)
+    # and no constructor argument can set the mark
+    with pytest.raises(TypeError):
+        GoodSet((0, 1, 2), certified_on=g)
+
+
+def _count_good_set_checks(monkeypatch) -> list[str]:
+    """Count check_good_set calls through both module bindings, by module."""
+    import bchrom.coloring
+    import bchrom.goodset
+
+    calls = []
+    for module in (bchrom.goodset, bchrom.coloring):
+        real = module.check_good_set
+
+        def counted(*args, _real=real, _name=module.__name__):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "check_good_set", counted)
+    return calls
+
+
+def test_construction_rechecks_a_set_certified_on_another_graph(monkeypatch):
+    calls = _count_good_set_checks(monkeypatch)
+    g, twin = steal_chain_tree(), steal_chain_tree()
+    anchors = find_good_set(twin, density_profile(twin))
+    assert anchors.certified_on is twin and anchors == GoodSet(anchors.members)
+    calls.clear()
+    assert b_coloring_with_good_set(g, anchors).coloring == b_coloring_with_good_set(twin, anchors).coloring
+    assert calls == ["bchrom.coloring"]
+
+
+def test_run_pipeline_checks_the_good_set_once(monkeypatch):
+    calls = _count_good_set_checks(monkeypatch)
+    g = generate_girth_constrained(300, 9, 320, seed=1)
+    record, result = run_pipeline(g, need_coloring=True)
+    assert record.girth >= 9 and record.has_good_set and result.chi_b == record.m
+    assert calls == ["bchrom.goodset"]
+    # without a good set: W0 and M(G) - x, both in find_good_set
+    calls.clear()
+    record, result = run_pipeline(encircled_tree(), need_coloring=True)
+    assert not record.has_good_set and result.chi_b == record.m - 1
+    assert calls == ["bchrom.goodset", "bchrom.goodset"]
 
 
 def test_construction_refuses_low_girth():

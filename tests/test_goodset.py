@@ -4,7 +4,18 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from bchrom import GoodSet, GoodSetViolation, Graph, PreconditionError, check_good_set, density_profile, find_good_set
+from bchrom import (
+    DensityProfile,
+    GoodSet,
+    GoodSetViolation,
+    Graph,
+    InvariantViolation,
+    PreconditionError,
+    b_coloring_with_good_set,
+    check_good_set,
+    density_profile,
+    find_good_set,
+)
 from bchrom.goodset import _swap, encirclement_cover
 
 from helpers import (
@@ -264,19 +275,62 @@ def test_find_good_set_makes_at_most_two_checks(monkeypatch):
     real = bchrom.goodset.check_good_set
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(tuple(args[1:3]))
         return real(*args)
 
     monkeypatch.setattr(bchrom.goodset, "check_good_set", counted)
+    # W0 at m, then the swapped set at m
     g = Graph(7, [(5, 0), (0, 3), (3, 1), (1, 2), (2, 4), (4, 6)])
-    assert find_good_set(g, density_profile(g)).members == (0, 2, 4)
-    assert calls == [(0, 1, 2), (0, 2, 4)]
-    # without a good set for m(G), the one check that finds the encircled
-    # vertex is the only one: the construction checks M(G) - x
+    found = find_good_set(g, density_profile(g))
+    assert found.members == (0, 2, 4) and found.certified_on is g
+    assert calls == [((0, 1, 2), 3), ((0, 2, 4), 3)]
+    # without a good set for m(G): W0 at m, then M(G) - x at m - 1
     calls.clear()
     t_enc = encircled_tree()
-    assert find_good_set(t_enc, density_profile(t_enc)).members == (1, 2, 4)
-    assert calls == [(1, 2, 3, 4)]
+    found = find_good_set(t_enc, density_profile(t_enc))
+    assert found.members == (1, 2, 4) and found.certified_on is t_enc
+    assert calls == [((1, 2, 3, 4), 4), ((1, 2, 4), 3)]
+    # W0 good at once: one check
+    calls.clear()
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert find_good_set(star, density_profile(star)).members == (0, 1)
+    assert calls == [((0, 1), 2)]
+
+
+def test_case_iii_set_is_checked():
+    # u = 4 is adjacent to 0, 1 and 2, and 3 hangs off the witness 0, of
+    # degree m - 1 = 3; 1, 2 and 3 carry three leaves each.  M(G) is
+    # {0, ..., 4}, and W0 = (0, 1, 2, 3) encircles the dense vertex 4.
+    edges = [(4, 0), (4, 1), (4, 2), (0, 3), (0, 5)]
+    edges += [(v, 6 + 3 * i + j) for i, v in enumerate((1, 2, 3)) for j in range(3)]
+    g = Graph(15, edges)
+    profile = density_profile(g)
+    assert profile.m == 4 and profile.dense == frozenset(range(5))
+    assert find_good_set(g, profile).members == (0, 2, 3, 4)  # case (ii)
+    # a profile that leaves out 4 sends W0 to case (iii); M - x = (0, 1, 2)
+    # is adjacent to all of 4, so it encircles 4 at m - 1, and is refused
+    short = DensityProfile(4, frozenset(range(4)))
+    assert check_good_set(g, (0, 1, 2), 3) == GoodSetViolation("encircles", 4)
+    with pytest.raises(InvariantViolation, match="the set for 3 colors failed the good-set check as encircles") as info:
+        find_good_set(g, short)
+    assert info.value.vertex == 4
+
+
+def test_a_set_failing_condition_b_is_refused_whatever_the_profile():
+    # five stars: centers 0-3 of degree 2, 4 of degree 3.  A profile that
+    # leaves out 4 makes W0 = (0, 1, 2), which leaves 4, of degree >= 3,
+    # without a neighbor in the set: the full check refuses it, and so does
+    # the construction when the set is handed to it unchecked
+    edges = [(0, 5), (0, 6), (1, 7), (1, 8), (2, 9), (2, 10), (3, 11), (3, 12), (4, 13), (4, 14), (4, 15)]
+    g = Graph(16, edges)
+    assert density_profile(g) == DensityProfile(3, frozenset(range(5)))
+    assert find_good_set(g, density_profile(g)).members == (0, 1, 4)
+    short = DensityProfile(3, frozenset(range(4)))
+    with pytest.raises(InvariantViolation, match="the first 3 dense vertices failed the good-set check as uncovered-high-degree"):
+        find_good_set(g, short)
+    assert check_good_set(g, (0, 1, 2), 3) == GoodSetViolation("uncovered-high-degree", 4)
+    with pytest.raises(ValueError, match="not a good set: uncovered-high-degree"):
+        b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
 
 
 @given(
