@@ -27,6 +27,9 @@ make one more claim on each of its graphs.
 - no good set: forests whose m(G) dense vertices encircle a vertex, joined
   to a random tree of up to 10^4 vertices and a ring of 9 to 30, neither of
   which adds a dense vertex: every answer is m(G) - 1.
+- planted pivot: trees of 10^5 vertices with m(G) = 4 to 12 from
+  ``planted_pivot_tree``, pivoted or one added leaf away from a pivot, so
+  the pivot rule decides each far above any exact search.  Claim: a tree.
 
 Exits 1 on any disagreement, failed claim or other count.  An exception a
 graph raises (an ``InvariantViolation`` of a failed certificate, or any
@@ -47,9 +50,18 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from bchrom import AnalysisRecord, Graph, generate_girth_constrained
+from bchrom import ACYCLIC, Graph
+from bchrom.cli import AnalysisRecord
+from bchrom.graph import generate_girth_constrained
 
-from helpers import chorded_trees, disagreement, planted_encircling_forest, with_tree_and_ring
+from helpers import (
+    PIVOT_EDITS,
+    chorded_trees,
+    disagreement,
+    planted_encircling_forest,
+    planted_pivot_tree,
+    with_tree_and_ring,
+)
 
 
 def dense_graphs(rng: random.Random) -> Iterator[Graph]:
@@ -89,8 +101,17 @@ def no_good_set_graphs(rng: random.Random) -> Iterator[Graph]:
         yield with_tree_and_ring(forest, rng.randint(1, 10_000), rng.randint(9, 30), rng)
 
 
+def planted_pivot_trees(rng: random.Random) -> Iterator[Graph]:
+    for _ in range(20):
+        yield planted_pivot_tree(rng.randint(4, 12), 100_000, rng.choice(PIVOT_EDITS), rng)
+
+
 def girth_at_least_9(g: Graph, record: AnalysisRecord) -> bool:
     return record.girth >= 9
+
+
+def a_tree(g: Graph, record: AnalysisRecord) -> bool:
+    return record.girth == ACYCLIC and g.edge_count == g.n - 1
 
 
 def swapped(g: Graph, record: AnalysisRecord) -> bool:
@@ -115,6 +136,7 @@ FAMILIES = (
     Family("multi-cycle", lambda: multi_cycle_graphs(random.Random(7)), 18, (7000, 134, 0)),
     Family("planted swap", lambda: planted_swap_forests(random.Random(12025)), 14, (200, 0, 0), swapped),
     Family("no good set", lambda: no_good_set_graphs(random.Random(12026)), 14, (60, 60, 0)),
+    Family("planted pivot", lambda: planted_pivot_trees(random.Random(12027)), 14, (20, 4, 0), a_tree),
 )
 
 

@@ -3,16 +3,15 @@ named with it must then fail.
 
     python3 scripts/mutants.py
 
-``src/``, ``tests/`` and ``pyproject.toml`` are copied to one temporary
-directory.  The tests of every entry first run there unmutated, and must
-pass; that run also sets the entry's time limit.  Then, for each entry, its
-snippet is replaced in its file and ``pytest -x -q`` runs its tests against
-the copy.  No subprocess writes bytecode there, so a stale cache never
-hides a mutant.  A mutant is killed when a test fails or the run passes its
-time limit (a mutant that makes a linear pass quadratic shows only as
-time).  A snippet
-that does not occur exactly once in its file is an error, not a pass, so
-the list has to keep in step with the code.
+``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` are copied to one
+temporary directory.  The tests of every entry first run there unmutated,
+and must pass; that run also sets the entry's time limit.  Then, for each
+entry, its snippet is replaced in its file and ``pytest -x -q`` runs its
+tests against the copy.  No subprocess writes bytecode there, so a stale
+cache never hides a mutant.  A mutant is killed when a test fails or the run
+passes its time limit (a mutant that makes a linear pass quadratic shows
+only as time).  A snippet that does not occur exactly once in its file is an
+error, not a pass, so the list has to keep in step with the code.
 
 Equivalent mutants change no answer any test can see; their reason says
 why.  They run and are reported, but are not counted; one that is killed is
@@ -162,6 +161,13 @@ MUTANTS = [
         equivalent="the clamp only bounds attempts after every possible edge is placed or refused; "
         "the graphs come out the same, only run time changes",
     ),
+    Mutant(
+        "generate-saturation-one-vertex-short",
+        GRAPH,
+        "        if len(ball) < n:\n",
+        "        if len(ball) < n - 1:\n",
+        ("tests/test_graph.py",),
+    ),
     # the independent checker and the exact search
     Mutant(
         "checker-without-u-lt-v",
@@ -261,6 +267,14 @@ MUTANTS = [
         "        return _certified(tuple(v for v in first if v != x), g)\n",
         ("tests/test_goodset.py::test_case_iii_set_is_checked",),
     ),
+    # case (iii) only when M(G) has exactly m(G) members: a tree one leaf from a pivot has m(G) + 1
+    Mutant(
+        "near-pivot-case-iii",
+        GOODSET,
+        "    if len(profile.dense) == m:  # case (iii)\n",
+        "    if len(profile.dense) <= m + 1:  # case (iii)\n",
+        ("tests/test_trees.py::test_planted_pivoted_trees_and_near_misses",),
+    ),
     # the CLI's exit codes
     Mutant(
         "internal-error-exits-1",
@@ -347,6 +361,7 @@ def main() -> int:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "scripts", work / "scripts", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
         imported = subprocess.run(
             [sys.executable, "-c", "import bchrom; print(bchrom.__file__)"],

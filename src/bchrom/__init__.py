@@ -5,59 +5,35 @@ m(G) - 1, and the two cases are separated by the existence of a good set:
 with one, a b-coloring with m(G) colors is built constructively; without
 one, the same construction builds one with m(G) - 1 colors from M(G) less
 one vertex.  A brute-force oracle provides ground truth on small instances.
+
+``__all__`` holds what the README's Library section calls, and the types a
+caller builds or catches.  Every other name is imported from its module:
+``run_pipeline`` and ``AnalysisRecord`` from ``bchrom.cli``, which this
+package does not import.
 """
 
-from .coloring import BResult, TraceEvent, b_coloring_with_good_set
+from .coloring import b_coloring_with_good_set
 from .errors import InvariantViolation, OracleLimitError, ParseError, PreconditionError
-from .goodset import DensityProfile, GoodSet, GoodSetViolation, check_good_set, density_profile, find_good_set
-from .graph import (
-    ACYCLIC,
-    Graph,
-    generate_girth_constrained,
-    girth,
-    parse_dimacs,
-    parse_edge_list,
-    to_edge_list,
-)
-from .oracle import (
-    DEFAULT_ORACLE_LIMIT,
-    ValidityReport,
-    Violation,
-    check_b_coloring,
-    exact_b_chromatic,
-    find_b_coloring_exact,
-)
-from .cli import AnalysisRecord, run_pipeline
+from .goodset import GoodSet, density_profile, find_good_set
+from .graph import ACYCLIC, Graph, girth, parse_dimacs, parse_edge_list
+from .oracle import check_b_coloring, exact_b_chromatic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACYCLIC",
-    "AnalysisRecord",
-    "BResult",
-    "DEFAULT_ORACLE_LIMIT",
-    "DensityProfile",
     "GoodSet",
-    "GoodSetViolation",
     "Graph",
     "InvariantViolation",
     "OracleLimitError",
     "ParseError",
     "PreconditionError",
-    "TraceEvent",
-    "ValidityReport",
-    "Violation",
     "b_coloring_with_good_set",
     "check_b_coloring",
-    "check_good_set",
     "density_profile",
     "exact_b_chromatic",
-    "find_b_coloring_exact",
     "find_good_set",
-    "generate_girth_constrained",
     "girth",
     "parse_dimacs",
     "parse_edge_list",
-    "run_pipeline",
-    "to_edge_list",
 ]

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("input")
     color.add_argument("--output", "-o", help="destination file (default: stdout)")
     color.add_argument("--format", choices=["edgelist", "dimacs"])
-    color.add_argument("--oracle", action="store_true", help="allow exhaustive search below girth 9")
+    color.add_argument("--oracle", action="store_true", help="force the exhaustive search even at girth >= 9")
     color.add_argument("--oracle-limit", type=oracle_limit_count, default=DEFAULT_ORACLE_LIMIT)
     color.add_argument("--trace", action="store_true", help="print one line per coloring decision")
     color.set_defaults(func=cmd_color)

@@ -562,6 +562,22 @@ def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) ->
     return False
 
 
+def _saturated(adj: list[set[int]], cap: int) -> bool:
+    """True when every vertex's ball of radius ``cap`` holds every vertex:
+    then every two vertices are within distance ``cap``, and no edge can be
+    added without closing a cycle shorter than ``cap`` + 2."""
+    n = len(adj)
+    for source in range(n):
+        ball = {source}
+        frontier = ball
+        for _ in range(cap):
+            frontier = {v for u in frontier for v in adj[u] if v not in ball}
+            ball |= frontier
+        if len(ball) < n:
+            return False
+    return True
+
+
 def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: int) -> Graph:
     """Random graph whose girth is at least ``min_girth`` (possibly acyclic).
 
@@ -571,8 +587,12 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
     ``edge_budget`` accepted edges or when the attempt budget runs out, so
     the result may have fewer edges than asked for.  The attempt budget is
     50 proposals per edge asked for, at most n(n - 1)/2 of them, or per
-    vertex if there are more vertices.  At most MAX_VERTICES vertices; a
-    negative vertex count or edge budget is a ValueError.
+    vertex if there are more vertices.  After every n proposals refused in
+    a row, it also stops if the graph is saturated, every two vertices
+    within distance min_girth - 2: every later proposal would be refused,
+    so the graph is the one the whole attempt budget gives.  At most
+    MAX_VERTICES vertices; a negative vertex count or edge budget is a
+    ValueError.
     """
     if min_girth < 3:
         raise ValueError("min_girth must be at least 3")
@@ -588,14 +608,17 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
     if n >= 2:
         cap = min_girth - 2  # reject when dist(u, v) <= cap
         attempts_left = 50 * max(min(edge_budget, n * (n - 1) // 2), n)
+        refused = 0  # proposals refused since the last edge was kept
         while len(edges) < edge_budget and attempts_left > 0:
             attempts_left -= 1
             u = rng.randrange(n)
             v = rng.randrange(n)
-            if u == v or v in adj[u]:
+            if u == v or v in adj[u] or _within_distance(adj, u, v, cap):
+                refused += 1
+                if refused % n == 0 and _saturated(adj, cap):
+                    break
                 continue
-            if _within_distance(adj, u, v, cap):
-                continue
+            refused = 0
             adj[u].add(v)
             adj[v].add(u)
             edges.append((u, v))

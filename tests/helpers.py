@@ -25,23 +25,18 @@ from itertools import combinations
 
 from bchrom import (
     ACYCLIC,
-    AnalysisRecord,
-    DEFAULT_ORACLE_LIMIT,
-    DensityProfile,
     GoodSet,
     Graph,
     InvariantViolation,
     OracleLimitError,
-    ValidityReport,
-    Violation,
     check_b_coloring,
-    check_good_set,
     exact_b_chromatic,
-    run_pipeline,
 )
+from bchrom.cli import AnalysisRecord, run_pipeline
 from bchrom.coloring import PartialColoring
-from bchrom.goodset import find_encircled_vertex
+from bchrom.goodset import DensityProfile, check_good_set, find_encircled_vertex
 from bchrom.graph import ensure_min_girth
+from bchrom.oracle import DEFAULT_ORACLE_LIMIT, ValidityReport, Violation
 
 # ---------------------------------------------------------------- builders
 
@@ -353,6 +348,66 @@ def pivoted(g: Graph, m: int) -> bool:
         if sum(1 + dense_nbrs[w] for w in near) == m and all(len(adj[w]) == m - 1 for w in near if dense_nbrs[w]):
             return True
     return False
+
+
+#: The edits of ``planted_pivot_tree``: None keeps the pivot, the others each undo it.
+PIVOT_EDITS = (None, "leaf", "dense")
+
+
+def planted_pivot_tree(m: int, n: int, edit: str | None, rng: random.Random) -> Graph:
+    """A tree with m(G) = m >= 4 and max(n, its core) vertices, ids
+    shuffled: pivoted when ``edit`` is None, and one added leaf away from
+    that otherwise.
+
+    The core: a pivot v of degree m - 2 with 2 <= a <= m - 2 dense
+    neighbors, and m - a more dense vertices, each hung off one of those a.
+    A neighbor of v that gets one has degree exactly m - 1; the other dense
+    vertices have degree m - 1 to m + 1; leaves make up each degree.
+    Padding vertices hang off a leaf or an earlier padding vertex, each of
+    degree at most m - 2 once joined.  So the m are the only dense vertices,
+    no m + 1 vertices have degree >= m, and m(G) = m.
+
+    ``edit`` "leaf" adds a leaf to a dense neighbor of v that has a dense
+    neighbor of its own, which then has degree m.  No vertex is a pivot
+    then: v's dense neighbors are two steps apart, only through v, so v is
+    the only candidate.  ``edit`` "dense" adds a leaf to a random vertex of
+    degree m - 2 (v among them), which makes m + 1 dense vertices.
+    """
+    a = rng.randint(2, m - 2)
+    edges = [(0, i) for i in range(1, a + 1)]
+    hung = [0] * (a + 1)  # dense vertices hung off each dense neighbor of v
+    for b in range(a + 1, m + 1):
+        parent = rng.choice([i for i in range(1, a + 1) if hung[i] < m - 2])
+        hung[parent] += 1
+        edges.append((parent, b))
+    degree = [a] + [1 + hung[u] if u <= a else 1 for u in range(1, m + 1)]
+    for u in range(m + 1):
+        if u == 0:
+            target = m - 2
+        elif u <= a and hung[u]:
+            target = m - 1
+        else:
+            target = m - 1 + rng.randint(0, 2)
+        for _ in range(target - degree[u]):
+            edges.append((u, len(degree)))
+            degree.append(1)
+        degree[u] = target
+    open_ends = list(range(m + 1, len(degree)))  # the leaves, of degree 1 < m - 2
+    while len(degree) < n:
+        i = rng.randrange(len(open_ends))
+        parent = open_ends[i]
+        edges.append((parent, len(degree)))
+        degree[parent] += 1
+        if degree[parent] == m - 2:
+            open_ends[i] = open_ends[-1]
+            open_ends.pop()
+        open_ends.append(len(degree))
+        degree.append(1)
+    if edit == "leaf":
+        edges.append((rng.choice([i for i in range(1, a + 1) if hung[i]]), len(degree)))
+    elif edit == "dense":
+        edges.append((rng.choice([u for u in range(len(degree)) if degree[u] == m - 2]), len(degree)))
+    return relabeled(Graph(len(edges) + 1, edges), rng)
 
 
 def m_by_degrees(g: Graph) -> int:

@@ -15,10 +15,10 @@ from bchrom import (
     density_profile,
     exact_b_chromatic,
     find_good_set,
-    generate_girth_constrained,
     girth,
-    run_pipeline,
 )
+from bchrom.cli import run_pipeline
+from bchrom.graph import generate_girth_constrained
 
 from helpers import (
     brute_force_girth,

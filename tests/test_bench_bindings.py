@@ -6,7 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import bchrom  # noqa: F401  (imports every module the table names)
+import bchrom.cli  # noqa: F401  (imports every module the table names; `import bchrom` does not load the CLI)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

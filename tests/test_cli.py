@@ -15,9 +15,11 @@ import bchrom.coloring
 import bchrom.goodset
 import bchrom.graph
 import bchrom.oracle
-from bchrom import BResult, InvariantViolation, PreconditionError, check_b_coloring, run_pipeline, to_edge_list
-from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main
+from bchrom import InvariantViolation, PreconditionError, check_b_coloring
+from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main, run_pipeline
+from bchrom.coloring import BResult
 from bchrom.goodset import _certified
+from bchrom.graph import to_edge_list
 from bchrom.oracle import MAX_ORACLE_LIMIT
 
 from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, steal_chain_tree
@@ -222,6 +224,25 @@ def test_color_trace_lines(tmp_path, capsys):
     assert any(line.startswith("step=completion") for line in lines)
     assert any(line.startswith("step=greedy") for line in lines)
     assert len(lines) == 9
+
+
+def test_color_oracle_refuses_a_17_vertex_path_above_the_oracle_limit(tmp_path, capsys):
+    """--oracle forces the exhaustive search at girth >= 9 too, so its limit applies."""
+    path = write_graph(tmp_path, "p17.txt", to_edge_list(path_graph(17)))
+    assert main(["color", path, "--oracle", "-o", str(tmp_path / "p17.coloring")]) == 3
+    assert capsys.readouterr().err == "refused: n = 17 exceeds the oracle limit 14\n"
+    assert not (tmp_path / "p17.coloring").exists()
+    assert main(["color", path, "-o", str(tmp_path / "p17.coloring")]) == 0
+
+
+def test_color_oracle_trace_prints_no_step_lines(tmp_path, capsys):
+    """With --oracle the witness comes from the exhaustive search, which logs
+    no coloring decision: --trace adds nothing to the coloring file."""
+    path = write_graph(tmp_path, "c9.txt", C9_TEXT)
+    assert main(["color", path, "--oracle", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "step=" not in out
+    assert out.startswith("# k=")
 
 
 def test_color_trace_names_the_recolored_color(tmp_path, capsys):

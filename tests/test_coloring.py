@@ -13,14 +13,13 @@ from bchrom import (
     PreconditionError,
     b_coloring_with_good_set,
     check_b_coloring,
-    check_good_set,
     density_profile,
     exact_b_chromatic,
     find_good_set,
-    generate_girth_constrained,
-    run_pipeline,
 )
+from bchrom.cli import run_pipeline
 from bchrom.coloring import (
+    LinkStructure,
     PartialColoring,
     TraceEvent,
     classify_links,
@@ -29,6 +28,8 @@ from bchrom.coloring import (
     derange_assign,
     greedy_extend,
 )
+from bchrom.goodset import check_good_set
+from bchrom.graph import generate_girth_constrained
 
 from helpers import (
     chorded_trees,
@@ -220,6 +221,62 @@ def test_fallback_pass_golden():
     assert pc.colors[3] == 3 and last_step(pc, 3) == "step4"
 
 
+# The link passes' certificates, each reached on a graph that breaks the
+# girth their argument needs: color_links does not check the girth itself.
+
+
+def test_link_passes_refuse_colliding_second_anchors():
+    # the 4-cycle 0-1-2-3: both neighbors of anchor 0 have anchor 2 as their second
+    g = cycle_graph(4)
+    anchors = GoodSet((0, 2))
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^second-anchor colors collide around an anchor \(step=step2, vertex=0\)$",
+    ) as info:
+        color_links(g, anchors, classify_links(g, anchors))
+    assert (info.value.step, info.value.vertex) == ("step2", 0)
+
+
+def test_link_passes_refuse_an_infeasible_derangement():
+    # anchors 0, 1, 2; 3 sees 0 and 1, 4 sees 0 and 2, and 5 joins 3 to 2, so
+    # pass 1 gives 3 the color of 5's anchor 2, which is 4's forbidden color:
+    # around anchor 0 one palette color is left for the one target
+    g = Graph(6, [(0, 3), (1, 3), (0, 4), (2, 4), (3, 5), (2, 5)])
+    anchors = GoodSet((0, 1, 2))
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^derangement infeasible: palette must have at least two colors \(step=step2, vertex=0\)$",
+    ) as info:
+        color_links(g, anchors, classify_links(g, anchors))
+    assert (info.value.step, info.value.vertex) == ("step2", 0)
+
+
+def test_link_passes_refuse_an_encircled_pass_four_vertex():
+    # the path 0-1-2 with anchors 0 and 2: 1 is adjacent to both, so every
+    # anchor lies in its encirclement cover and no color is safe for it
+    g = path_graph(3)
+    anchors = GoodSet((0, 2))
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^uncolored doubly anchored vertex is encircled \(step=step4, vertex=1\)$",
+    ) as info:
+        color_links(g, anchors, classify_links(g, anchors))
+    assert (info.value.step, info.value.vertex) == ("step4", 1)
+
+
+def test_link_passes_refuse_a_link_vertex_they_leave():
+    # a hand-built link structure whose link vertex 3 is neither chained nor doubly anchored
+    g = path_graph(4)
+    anchors = GoodSet((0, 1))
+    links = LinkStructure(frozenset({3}), frozenset(), frozenset(), {})
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^link vertex survived all four passes \(step=step4, vertex=3\)$",
+    ) as info:
+        color_links(g, anchors, links)
+    assert (info.value.step, info.value.vertex) == ("step4", 3)
+
+
 # ------------------------------------------------ completion and greedy
 
 
@@ -391,6 +448,16 @@ def test_recolor_refuses_a_second_recoloring():
     with pytest.raises(InvariantViolation, match=r"^vertex recolored twice \(step=step3-recolor, vertex=1\)$"):
         pc.recolor(1, 2, "step3-recolor")
     assert pc.colors[1] == 3 and len(pc.events) == 4
+
+
+def test_recolor_refuses_an_uncolored_vertex():
+    pc = PartialColoring(path_graph(3))
+    with pytest.raises(
+        InvariantViolation, match=r"^cannot recolor an uncolored vertex \(step=step3-recolor, vertex=1\)$"
+    ) as info:
+        pc.recolor(1, 2, "step3-recolor")
+    assert (info.value.step, info.value.vertex) == ("step3-recolor", 1)
+    assert pc.colors == [0, 0, 0] and pc.events == []
 
 
 def test_completion_checks_that_every_anchor_sees_every_other_color():

@@ -11,7 +11,8 @@ import io
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bchrom import Graph, generate_girth_constrained, parse_edge_list, to_edge_list
+from bchrom import Graph, parse_edge_list
+from bchrom.graph import generate_girth_constrained, to_edge_list
 from bchrom.cli import main
 
 ALLOWED_EXITS = {0, 1, 2, 3}

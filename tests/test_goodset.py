@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bchrom import (
-    DensityProfile,
     GoodSet,
-    GoodSetViolation,
     Graph,
     InvariantViolation,
     PreconditionError,
     b_coloring_with_good_set,
-    check_good_set,
     density_profile,
     find_good_set,
 )
-from bchrom.goodset import _swap, encirclement_cover
+from bchrom.goodset import (
+    DensityProfile,
+    GoodSetViolation,
+    _swap,
+    check_good_set,
+    encirclement_cover,
+    find_encircled_vertex,
+)
 
 from helpers import (
     backtracking_good_set,
@@ -41,6 +45,11 @@ def test_encircles_path_five():
     # independent definition check first, then the implementation
     assert naive_encircles(g, w, 0, profile.m) is False
     assert not w <= encirclement_cover(g, w, 0, profile.m)
+
+
+def test_find_encircled_vertex_refuses_an_empty_set():
+    with pytest.raises(ValueError, match=r"^candidate set must be nonempty$"):
+        find_encircled_vertex(path_graph(5), [], 3)
 
 
 def test_encircles_encircled_tree():

@@ -1,22 +1,21 @@
+import hashlib
+import importlib.util
 import math
 import random
-from itertools import combinations
+from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bchrom.graph
-from bchrom import (
-    ACYCLIC,
-    Graph,
-    ParseError,
+from bchrom import ACYCLIC, Graph, ParseError, girth, parse_dimacs, parse_edge_list
+from bchrom.graph import (
+    format_coloring_file,
     generate_girth_constrained,
-    girth,
-    parse_dimacs,
-    parse_edge_list,
+    parse_coloring_file,
     to_edge_list,
 )
-from bchrom.graph import format_coloring_file, parse_coloring_file
 
 from helpers import (
     all_roots_girth,
@@ -27,6 +26,8 @@ from helpers import (
     petersen_graph,
     random_tree,
 )
+
+CROSSCHECK = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck.py"
 
 
 def test_parse_path():
@@ -76,6 +77,21 @@ def test_constructor_validates():
         Graph(2, [(0, 5)])
 
 
+def test_constructor_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
+        Graph(-1, [])
+
+
+def test_constructor_refuses_labels_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^labels must cover every vertex$"):
+        Graph(3, [(0, 1)], labels=[5, 6])
+
+
+def test_constructor_refuses_repeated_labels():
+    with pytest.raises(ValueError, match=r"^labels must be distinct$"):
+        Graph(3, [(0, 1)], labels=[5, 6, 5])
+
+
 def test_constructor_sorts_each_adjacency():
     g = Graph(5, [(4, 2), (0, 3), (3, 2), (1, 3), (2, 0)])
     assert g.adj == ((2, 3), (3,), (0, 3, 4), (0, 1, 2), (2,))
@@ -98,6 +114,18 @@ def test_dimacs_rejects_bad_lines():
         parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")  # duplicate edge
     with pytest.raises(ParseError, match="self-loop"):
         parse_dimacs("p edge 2 1\ne 2 2\n")
+
+
+def test_dimacs_refuses_a_non_integer_vertex_count():
+    with pytest.raises(ParseError, match=r"^line 1: non-integer vertex count$") as refusal:
+        parse_dimacs("p edge x 0\n")
+    assert refusal.value.line == 1
+
+
+def test_dimacs_refuses_an_edge_line_with_the_wrong_field_count():
+    with pytest.raises(ParseError, match=r"^line 3: edge line must read 'e <u> <v>'$") as refusal:
+        parse_dimacs("p edge 3 2\ne 1 2\ne 2 3 1\n")
+    assert refusal.value.line == 3
 
 
 @pytest.mark.parametrize(
@@ -473,6 +501,74 @@ def test_generator_deterministic_and_respects_girth():
     assert to_edge_list(a) == to_edge_list(b)
     value = girth(a)
     assert value == ACYCLIC or value >= 9
+
+
+#: sha256 of ``to_edge_list`` (first 16 hex digits) of seeded calls (n, min_girth, edge_budget, seed),
+#: as the generator gave them before it stopped on saturated graphs: CI's two calls, then a grid.
+GENERATED_DIGESTS = {
+    (300, 9, 320, 1): "ad272673abcd63e9",
+    (10, 9, 10**9, 0): "3ebcad01983a092f",
+    (2, 9, 1, 0): "a79122992d53d358",
+    (7, 3, 7, 0): "c7af800bd1aca5aa",
+    (7, 3, 7, 1): "37fe6ce98951e32d",
+    (7, 3, 21, 0): "2091e21e15618a74",
+    (7, 3, 21, 1): "2091e21e15618a74",
+    (7, 5, 7, 0): "b9aa2db171cebf9f",
+    (7, 5, 7, 1): "9df1f826c61e4771",
+    (7, 5, 21, 0): "b9aa2db171cebf9f",
+    (7, 5, 21, 1): "49695bb837e1e010",
+    (7, 9, 7, 0): "9a5775335017d5b1",
+    (7, 9, 7, 1): "1131d677f97069ee",
+    (7, 9, 21, 0): "9a5775335017d5b1",
+    (7, 9, 21, 1): "1131d677f97069ee",
+    (16, 3, 16, 0): "c60750ec54e12668",
+    (16, 3, 16, 1): "7ed8530ee9fff977",
+    (16, 3, 120, 0): "1be43d0887840ab4",
+    (16, 3, 120, 1): "1be43d0887840ab4",
+    (16, 5, 16, 0): "86ccb077bf575339",
+    (16, 5, 16, 1): "2c705759a8b1aed2",
+    (16, 5, 120, 0): "8408580a49ee967b",
+    (16, 5, 120, 1): "76396ac17e2f6fda",
+    (16, 9, 16, 0): "e37ca4bd5542ed82",
+    (16, 9, 16, 1): "8d83cbf02d9a92a8",
+    (16, 9, 120, 0): "e37ca4bd5542ed82",
+    (16, 9, 120, 1): "5079273084bb71ad",
+    (40, 3, 40, 0): "fea8ffbe1d6615ab",
+    (40, 3, 40, 1): "38c399fcd4916bf1",
+    (40, 3, 780, 0): "c17126dfc2bf4e96",
+    (40, 3, 780, 1): "c17126dfc2bf4e96",
+    (40, 5, 40, 0): "fea8ffbe1d6615ab",
+    (40, 5, 40, 1): "1b1d70b8cd7717e4",
+    (40, 5, 780, 0): "21c23b963327b81f",
+    (40, 5, 780, 1): "3b1737cd6f421cb2",
+    (40, 9, 40, 0): "f9cb76bac188cd1b",
+    (40, 9, 40, 1): "91395ea35b2be592",
+    (40, 9, 780, 0): "afaa60d02b1e822a",
+    (40, 9, 780, 1): "7aebd0a456651b8f",
+}
+
+
+def edge_list_digest(graphs) -> str:
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(to_edge_list(g).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("call", GENERATED_DIGESTS)
+def test_generator_gives_the_pinned_graph(call):
+    assert edge_list_digest([generate_girth_constrained(*call)]) == GENERATED_DIGESTS[call]
+
+
+def test_generator_gives_the_crosschecks_pinned_multi_cycle_graphs():
+    """The first 300 graphs of ``scripts/crosscheck.py``'s multi-cycle
+    family, drawn by the script's own code, most of them saturated before
+    their edge budget is spent."""
+    spec = importlib.util.spec_from_file_location("crosscheck", CROSSCHECK)
+    crosscheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(crosscheck)
+    graphs = islice(crosscheck.multi_cycle_graphs(random.Random(7)), 300)
+    assert edge_list_digest(graphs) == "df8be2a9993c2e40"
 
 
 def test_generator_small_n_is_acyclic():

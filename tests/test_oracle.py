@@ -4,17 +4,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from bchrom import (
-    Graph,
-    OracleLimitError,
-    Violation,
-    check_b_coloring,
-    density_profile,
-    exact_b_chromatic,
-    find_b_coloring_exact,
-)
+from bchrom import Graph, OracleLimitError, check_b_coloring, density_profile, exact_b_chromatic
 from bchrom.goodset import find_encircled_vertex
-from bchrom.oracle import MAX_ORACLE_LIMIT
+from bchrom.oracle import MAX_ORACLE_LIMIT, Violation, find_b_coloring_exact
 
 from helpers import (
     by_vertex_id,
@@ -64,6 +56,21 @@ def test_check_color_gap_and_missing_b_vertex():
     assert "color-gap" in kinds  # color 3 unused
     report2 = check_b_coloring(g, [1, 2, 3, 1], 3)
     assert any(v.kind == "class-without-b-vertex" for v in report2.violations)
+
+
+def test_check_refuses_k_below_one():
+    with pytest.raises(ValueError, match=r"^k must be positive$"):
+        check_b_coloring(Graph(1, []), [1], 0)
+
+
+def test_find_exact_refuses_k_below_one():
+    with pytest.raises(ValueError, match=r"^k must be positive$"):
+        find_b_coloring_exact(path_graph(3), 0)
+
+
+def test_exact_refuses_the_empty_graph():
+    with pytest.raises(ValueError, match=r"^the b-chromatic number is undefined for the empty graph$"):
+        exact_b_chromatic(Graph(0, []))
 
 
 def test_check_rejects_partial():

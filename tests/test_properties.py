@@ -4,14 +4,9 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from bchrom import (
-    check_good_set,
-    density_profile,
-    generate_girth_constrained,
-    find_good_set,
-    girth,
-    ACYCLIC,
-)
+from bchrom import density_profile, find_good_set, girth, ACYCLIC
+from bchrom.goodset import check_good_set
+from bchrom.graph import generate_girth_constrained
 
 from helpers import (
     disagreement,

@@ -1,11 +1,15 @@
 """Every small tree, and every small tree plus one or two chords at girth >= 9,
-up to isomorphism, against the exact search."""
+up to isomorphism, against the exact search; planted pivoted trees and near
+misses up to 10^4 vertices against the pivot rule."""
+
+import random
+from collections import Counter
 
 import pytest
 
 from bchrom import Graph
 
-from helpers import chorded_trees, disagreement, free_trees
+from helpers import PIVOT_EDITS, chorded_trees, disagreement, free_trees, m_by_degrees, pivoted, planted_pivot_tree
 
 #: OEIS A000055: trees with n unlabeled vertices, n = 0..16.
 A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -69,3 +73,18 @@ def test_every_small_tree_plus_chords_agrees_with_the_exact_search(chords, sizes
             count += 1
             below += record.chi_b == record.m - 1
     assert (count, below) == (graphs, below_m)
+
+
+def test_planted_pivoted_trees_and_near_misses():
+    """200 planted trees, m = 4..12, 10 to 10^4 vertices: a pivoted one
+    answers m(G) - 1, and one leaf away from a pivot ("leaf" or "dense"), m(G)."""
+    rng = random.Random(2026)
+    answers = Counter()
+    for _ in range(200):
+        m, n, edit = rng.randint(4, 12), round(10 ** rng.uniform(1, 4)), rng.choice(PIVOT_EDITS)
+        g = planted_pivot_tree(m, n, edit, rng)
+        assert m_by_degrees(g) == m and pivoted(g, m) == (edit is None), (m, n, edit)
+        problem, record = disagreement(g, limit=14)
+        assert problem is None, (m, n, edit, problem)
+        answers[edit, record.m - record.chi_b] += 1
+    assert answers == {(None, 1): 67, ("leaf", 0): 60, ("dense", 0): 73}
