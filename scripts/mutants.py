@@ -95,6 +95,14 @@ MUTANTS = [
         _GIRTH_ROOT_DELETION + _GIRTH_BFS,
         ("tests/test_graph.py::test_girth_cycle_and_tree",),
     ),
+    # the renumbered 2-core keeps each vertex's core degree, which the root deletions peel by
+    Mutant(
+        "girth-core-degrees-reset",
+        GRAPH,
+        "        degree = list(map(degree.__getitem__, roots))\n",
+        "        degree = [2] * len(roots)\n",
+        ("tests/test_graph.py",),
+    ),
     Mutant(
         "girth-cutoff-one-level-late",
         GRAPH,
@@ -187,17 +195,27 @@ MUTANTS = [
     Mutant(
         "free-color-off-by-one",
         COLORING,
-        "            if color > num_colors:\n                return v\n",
-        "            if color >= num_colors:\n                return v\n",
+        "            if color > num_colors:\n",
+        "            if color >= num_colors:\n",
+        ("tests/test_coloring.py",),
+    ),
+    # the log records a batch's vertices once, and only the assigned ones when it stops
+    Mutant(
+        "batch-log-one-vertex-too-many",
+        COLORING,
+        "                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])\n"
+        "                return v\n",
+        "                self._record(step, vertices[: len(vertices) - sum(1 for _ in rest)])\n"
+        "                return v\n",
         ("tests/test_coloring.py",),
     ),
     # the certificates of coloring.py's module docstring, one each
     Mutant(
         "certificate-properness",
         COLORING,
-        "            for u in adj[v]:\n"
-        "                if colors[u] == color:\n"
-        '                    raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)\n',
+        "        for u in self._adj[v]:\n"
+        "            if colors[u] == color:\n"
+        '                raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)\n',
         "",
         ("tests/test_coloring.py",),
     ),
@@ -219,6 +237,13 @@ MUTANTS = [
         "certificate-stable-fringe",
         COLORING,
         "    if not all(map(fringe.isdisjoint, map(adj.__getitem__, fringe))):\n",
+        "    if False:\n",
+        ("tests/test_coloring.py",),
+    ),
+    Mutant(
+        "certificate-fringe-premise",
+        COLORING,
+        "    if crowded:\n",
         "    if False:\n",
         ("tests/test_coloring.py",),
     ),

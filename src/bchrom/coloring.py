@@ -6,11 +6,18 @@ ordered passes, make every anchor a b-vertex by finishing its
 neighborhood, and extend greedily.
 The construction re-checks the properties the correctness argument rests on:
 
-* properness at every assignment and recoloring,
+* properness at every assignment and recoloring, but for two batches that
+  are proper by construction: the anchors, which take distinct colors on an
+  uncolored graph, and each anchor's missing colors in completion, under
+  the premise below,
 * as completion starts each anchor, it has at least as many uncolored
   neighbors as colors missing from its neighborhood,
 * no vertex is ever recolored twice,
 * the uncolored neighbors of W form a stable set before completion,
+* before completion, each uncolored neighbor of W of degree >= 2 has one
+  colored neighbor, its one anchor: the premise under which completion
+  gives each anchor its missing colors as one batch, without a check per
+  vertex (``complete_b_vertices`` gives the argument),
 * every anchor sees all other colors after completion.
 
 A violation raises InvariantViolation: on a girth->=9 input that is a bug.
@@ -18,9 +25,9 @@ A violation raises InvariantViolation: on a girth->=9 input that is a bug.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse, repeat
 from typing import NamedTuple
 
 from . import oracle
@@ -46,6 +53,19 @@ class LinkStructure:
     anchors_of: dict[int, tuple[int, ...]]
 
 
+#: One record of a construction log: a step, the vertices it colored, their
+#: colors, and the color each had before (None for an assignment).
+LogRecord = tuple[str, Sequence[int], Sequence[int], int | None]
+
+
+def _expand_log(log: Iterable[LogRecord]) -> Iterator[tuple[str, int, int, int | None]]:
+    """The ``(step, vertex, color, recolored_from)`` event of each vertex of
+    each record, in log order."""
+    return chain.from_iterable(
+        zip(repeat(step), vertices, colors, repeat(recolored_from)) for step, vertices, colors, recolored_from in log
+    )
+
+
 class TraceEvent(NamedTuple):
     """One assignment or recoloring, as ``BResult.trace`` reports it."""
 
@@ -59,35 +79,53 @@ class TraceEvent(NamedTuple):
 class BResult:
     """A witnessed b-coloring: chi_b colors, one designated b-vertex each.
 
-    ``coloring`` holds the color of each vertex id, 1..chi_b.  ``events`` is
-    the construction's log of plain ``(step, vertex, color, recolored_from)``
-    tuples in assignment order; ``trace`` builds its ``TraceEvent``s on read.
-    ``run_pipeline`` returns one from either witness: the construction's, or
-    the oracle's coloring with the basis ``check_b_coloring`` found and no
-    events.
+    ``coloring`` holds the color of each vertex id, 1..chi_b.  ``log`` is
+    the construction's log, one record per batch (see ``PartialColoring``).
+    ``events`` expands it on read into plain ``(step, vertex, color,
+    recolored_from)`` tuples in assignment order, and ``trace`` into
+    ``TraceEvent``s.  ``run_pipeline`` returns one from either witness: the
+    construction's, or the oracle's coloring with the basis
+    ``check_b_coloring`` found and no events.
     """
 
     chi_b: int
     coloring: list[int]
     basis: dict[int, int]
-    events: tuple[tuple[str, int, int, int | None], ...] = ()
+    log: tuple[LogRecord, ...] = ()
+
+    @property
+    def events(self) -> tuple[tuple[str, int, int, int | None], ...]:
+        return tuple(_expand_log(self.log))
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
-        return tuple(map(TraceEvent._make, self.events))
+        return tuple(map(TraceEvent._make, _expand_log(self.log)))
 
 
 class PartialColoring:
     """Mutable coloring of a graph, one color per vertex id (0: uncolored),
-    that logs every assignment and recoloring as a plain
-    ``(step, vertex, color, recolored_from)`` tuple and refuses one that would
-    give a vertex a neighbor's color.  Colors are positive."""
+    that refuses an assignment or recoloring that would give a vertex a
+    neighbor's color, except in a batch whose caller has shown it proper
+    (``assign_certified``).  Colors are positive.
+
+    Each call appends one record to ``log``: its step, the vertices it
+    colored, their colors at the end of the call, and None, or the old color
+    of a recoloring.  ``events`` expands the log into one plain
+    ``(step, vertex, color, recolored_from)`` tuple per vertex."""
 
     def __init__(self, g: Graph):
         self._adj = g.adj
         self.colors: list[int] = [0] * g.n
-        self.events: list[tuple[str, int, int, int | None]] = []
+        self.log: list[LogRecord] = []
         self._recolored: set[int] = set()
+
+    @property
+    def events(self) -> list[tuple[str, int, int, int | None]]:
+        return list(_expand_log(self.log))
+
+    def _record(self, step: str, vertices: Sequence[int]) -> None:
+        """Log the vertices one call assigned, with the colors they have now."""
+        self.log.append((step, tuple(vertices), tuple(map(self.colors.__getitem__, vertices)), None))
 
     def _refuse_clash(self, v: int, color: int, step: str) -> None:
         colors = self.colors
@@ -101,32 +139,47 @@ class PartialColoring:
     def assign_each(self, pairs: Iterable[tuple[int, int]], step: str) -> None:
         """Assign each ``(vertex, color)`` pair in order, all at one step,
         refusing a second assignment or a neighbor's color as it reaches the
-        pair; the pairs before a refused one stay assigned."""
+        pair; the pairs before a refused one stay assigned and logged."""
         colors = self.colors
-        adj = self._adj
-        log = self.events.append
-        for v, color in pairs:
-            if colors[v]:
-                raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
-            for u in adj[v]:
-                if colors[u] == color:
-                    raise InvariantViolation(f"edge {u}-{v} is monochromatic", step=step, vertex=v)
-            colors[v] = color
-            log((step, v, color, None))
+        done: list[int] = []
+        try:
+            for v, color in pairs:
+                if colors[v]:
+                    raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+                self._refuse_clash(v, color, step)
+                colors[v] = color
+                done.append(v)
+        finally:
+            self._record(step, done)
 
-    def assign_smallest_free_each(self, vertices: Iterable[int], step: str, num_colors: int) -> int | None:
+    def assign_certified(self, vertices: Sequence[int], colors: Sequence[int], step: str) -> None:
+        """Give ``vertices[i]`` the color ``colors[i]``, all at one step,
+        without the checks of ``assign_each``: the caller has shown that the
+        vertices are distinct and uncolored, and that the batch leaves no
+        edge monochromatic."""
+        own = self.colors
+        for v, color in zip(vertices, colors):  # faster in CPython than map over own.__setitem__
+            own[v] = color
+        self.log.append((step, tuple(vertices), tuple(colors), None))
+
+    def assign_smallest_free_each(self, vertices: Sequence[int], step: str, num_colors: int) -> int | None:
         """Give each vertex in order, all at one step, the smallest color in
         1..num_colors that no neighbor has.  Stop at the first vertex left
         with no such color, assign it nothing and return it; None when every
         vertex was assigned.  A second assignment is refused as it is
         reached.  Picking a color no neighbor has is also the properness
         check of ``assign_each``: a vertex with one or two neighbors compares
-        their colors directly, one with more collects them into a set."""
+        their colors directly, one with more collects them into a set.
+
+        The log records the vertex list once, at the end; on a stop or a
+        refusal, only the vertices before the one the loop stopped at, whose
+        number is found from how many ``rest`` had left to give."""
         colors = self.colors
         adj = self._adj
-        log = self.events.append
-        for v in vertices:
+        rest = iter(vertices)
+        for v in rest:
             if colors[v]:
+                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])
                 raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
             nbrs = adj[v]
             degree = len(nbrs)
@@ -144,9 +197,10 @@ class PartialColoring:
             else:
                 color = 1
             if color > num_colors:
+                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])
                 return v
             colors[v] = color
-            log((step, v, color, None))
+        self._record(step, vertices)
         return None
 
     def recolor(self, v: int, color: int, step: str) -> None:
@@ -158,7 +212,7 @@ class PartialColoring:
         self._refuse_clash(v, color, step)
         self._recolored.add(v)
         self.colors[v] = color
-        self.events.append((step, v, color, old))
+        self.log.append((step, (v,), (color,), old))
 
 
 def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
@@ -280,14 +334,16 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
     anchors_of = links.anchors_of
     pc = PartialColoring(g)
     colors = pc.colors
-    for v in members:
-        pc.assign(v, anchor_color[v], "anchor")
+    # distinct colors on an uncolored graph: no edge can clash, so no check
+    pc.assign_certified(members, range(1, m + 1), "anchor")
 
     # pass 1: chained link vertices copy an anchor color from across the chain
     chained = sorted(links.chained)
+    copies = []
     for x in chained:
         x2 = next(y for y in g.adj[x] if y in link_set)
-        pc.assign(x, anchor_color[anchors_of[x2][0]], "step1")
+        copies.append((x, anchor_color[anchors_of[x2][0]]))
+    pc.assign_each(copies, "step1")
 
     # pass 2: deranged second-anchor colors around each anchor; each star
     # lists the anchor's doubly anchored neighbors in id order
@@ -312,8 +368,7 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
             assignment = derange_assign(targets, palette)
         except ValueError as exc:
             raise InvariantViolation(f"derangement infeasible: {exc}", step="step2", vertex=v_i) from exc
-        for x, _ in targets:
-            pc.assign(x, assignment[x], "step2")
+        pc.assign_each([(x, assignment[x]) for x, _ in targets], "step2")
 
     # pass 3: steal a chained neighbor's color, then move that neighbor
     first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor
@@ -355,10 +410,26 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
     ``classify_links(g, anchors)``.
 
     The uncolored neighbors of W form a stable set and each has exactly one
-    colored neighbor (its anchor), so the assignments never clash.  Leftover
-    neighbors of degree >= |W|, the number of colors, are colored here as
-    well: deferring them to the greedy pass could strand a high-degree
-    vertex with no free color.
+    colored neighbor (its anchor), so the assignments never clash.  Both are
+    checked before any assignment: the stable set, and the premise that
+    every uncolored anchor neighbor of degree >= 2 has one anchor and no
+    other colored neighbor, which names the lowest vertex that breaks it.
+    Each anchor's first |missing| uncolored neighbors then take its missing
+    colors as one batch, without a check per vertex.  Leftover neighbors of
+    degree >= |W|, the number of colors, are colored here as well: deferring
+    them to the greedy pass could strand a high-degree vertex with no free
+    color.
+
+    Why the batch needs no check of its own.  A target is uncolored, since
+    its anchor's uncolored neighbors are read as its turn starts, and the
+    targets are distinct, since an adjacency list has no repeats; so no
+    vertex is assigned twice.  A target of degree 1 sees only its anchor,
+    whose color is not missing.  A target of degree >= 2 sees, by the
+    premise, only its anchor among colored vertices, and none of its
+    neighbors is colored later in completion: such a neighbor would be an
+    uncolored anchor neighbor itself, which the stable set excludes.  The
+    premise also keeps every target to one anchor's batch.  The final
+    ``check_b_coloring`` still checks every edge.
 
     Each anchor's slack (no fewer uncolored neighbors than missing colors)
     is checked as its turn starts, and that is the state the link passes
@@ -381,6 +452,14 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
       uncolored neighbor of degree 1 touches only its (colored) anchor, and
       one of degree >= 2 is a key.  So every uncolored neighbor adjacent to
       another one is a key, and so is that other one.
+    * The premise: the passes color the anchors and the link vertices, and
+      nothing else, and each link vertex is next to an anchor.  Let u be
+      uncolored, next to anchor v, with another colored neighbor z.  If z
+      is an anchor, v-u-z makes u a link vertex; if z is a link vertex next
+      to anchor a, v-u-z-a makes u one when a != v, and v-u-z is a triangle
+      when a = v.  Either way u would be colored.  Girth alone.  The check
+      scans the same uncolored keys of ``links.anchors_of``, which are the
+      uncolored anchor neighbors of degree >= 2.
     * Slack: an anchor v of degree d has slack d - (k - 1) >= 0 for the
       colors it may see twice.  The link passes repeat a color around v
       only when pass 4 gives v's one doubly anchored neighbor the color of
@@ -410,6 +489,15 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
             step="completion",
             vertex=u,
         )
+    colored_around = {u: sum(map(bool, map(colors.__getitem__, adj[u]))) for u in fringe}
+    crowded = [u for u, count in colored_around.items() if count != 1]
+    if crowded:
+        u = min(crowded)
+        raise InvariantViolation(
+            f"uncolored anchor neighbor has {colored_around[u]} colored neighbors, not its one anchor alone",
+            step="completion",
+            vertex=u,
+        )
     full_palette = set(range(1, m + 1))
     for i, v in enumerate(members):
         own = i + 1
@@ -423,7 +511,7 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
                 step="completion",
                 vertex=v,
             )
-        pc.assign_each(zip(free, missing), "completion")
+        pc.assign_certified(free[: len(missing)], missing, "completion")
         high = [u for u in free[len(missing):] if len(adj[u]) >= m]
         stuck = pc.assign_smallest_free_each(high, "completion", m)
         if stuck is not None:
@@ -478,4 +566,4 @@ def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | f
     if report.basis is None:
         raise InvariantViolation("constructed coloring failed the validity check")
     basis = {i + 1: v for i, v in enumerate(anchors.members)}
-    return BResult(chi_b=k, coloring=total, basis=basis, events=tuple(pc.events))
+    return BResult(chi_b=k, coloring=total, basis=basis, log=tuple(pc.log))

@@ -33,7 +33,10 @@ MAX_VERTICES = 10**6
 #: one byte more than this is read.
 MAX_INPUT_BYTES = 32 * 2**20
 
-_N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+#: The one integer grammar of every reader: an optional "-", then ASCII decimal digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+_N_HEADER = re.compile(r"#\s*n\s*=\s*([0-9]+)\s*$")
 
 #: The only header line the bulk edge-list read accepts; see ``parse_edge_list``.
 _PLAIN_N_HEADER = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*\n")
@@ -41,7 +44,7 @@ _PLAIN_N_HEADER = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*\n")
 #: Most "label color" lines in one text block of ``format_coloring_file``.
 _COLORING_BLOCK_LINES = 2**16
 
-_COLORING_HEADER = re.compile(r"#\s*k=(\d+)\s+basis=(\S*)\s*$")
+_COLORING_HEADER = re.compile(r"#\s*k=([0-9]+)\s+basis=(\S*)\s*$")
 
 #: The only header line the bulk coloring read accepts; see ``parse_coloring_file``.
 _PLAIN_COLORING_HEADER = re.compile(r"#[ \t]*k=([0-9]+)[ \t]+basis=\S*[ \t]*\n")
@@ -149,14 +152,23 @@ def _plain_pairs(text: str, start: int = 0) -> list[int] | None:
         return None
 
 
+def _integer(token: str) -> int:
+    """int(token) for a token of the ``_INTEGER`` grammar; any other token is
+    a ValueError, among them the "+3", "1_0" and "\u0663" (Arabic-Indic 3)
+    that int() alone reads."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _declared_count(token: str) -> int | float:
-    """A count read from a header, as int(token); a decimal with more digits
-    than int() converts (4300 in CPython) reads as math.inf, above every
-    limit a count is checked against.  Any other non-integer is a ValueError."""
+    """A count read from a header, as ``_integer(token)``; ASCII digits more
+    than int() converts (4300 in CPython) read as math.inf, above every limit
+    a count is checked against.  Any other non-integer is a ValueError."""
     try:
-        return int(token)
+        return _integer(token)
     except ValueError:
-        if token.lstrip("+").isdecimal():
+        if token.isascii() and token.isdigit():
             return math.inf
         raise
 
@@ -207,7 +219,8 @@ def parse_edge_list(text: str) -> Graph:
     vertices); it may declare at most MAX_VERTICES, and the file may name at
     most MAX_VERTICES distinct labels.  Self-loops and duplicate edges are
     rejected outright so that corpus bugs surface instead of being silently
-    normalized away.
+    normalized away.  Labels and counts are ASCII decimals, leading zeros
+    allowed (``_INTEGER``); every reader refuses the other forms int() reads.
 
     A text made only of "u v" lines (unsigned ASCII decimals without leading
     zeros, separated by one space or one tab, each line ended by "\\n"),
@@ -267,7 +280,7 @@ def _edge_list_lines(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise ParseError(f"non-integer vertex label in {line!r}", lineno) from None
         if u < 0 or v < 0:
@@ -322,7 +335,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError("edge line must read 'e <u> <v>'", lineno)
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _integer(parts[1]), _integer(parts[2])
             except ValueError:
                 raise ParseError("non-integer endpoint", lineno) from None
             if not (1 <= u <= n and 1 <= v <= n):
@@ -431,7 +444,7 @@ def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
         if len(parts) != 2:
             raise ParseError(f"expected 'vertex color', got {line!r}", lineno)
         try:
-            label, color = int(parts[0]), int(parts[1])
+            label, color = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise ParseError(f"non-integer token in {line!r}", lineno) from None
         vertex = vertex_of.get(label)
@@ -447,7 +460,7 @@ def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
     return k, coloring
 
 
-def _peel(adj: tuple[tuple[int, ...], ...], degree: list[int], live: list[bool], queue: list[int]) -> None:
+def _peel(adj: Sequence[Sequence[int]], degree: list[int], live: list[bool], queue: list[int]) -> None:
     """Delete the vertices of ``queue``, each with at most one live neighbor,
     and then every live vertex whose live degree drops to 1; ``queue`` grows."""
     for u in queue:
@@ -470,7 +483,11 @@ def girth(g: Graph) -> int | float:
        the live vertices: a non-tree edge closes a candidate cycle of
        length dist(u) + dist(v) + 1 (Itai & Rodeh 1978).  The BFS stops
        once it can no longer beat the best cycle so far.  Then delete the
-       root and peel again whatever drops to one live neighbor.
+       root and peel again whatever drops to one live neighbor.  When the
+       peel removed any vertex, the BFS runs on the 2-core alone: its
+       vertices renumbered 0, 1, ... in root order, each keeping only its
+       2-core neighbors, so no BFS rescans a peeled vertex.  A graph the
+       peel leaves whole is searched as it is.
 
     Why deleting the root is sound.  Let H be the live graph and r the root.
     If r lies on a shortest cycle of H, its BFS finds that cycle's length,
@@ -497,10 +514,21 @@ def girth(g: Graph) -> int | float:
     if len(leaves) == n:
         return ACYCLIC
 
+    roots: Sequence[int] = sorted([u for u in range(n) if live[u]], key=degree.__getitem__, reverse=True)
+    if leaves:  # the 2-core alone, renumbered in root order
+        core_id = [-1] * n
+        for i, u in enumerate(roots):
+            core_id[u] = i
+        adj = tuple([tuple([core_id[v] for v in adj[u] if live[v]]) for u in roots])
+        degree = list(map(degree.__getitem__, roots))
+        n = len(roots)
+        live = [True] * n
+        roots = range(n)
+
     best: int | float = ACYCLIC
     dist = [-1] * n
     parent = [-1] * n
-    for root in sorted([u for u in range(n) if live[u]], key=degree.__getitem__, reverse=True):
+    for root in roots:
         if best == 3:
             break
         if not live[root]:

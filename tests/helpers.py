@@ -876,6 +876,48 @@ def full_fringe_clash(g: Graph, members, colors: Sequence[int]) -> tuple[int, in
     return None
 
 
+def full_fringe_crowded(g: Graph, members, colors: Sequence[int]) -> int | None:
+    """Reference for the completion's premise check, which scans only the
+    link structure's keys: a scan of every uncolored neighbor of the anchors,
+    giving the lowest-id one of degree >= 2 with a second anchor or another
+    colored neighbor; None when there is none."""
+    w = set(members)
+    fringe = {u for v in members for u in g.adj[v] if not colors[u]}
+    for u in sorted(fringe):
+        if len(g.adj[u]) >= 2:
+            anchors = [z for z in g.adj[u] if z in w]
+            others = [z for z in g.adj[u] if z not in w and colors[z]]
+            if len(anchors) != 1 or others:
+                return u
+    return None
+
+
+def per_pair_complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> PartialColoring:
+    """Reference for ``complete_b_vertices`` without its two certificates on
+    the uncolored anchor neighbors: each anchor's missing colors go to its
+    first uncolored neighbors pair by pair through ``assign_each``, which
+    checks every pair, then its leftover neighbors of degree >= |W| take
+    their smallest free color, and every anchor must then see every other
+    color."""
+    members = anchors.members
+    m = len(members)
+    colors = pc.colors
+    for i, v in enumerate(members):
+        seen = {colors[u] for u in g.adj[v]}
+        missing = [c for c in range(1, m + 1) if c != i + 1 and c not in seen]
+        free = [u for u in g.adj[v] if not colors[u]]
+        if len(free) < len(missing):
+            raise InvariantViolation("anchor slack", step="completion", vertex=v)
+        pc.assign_each(zip(free, missing), "completion")
+        high = [u for u in free[len(missing):] if len(g.adj[u]) >= m]
+        if pc.assign_smallest_free_each(high, "completion", m) is not None:
+            raise InvariantViolation("no color left", step="completion", vertex=v)
+    for i, v in enumerate(members):
+        if not set(range(1, m + 1)) - {i + 1} <= {colors[u] for u in g.adj[v]}:
+            raise InvariantViolation("anchor does not see every other color", step="completion", vertex=v)
+    return pc
+
+
 def chromatic_number(g: Graph) -> int:
     """Small brute-force chromatic number (for sanity bounds only)."""
     if g.n == 0:

@@ -37,10 +37,12 @@ from helpers import (
     encircled_tree,
     fallback_pick_tree,
     full_fringe_clash,
+    full_fringe_crowded,
     greedy_trap_forest,
     high_degree_leftover_forest,
     naive_link_vertices,
     path_graph,
+    per_pair_complete_b_vertices,
     random_simple_graph,
     random_tree,
     star_of_stars,
@@ -392,6 +394,58 @@ def test_stable_set_check_matches_the_full_fringe_scan_on_hand_built_states(n, e
     assert _completion_clash(g, anchors, pc, classify_links(g, anchors)) == expected
 
 
+def _completion_premise_refusal(g, anchors, pc, links):
+    """The vertex the completion's premise check names, or None when that
+    check passes or is not reached (the stable-set check runs first)."""
+    try:
+        complete_b_vertices(g, anchors, pc, links)
+    except InvariantViolation as exc:
+        if "colored neighbors, not its one anchor alone" in str(exc):
+            return exc.vertex
+    return None
+
+
+@given(st.integers(1, 14), st.floats(0.05, 0.5), st.integers(0, 2**30))
+def test_premise_check_matches_the_full_fringe_scan_on_hand_built_states(n, edge_prob, seed):
+    # built as for the stable-set check: anchors colored 1..k, every other
+    # vertex uncolored or given a random color
+    rng = random.Random(seed)
+    g = random_simple_graph(n, edge_prob, rng)
+    anchors = GoodSet(tuple(sorted(rng.sample(range(n), rng.randint(1, n)))))
+    k = len(anchors.members)
+    pc = PartialColoring(g)
+    for i, v in enumerate(anchors.members):
+        pc.colors[v] = i + 1
+    for x in range(n):
+        if not pc.colors[x] and rng.random() < 0.3:
+            pc.colors[x] = rng.randint(1, k)
+    stable = full_fringe_clash(g, anchors.members, pc.colors) is None
+    expected = full_fringe_crowded(g, anchors.members, pc.colors) if stable else None
+    assert _completion_premise_refusal(g, anchors, pc, classify_links(g, anchors)) == expected
+
+
+@pytest.mark.parametrize(
+    ("rank", "sizes", "graphs"),
+    [(0, range(1, 14), 2288), (1, range(1, 14), 1612), (2, range(1, 16), 5163)],
+    ids=["trees", "one-chord", "two-chords"],
+)
+def test_batched_completion_matches_the_per_pair_reference(rank, sizes, graphs):
+    """On every tree plus up to two chords at girth >= 9, with n <= 13 (n <=
+    15 with two chords, of which n <= 13 gives only 27), the batched
+    completion leaves the colors and the expanded log that the per-pair
+    loop, which checks every assignment, leaves."""
+    count = 0
+    for n in sizes:
+        for g in chorded_trees(n, rank):
+            anchors = find_good_set(g, density_profile(g))
+            links = classify_links(g, anchors)
+            batched = complete_b_vertices(g, anchors, color_links(g, anchors, links), links)
+            reference = per_pair_complete_b_vertices(g, anchors, color_links(g, anchors, links))
+            assert (batched.colors, batched.events) == (reference.colors, reference.events), g.adj
+            count += 1
+    assert count == graphs
+
+
 def test_assign_refuses_a_neighbor_color():
     g = path_graph(3)
     pc = PartialColoring(g)
@@ -461,11 +515,11 @@ def test_recolor_refuses_an_uncolored_vertex():
 
 
 def test_completion_checks_that_every_anchor_sees_every_other_color():
-    # the closing check does not trust the loop it checks: an assign_each that
-    # drops its last pair leaves anchor 0 without color 3, though its slack held
+    # the closing check does not trust the loop it checks: a batch that drops
+    # its last pair leaves anchor 0 without color 3, though its slack held
     class DroppingLastPair(PartialColoring):
-        def assign_each(self, pairs, step):
-            super().assign_each(list(pairs)[:-1], step)
+        def assign_certified(self, vertices, colors, step):
+            super().assign_certified(vertices[:-1], colors[:-1], step)
 
     # anchors 0, 1 and 2, each the center of a star with two uncolored leaves
     g = Graph(9, [(0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)])
@@ -610,6 +664,29 @@ def test_assign_smallest_free_each_stops_at_a_vertex_with_no_free_color():
     assert pc.events[2:] == [("greedy", 0, 1, None)]
 
 
+@pytest.mark.parametrize(
+    ("vertices", "stopped_at"),
+    [([0, 4, 1, 5], 1), ([4, 0, 4, 1], None), ([], None), ([0, 4, 5], None)],
+    ids=["stuck", "refused", "empty", "whole"],
+)
+def test_assign_smallest_free_each_logs_exactly_what_it_assigned(vertices, stopped_at):
+    # 1 sees colors 1 and 2 at num_colors = 2, so the loop stops there; a
+    # repeated 4 is refused.  Either way, the expanded log replays the colors.
+    g = Graph(6, [(0, 3), (1, 2), (1, 3)])
+    pc = PartialColoring(g)
+    pc.assign_each([(2, 1), (3, 2)], "anchor")
+    try:
+        assert pc.assign_smallest_free_each(vertices, "greedy", 2) == stopped_at
+    except InvariantViolation as exc:
+        assert (str(exc), exc.vertex) == ("vertex assigned twice (step=greedy, vertex=4)", 4)
+    replayed = [0] * g.n
+    for _, vertex, color, _ in pc.events:  # one positive color per vertex
+        assert color > 0 and not replayed[vertex]
+        replayed[vertex] = color
+    assert replayed == pc.colors
+    assert [step for step, _, _, _ in pc.events] == ["anchor", "anchor"] + ["greedy"] * (len(pc.events) - 2)
+
+
 def test_assign_smallest_free_each_refuses_a_second_assignment():
     g = path_graph(3)
     pc = PartialColoring(g)
@@ -641,16 +718,24 @@ def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
 
 def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
     # anchors 0 (color 1) and 1 (color 2) already see every other color;
-    # anchor 0's leftover neighbor 3 has degree m = 2 and sees colors 1 and 2
+    # anchor 0's leftover neighbor 3 has degree m = 2 and sees colors 1 and 2.
+    # The premise certificate refuses the state before any assignment: 3 has
+    # a colored neighbor, 4, besides its anchor.  The "no color left" raise
+    # stays as a defensive check, whose stuck path
+    # test_assign_smallest_free_assigns_nothing_when_every_color_is_taken covers.
     g = Graph(6, [(0, 2), (0, 3), (3, 4), (1, 5)])
     anchors = GoodSet((0, 1))
     pc = PartialColoring(g)
     for v, color in [(0, 1), (1, 2), (2, 2), (4, 2), (5, 1)]:
         pc.assign(v, color, "anchor")
-    with pytest.raises(InvariantViolation, match="^no color left for a high-degree neighbor") as info:
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^uncolored anchor neighbor has 2 colored neighbors, not its one anchor alone "
+        r"\(step=completion, vertex=3\)$",
+    ) as info:
         complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 3)
-    assert pc.colors[3] == 0
+    assert pc.colors[3] == 0 and len(pc.events) == 5
 
 
 def test_trace_event_fields():

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import math
 import random
+import re
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -154,6 +155,45 @@ def test_declared_vertex_count_is_capped(monkeypatch):
         parse_edge_list("# n=4\n")
     with pytest.raises(ParseError, match="above the limit 3"):
         parse_dimacs("p edge 4 0\n")
+
+
+#: Tokens int() alone reads as integers, which no reader accepts: "+3",
+#: "1_0" and the Arabic-Indic digit three.
+ODD_INTEGERS = ["+3", "1_0", "\u0663"]
+
+
+@pytest.mark.parametrize("token", ODD_INTEGERS)
+def test_edge_list_reads_only_ascii_decimal_labels(token):
+    with pytest.raises(ParseError, match=rf"^line 2: non-integer vertex label in '{re.escape(token)} 2'$") as refusal:
+        parse_edge_list(f"0 1\n{token} 2\n")
+    assert refusal.value.line == 2
+    # a "# n=" line whose count is no ASCII decimal is no header, but a comment
+    assert parse_edge_list(f"# n={token}\n0 1\n").n == 2
+    # zero-padded labels are ASCII decimals, and read as the plain ones
+    assert parse_edge_list("# n=004\n00 01\n01 02\n") == parse_edge_list("# n=4\n0 1\n1 2\n")
+
+
+@pytest.mark.parametrize("token", ODD_INTEGERS)
+def test_dimacs_reads_only_ascii_decimal_integers(token):
+    with pytest.raises(ParseError, match=r"^line 3: non-integer endpoint$") as refusal:
+        parse_dimacs(f"p edge 3 2\ne 1 2\ne {token} 2\n")
+    assert refusal.value.line == 3
+    with pytest.raises(ParseError, match=r"^line 1: non-integer vertex count$"):
+        parse_dimacs(f"p edge {token} 0\n")
+    with pytest.raises(ParseError, match=r"^line 1: non-integer edge count$"):
+        parse_dimacs(f"p edge 3 {token}\n")
+    assert parse_dimacs("p edge 03 01\ne 01 003\n") == parse_dimacs("p edge 3 1\ne 1 3\n")
+
+
+@pytest.mark.parametrize("token", ODD_INTEGERS)
+def test_coloring_file_reads_only_ascii_decimal_integers(token):
+    g = path_graph(3)
+    with pytest.raises(ParseError, match=rf"^line 3: non-integer token in '1 {re.escape(token)}'$") as refusal:
+        parse_coloring_file(f"# k=2 basis=\n0 1\n1 {token}\n2 1\n", g)
+    assert refusal.value.line == 3
+    with pytest.raises(ParseError, match=r"^missing '# k=... basis=...' header$"):
+        parse_coloring_file(f"# k={token} basis=\n0 1\n1 2\n2 1\n", g)
+    assert parse_coloring_file("# k=02 basis=\n00 1\n01 -02\n2 01\n", g) == (2, [1, -2, 1])
 
 
 def test_serialize_round_trip_with_header():
