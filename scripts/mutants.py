@@ -191,23 +191,28 @@ MUTANTS = [
         "",
         ("tests/test_oracle.py",),
     ),
-    # the smallest free color of greedy and of completion's high-degree neighbors
+    # the greedy fill: its one check before the batch, and the smallest free color it picks
     Mutant(
-        "free-color-off-by-one",
+        "greedy-precheck-admits-degree-k",
         COLORING,
-        "            if color > num_colors:\n",
-        "            if color >= num_colors:\n",
-        ("tests/test_coloring.py",),
+        "default=0) >= num_colors:\n",
+        "default=0) > num_colors:\n",
+        ("tests/test_coloring.py::test_greedy_names_the_lowest_too_connected_vertex",),
     ),
-    # the log records a batch's vertices once, and only the assigned ones when it stops
     Mutant(
-        "batch-log-one-vertex-too-many",
+        "smallest-free-skips-color-1",
         COLORING,
-        "                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])\n"
-        "                return v\n",
-        "                self._record(step, vertices[: len(vertices) - sum(1 for _ in rest)])\n"
-        "                return v\n",
-        ("tests/test_coloring.py",),
+        "                color = 1\n                while color in used:\n",
+        "                color = 2\n                while color in used:\n",
+        ("tests/test_coloring.py::test_assign_smallest_free_each_by_neighbor_colors",),
+    ),
+    # completion's high-degree neighbors take the one color the premise leaves free
+    Mutant(
+        "completion-high-degree-color",
+        COLORING,
+        "        spare = 2 if own == 1 else 1\n",
+        "        spare = 1\n",
+        ("tests/test_coloring.py::test_batched_completion_matches_the_per_pair_reference",),
     ),
     # the certificates of coloring.py's module docstring, one each
     Mutant(

@@ -125,8 +125,8 @@ def run_pipeline(
     girth 9 is refused unless the oracle is forced.
 
     Returns the record and the witness: the construction's ``BResult``, or
-    one holding the oracle's coloring, the basis its check found and no
-    events; None when chi_b is not asked for or only bounded.
+    one holding the oracle's coloring, the basis its check found and an
+    empty log; None when chi_b is not asked for or only bounded.
     """
     gv = girth(g)
     high_girth = gv >= 9
@@ -267,7 +267,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             except _REPORTED_ERRORS as exc:
                 code, prefix = _exit_status(exc)
                 worst = max(worst, code)
-                message = f"{prefix}: {exc}" if code == EXIT_INTERNAL else str(exc)
+                message = f"{prefix}: {exc}"  # the line the file alone would print on stderr
                 if args.json:
                     _print(json.dumps({"file": path.name, "error": message}))
                 else:
@@ -293,7 +293,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     )
     if args.trace:
         lines = []
-        for step, vertex, color, recolored_from in result.events:
+        for step, vertex, color, recolored_from in result.trace:
             line = f"step={step} vertex={g.labels[vertex]} color={color}"
             if recolored_from is not None:
                 line += f" recolored-from={recolored_from}"

@@ -4,21 +4,27 @@ Given a good set W = {v_1 < ... < v_k} for k colors, anchor v_i on color
 i, then color the link vertices (interiors of short W-to-W paths) in four
 ordered passes, make every anchor a b-vertex by finishing its
 neighborhood, and extend greedily.
-The construction re-checks the properties the correctness argument rests on:
+The construction re-checks the properties the correctness argument rests on.
+Each check runs once: at a link pass's assignment or recoloring, or before
+the batch it certifies, which is then colored without a check per vertex:
 
-* properness at every assignment and recoloring, but for two batches that
-  are proper by construction: the anchors, which take distinct colors on an
-  uncolored graph, and each anchor's missing colors in completion, under
-  the premise below,
+* properness at every assignment and recoloring of the link passes; each
+  unchecked batch is proper by what is checked before it: the anchors take
+  distinct colors on an uncolored graph, completion's batches rest on the
+  stable set and the premise below, and the greedy fill picks a color no
+  neighbor has, within the palette by its pre-check,
 * as completion starts each anchor, it has at least as many uncolored
   neighbors as colors missing from its neighborhood,
 * no vertex is ever recolored twice,
 * the uncolored neighbors of W form a stable set before completion,
 * before completion, each uncolored neighbor of W of degree >= 2 has one
   colored neighbor, its one anchor: the premise under which completion
-  gives each anchor its missing colors as one batch, without a check per
-  vertex (``complete_b_vertices`` gives the argument),
-* every anchor sees all other colors after completion.
+  gives each anchor its missing colors, and its leftover neighbors of
+  degree >= k a color, as one batch (``complete_b_vertices`` gives the
+  argument),
+* every anchor sees all other colors after completion,
+* before the greedy fill, every uncolored vertex has fewer neighbors than
+  there are colors.
 
 A violation raises InvariantViolation: on a girth->=9 input that is a bug.
 """
@@ -80,22 +86,17 @@ class BResult:
     """A witnessed b-coloring: chi_b colors, one designated b-vertex each.
 
     ``coloring`` holds the color of each vertex id, 1..chi_b.  ``log`` is
-    the construction's log, one record per batch (see ``PartialColoring``).
-    ``events`` expands it on read into plain ``(step, vertex, color,
-    recolored_from)`` tuples in assignment order, and ``trace`` into
-    ``TraceEvent``s.  ``run_pipeline`` returns one from either witness: the
-    construction's, or the oracle's coloring with the basis
-    ``check_b_coloring`` found and no events.
+    the construction's log, one record per batch (see ``PartialColoring``),
+    and ``trace`` expands it on read into one ``TraceEvent`` per vertex of
+    each record, in assignment order.  ``run_pipeline`` returns one from
+    either witness: the construction's, or the oracle's coloring with the
+    basis ``check_b_coloring`` found and an empty log.
     """
 
     chi_b: int
     coloring: list[int]
     basis: dict[int, int]
     log: tuple[LogRecord, ...] = ()
-
-    @property
-    def events(self) -> tuple[tuple[str, int, int, int | None], ...]:
-        return tuple(_expand_log(self.log))
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -105,13 +106,14 @@ class BResult:
 class PartialColoring:
     """Mutable coloring of a graph, one color per vertex id (0: uncolored),
     that refuses an assignment or recoloring that would give a vertex a
-    neighbor's color, except in a batch whose caller has shown it proper
-    (``assign_certified``).  Colors are positive.
+    neighbor's color, except in a batch whose caller has certified it
+    before the call (``assign_certified``, ``assign_smallest_free``).
+    Colors are positive.
 
-    Each call appends one record to ``log``: its step, the vertices it
-    colored, their colors at the end of the call, and None, or the old color
-    of a recoloring.  ``events`` expands the log into one plain
-    ``(step, vertex, color, recolored_from)`` tuple per vertex."""
+    Each call that returns appends one record to ``log``: its step, the
+    vertices it colored, their colors at the end of the call, and None, or
+    the old color of a recoloring.  ``events`` expands the log into one
+    plain ``(step, vertex, color, recolored_from)`` tuple per vertex."""
 
     def __init__(self, g: Graph):
         self._adj = g.adj
@@ -139,18 +141,16 @@ class PartialColoring:
     def assign_each(self, pairs: Iterable[tuple[int, int]], step: str) -> None:
         """Assign each ``(vertex, color)`` pair in order, all at one step,
         refusing a second assignment or a neighbor's color as it reaches the
-        pair; the pairs before a refused one stay assigned and logged."""
+        pair."""
         colors = self.colors
         done: list[int] = []
-        try:
-            for v, color in pairs:
-                if colors[v]:
-                    raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
-                self._refuse_clash(v, color, step)
-                colors[v] = color
-                done.append(v)
-        finally:
-            self._record(step, done)
+        for v, color in pairs:
+            if colors[v]:
+                raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+            self._refuse_clash(v, color, step)
+            colors[v] = color
+            done.append(v)
+        self._record(step, done)
 
     def assign_certified(self, vertices: Sequence[int], colors: Sequence[int], step: str) -> None:
         """Give ``vertices[i]`` the color ``colors[i]``, all at one step,
@@ -162,25 +162,16 @@ class PartialColoring:
             own[v] = color
         self.log.append((step, tuple(vertices), tuple(colors), None))
 
-    def assign_smallest_free_each(self, vertices: Sequence[int], step: str, num_colors: int) -> int | None:
-        """Give each vertex in order, all at one step, the smallest color in
-        1..num_colors that no neighbor has.  Stop at the first vertex left
-        with no such color, assign it nothing and return it; None when every
-        vertex was assigned.  A second assignment is refused as it is
-        reached.  Picking a color no neighbor has is also the properness
-        check of ``assign_each``: a vertex with one or two neighbors compares
-        their colors directly, one with more collects them into a set.
-
-        The log records the vertex list once, at the end; on a stop or a
-        refusal, only the vertices before the one the loop stopped at, whose
-        number is found from how many ``rest`` had left to give."""
+    def assign_smallest_free(self, vertices: Sequence[int], step: str) -> None:
+        """Give each vertex in order, all at one step, the smallest color
+        that no neighbor has, and log them as one record.  The caller has
+        shown that the vertices are distinct and uncolored, and that each has
+        fewer neighbors than there are colors, so that color is one of them.
+        A vertex with one or two neighbors compares their colors directly,
+        one with more collects them into a set."""
         colors = self.colors
         adj = self._adj
-        rest = iter(vertices)
-        for v in rest:
-            if colors[v]:
-                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])
-                raise InvariantViolation("vertex assigned twice", step=step, vertex=v)
+        for v in vertices:
             nbrs = adj[v]
             degree = len(nbrs)
             if degree == 1:
@@ -196,12 +187,8 @@ class PartialColoring:
                     color += 1
             else:
                 color = 1
-            if color > num_colors:
-                self._record(step, vertices[: len(vertices) - 1 - sum(1 for _ in rest)])
-                return v
             colors[v] = color
         self._record(step, vertices)
-        return None
 
     def recolor(self, v: int, color: int, step: str) -> None:
         old = self.colors[v]
@@ -415,20 +402,21 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
     every uncolored anchor neighbor of degree >= 2 has one anchor and no
     other colored neighbor, which names the lowest vertex that breaks it.
     Each anchor's first |missing| uncolored neighbors then take its missing
-    colors as one batch, without a check per vertex.  Leftover neighbors of
-    degree >= |W|, the number of colors, are colored here as well: deferring
-    them to the greedy pass could strand a high-degree vertex with no free
-    color.
+    colors, without a check per vertex.  Its leftover neighbors of degree
+    >= |W|, the number of colors, join the same batch, each with color 1, or
+    2 when the anchor has color 1: deferring them to the greedy pass could
+    strand a high-degree vertex with no free color.
 
     Why the batch needs no check of its own.  A target is uncolored, since
     its anchor's uncolored neighbors are read as its turn starts, and the
     targets are distinct, since an adjacency list has no repeats; so no
-    vertex is assigned twice.  A target of degree 1 sees only its anchor,
-    whose color is not missing.  A target of degree >= 2 sees, by the
-    premise, only its anchor among colored vertices, and none of its
-    neighbors is colored later in completion: such a neighbor would be an
-    uncolored anchor neighbor itself, which the stable set excludes.  The
-    premise also keeps every target to one anchor's batch.  The final
+    vertex is assigned twice.  No target takes its anchor's color: a
+    missing color is not it, and a leftover's 1 or 2 is chosen to differ.
+    A target of degree 1 sees only its anchor.  A target of degree >= 2
+    sees, by the premise, only its anchor among colored vertices, and none
+    of its neighbors is colored later in completion: such a neighbor would
+    be an uncolored anchor neighbor itself, which the stable set excludes.
+    The premise also keeps every target to one anchor's batch.  The final
     ``check_b_coloring`` still checks every edge.
 
     Each anchor's slack (no fewer uncolored neighbors than missing colors)
@@ -470,11 +458,14 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
     * Every anchor sees every other color: by slack, each anchor takes its
       missing colors on its own uncolored neighbors, which no other anchor
       shares and which form a stable set.
-    * A color for each leftover neighbor of degree >= k: its one colored
-      neighbor is its anchor (the set is stable, and a member next to a
-      link vertex would be a link vertex), so color 1 or 2 is free, k >= 3
-      for W' (case (iii) has m(G) >= 4).  By (b), each vertex of degree >= k
-      outside W is colored here or by the passes; for W' that is x0 alone.
+    * A color for each leftover neighbor of degree >= k, fixed by the
+      premise and the stable set, not looked up: its one colored neighbor
+      is its anchor, and none of its neighbors is colored later in
+      completion, so color 1, or 2 next to an anchor of color 1, is free;
+      k >= 2, since at k = 1 a neighbor of the one anchor is encircled,
+      which (a) excludes, and k >= 3 for W' (case (iii) has m(G) >= 4).
+      By (b), each vertex of degree >= k outside W is colored here or by
+      the passes; for W' that is x0 alone.
     """
     members = anchors.members
     m = len(members)
@@ -511,11 +502,9 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
                 step="completion",
                 vertex=v,
             )
-        pc.assign_certified(free[: len(missing)], missing, "completion")
         high = [u for u in free[len(missing):] if len(adj[u]) >= m]
-        stuck = pc.assign_smallest_free_each(high, "completion", m)
-        if stuck is not None:
-            raise InvariantViolation("no color left for a high-degree neighbor", step="completion", vertex=stuck)
+        spare = 2 if own == 1 else 1
+        pc.assign_certified(free[: len(missing)] + high, missing + [spare] * len(high), "completion")
     for i, v in enumerate(members):
         own = i + 1
         seen = set(map(colors.__getitem__, adj[v]))
@@ -530,7 +519,9 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     Sound because every vertex of degree >= num_colors was colored earlier;
     the remaining ones see at most num_colors - 1 colors.  The lowest-id
     uncolored vertex of higher degree is refused before any vertex is
-    colored.  Returns ``pc.colors`` itself, now total, not a copy.
+    colored: that pre-check is the one check of the fill, which
+    ``assign_smallest_free`` colors as one batch.  Returns ``pc.colors``
+    itself, now total, not a copy.
     """
     colors = pc.colors
     adj = g.adj
@@ -538,7 +529,7 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     if max(map(len, map(adj.__getitem__, uncolored)), default=0) >= num_colors:
         u = next(u for u in uncolored if len(adj[u]) >= num_colors)
         raise InvariantViolation("uncolored vertex too connected for greedy completion", step="greedy", vertex=u)
-    pc.assign_smallest_free_each(uncolored, "greedy", num_colors)
+    pc.assign_smallest_free(uncolored, "greedy")
     return colors
 
 

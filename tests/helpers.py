@@ -892,16 +892,21 @@ def full_fringe_crowded(g: Graph, members, colors: Sequence[int]) -> int | None:
     return None
 
 
-def per_pair_complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring) -> PartialColoring:
+def per_pair_complete_b_vertices(
+    g: Graph, anchors: GoodSet, pc: PartialColoring
+) -> tuple[PartialColoring, list[tuple[int, int]]]:
     """Reference for ``complete_b_vertices`` without its two certificates on
     the uncolored anchor neighbors: each anchor's missing colors go to its
     first uncolored neighbors pair by pair through ``assign_each``, which
-    checks every pair, then its leftover neighbors of degree >= |W| take
-    their smallest free color, and every anchor must then see every other
-    color."""
+    checks every pair, then each of its leftover neighbors of degree >= |W|
+    takes the smallest color no neighbor has, looked up here and assigned
+    through the checked ``assign``, and every anchor must then see every
+    other color.  Returns ``pc`` and the ``(leftover, anchor color)`` pairs
+    in the order they were colored."""
     members = anchors.members
     m = len(members)
     colors = pc.colors
+    leftovers = []
     for i, v in enumerate(members):
         seen = {colors[u] for u in g.adj[v]}
         missing = [c for c in range(1, m + 1) if c != i + 1 and c not in seen]
@@ -909,13 +914,18 @@ def per_pair_complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring
         if len(free) < len(missing):
             raise InvariantViolation("anchor slack", step="completion", vertex=v)
         pc.assign_each(zip(free, missing), "completion")
-        high = [u for u in free[len(missing):] if len(g.adj[u]) >= m]
-        if pc.assign_smallest_free_each(high, "completion", m) is not None:
-            raise InvariantViolation("no color left", step="completion", vertex=v)
+        for u in free[len(missing):]:
+            if len(g.adj[u]) >= m:
+                used = {colors[z] for z in g.adj[u]}
+                color = next((c for c in range(1, m + 1) if c not in used), None)
+                if color is None:
+                    raise InvariantViolation("no color left", step="completion", vertex=u)
+                pc.assign(u, color, "completion")
+                leftovers.append((u, i + 1))
     for i, v in enumerate(members):
         if not set(range(1, m + 1)) - {i + 1} <= {colors[u] for u in g.adj[v]}:
             raise InvariantViolation("anchor does not see every other color", step="completion", vertex=v)
-    return pc
+    return pc, leftovers
 
 
 def chromatic_number(g: Graph) -> int:

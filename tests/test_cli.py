@@ -607,7 +607,7 @@ def test_batch_mode_reports_file_errors(tmp_path, capsys):
     write_graph(tmp_path, "b_bad.txt", "0 0\n")
     assert main(["analyze", "--batch", str(tmp_path), "--json"]) == 2
     lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-    assert "error" in lines[1]
+    assert lines[1] == {"file": "b_bad.txt", "error": "error: line 1: self-loop at vertex 0"}
 
 
 def test_batch_mode_text_separates_files_and_reports_errors(tmp_path, capsys):
@@ -617,7 +617,7 @@ def test_batch_mode_text_separates_files_and_reports_errors(tmp_path, capsys):
     blocks = capsys.readouterr().out.split("\n\n")
     assert len(blocks) == 2
     assert blocks[0].splitlines()[:2] == ["file a_ok.txt", "n 5"]
-    assert blocks[1] == "file b_bad.txt\nerror line 1: self-loop at vertex 0\n"
+    assert blocks[1] == "file b_bad.txt\nerror error: line 1: self-loop at vertex 0\n"
 
 
 def test_analyze_without_a_graph_or_a_batch_is_a_usage_error(capsys):
@@ -650,18 +650,28 @@ def test_analyze_with_a_graph_and_a_batch_is_a_usage_error(tmp_path, capsys):
 
 def test_batch_mode_exits_with_the_refusal_code(tmp_path, capsys):
     write_graph(tmp_path, "a_p5.txt", P5_TEXT)
-    argv = ["--chi-b", "--oracle", "--oracle-limit", "3", "--json"]
-    assert main(["analyze", str(tmp_path / "a_p5.txt"), *argv]) == 3
-    capsys.readouterr()
-    assert main(["analyze", "--batch", str(tmp_path), *argv]) == 3
+    argv = ["--chi-b", "--oracle", "--oracle-limit", "3"]
+    assert main(["analyze", str(tmp_path / "a_p5.txt"), *argv, "--json"]) == 3
+    alone = capsys.readouterr().err
+    assert alone == "refused: n = 5 exceeds the oracle limit 3\n"
+    assert main(["analyze", "--batch", str(tmp_path), *argv, "--json"]) == 3
     lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-    assert lines == [{"file": "a_p5.txt", "error": "n = 5 exceeds the oracle limit 3"}]
-    # a parse error (exit 2) read first does not lower the batch's code
-    write_graph(tmp_path, "0_bad.txt", "0 0\n")
-    assert main(["analyze", "--batch", str(tmp_path), *argv]) == 3
+    assert lines == [{"file": "a_p5.txt", "error": alone.rstrip("\n")}]
+    # a parse error (exit 2) read first does not lower the batch's code, and
+    # each record names its kind as the file alone would on stderr
+    bad = write_graph(tmp_path, "0_bad.txt", "0 0\n")
+    assert main(["analyze", bad, *argv]) == 2
+    bad_alone = capsys.readouterr().err
+    assert main(["analyze", "--batch", str(tmp_path), *argv, "--json"]) == 3
     lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-    assert [line["file"] for line in lines] == ["0_bad.txt", "a_p5.txt"]
-    assert lines[0]["error"].startswith("line 1: self-loop")
+    assert lines == [
+        {"file": "0_bad.txt", "error": bad_alone.rstrip("\n")},
+        {"file": "a_p5.txt", "error": alone.rstrip("\n")},
+    ]
+    assert bad_alone == "error: line 1: self-loop at vertex 0\n"
+    assert main(["analyze", "--batch", str(tmp_path), *argv]) == 3
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert blocks == ["file 0_bad.txt\nerror " + bad_alone.rstrip("\n"), "file a_p5.txt\nerror " + alone]
 
 
 def test_color_no_good_set_instance_above_the_oracle_limit(tmp_path, capsys):
@@ -687,10 +697,10 @@ def test_run_pipeline_refuses_low_girth_coloring_unless_oracle_forced():
         run_pipeline(c8, compute_chi_b=True, need_coloring=True)
     record, result = run_pipeline(c8, compute_chi_b=True, need_coloring=True, force_oracle=True)
     assert record.chi_b_method == "oracle"
-    # the oracle's witness comes as a BResult: chi_b colors, the checker's basis, no events
+    # the oracle's witness comes as a BResult: chi_b colors, the checker's basis, an empty log
     assert isinstance(result, BResult)
     assert result.chi_b == record.chi_b
-    assert result.events == ()
+    assert result.log == result.trace == ()
     report = check_b_coloring(c8, result.coloring, record.chi_b)
     assert report.valid and result.basis == report.basis
 
@@ -851,8 +861,8 @@ def test_input_files_are_capped_in_bytes(tmp_path, capsys, monkeypatch):
     assert main(["analyze", "--batch", str(tmp_path), "--json"]) == 2
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     coloring_message = f"{coloring} has {coloring_bytes} bytes, above the limit {limit - 1}"
-    assert records[0] == {"file": "p5.coloring", "error": coloring_message}
-    assert records[1] == {"file": "p5.txt", "error": message}
+    assert records[0] == {"file": "p5.coloring", "error": f"error: {coloring_message}"}
+    assert records[1] == {"file": "p5.txt", "error": f"error: {message}"}
 
 
 @pytest.mark.parametrize(

@@ -424,26 +424,48 @@ def test_premise_check_matches_the_full_fringe_scan_on_hand_built_states(n, edge
     assert _completion_premise_refusal(g, anchors, pc, classify_links(g, anchors)) == expected
 
 
+def _chorded_family(rank, sizes):
+    """Every graph of ``chorded_trees(n, rank)`` for n in sizes, with the
+    set ``find_good_set`` returns."""
+    return lambda: ((g, find_good_set(g, density_profile(g))) for n in sizes for g in chorded_trees(n, rank))
+
+
+def _high_degree_leftover_forests():
+    """The two forests whose anchors 0..3 leave an anchor a neighbor of
+    degree m = 4 after its missing colors: anchor 0 (color 1) in the first,
+    anchor 3 (color 4) in the second."""
+    return ((g, GoodSet((0, 1, 2, 3))) for g in (high_degree_leftover_forest(), greedy_trap_forest()))
+
+
 @pytest.mark.parametrize(
-    ("rank", "sizes", "graphs"),
-    [(0, range(1, 14), 2288), (1, range(1, 14), 1612), (2, range(1, 16), 5163)],
-    ids=["trees", "one-chord", "two-chords"],
+    ("family", "counts"),
+    [
+        (_chorded_family(0, range(1, 14)), (2288, 0, 0)),
+        (_chorded_family(1, range(1, 14)), (1612, 0, 0)),
+        (_chorded_family(2, range(1, 16)), (5163, 0, 0)),
+        (_high_degree_leftover_forests, (2, 2, 1)),
+    ],
+    ids=["trees", "one-chord", "two-chords", "high-degree-leftovers"],
 )
-def test_batched_completion_matches_the_per_pair_reference(rank, sizes, graphs):
+def test_batched_completion_matches_the_per_pair_reference(family, counts):
     """On every tree plus up to two chords at girth >= 9, with n <= 13 (n <=
-    15 with two chords, of which n <= 13 gives only 27), the batched
-    completion leaves the colors and the expanded log that the per-pair
-    loop, which checks every assignment, leaves."""
-    count = 0
-    for n in sizes:
-        for g in chorded_trees(n, rank):
-            anchors = find_good_set(g, density_profile(g))
-            links = classify_links(g, anchors)
-            batched = complete_b_vertices(g, anchors, color_links(g, anchors, links), links)
-            reference = per_pair_complete_b_vertices(g, anchors, color_links(g, anchors, links))
-            assert (batched.colors, batched.events) == (reference.colors, reference.events), g.adj
-            count += 1
-    assert count == graphs
+    15 with two chords, of which n <= 13 gives only 27), and on the two
+    forests built to leave an anchor a neighbor of degree >= |W| after its
+    missing colors (which no enumerated graph does), the batched completion
+    leaves the colors and the expanded log that the per-pair loop, which
+    checks every assignment and looks up each leftover's color, leaves.
+    ``counts`` pins the graphs, those with such a leftover, and those where
+    the leftover's anchor has color 1, so the leftover takes color 2."""
+    graphs = with_leftover = next_to_color_1 = 0
+    for g, anchors in family():
+        links = classify_links(g, anchors)
+        batched = complete_b_vertices(g, anchors, color_links(g, anchors, links), links)
+        reference, leftovers = per_pair_complete_b_vertices(g, anchors, color_links(g, anchors, links))
+        assert (batched.colors, batched.events) == (reference.colors, reference.events), g.adj
+        graphs += 1
+        with_leftover += bool(leftovers)
+        next_to_color_1 += any(own == 1 for _, own in leftovers)
+    assert (graphs, with_leftover, next_to_color_1) == counts
 
 
 def test_assign_refuses_a_neighbor_color():
@@ -473,9 +495,8 @@ def test_assign_each_refuses_mid_batch_as_assign_does(pairs, message):
     with pytest.raises(InvariantViolation, match=message) as expected:
         single.assign(*pairs[-1], "completion")
     assert (info.value.step, info.value.vertex) == (expected.value.step, expected.value.vertex)
-    # the pairs before the refused one stay assigned and logged, as one by one
+    # the pairs before the refused one stay assigned, as one by one
     assert batched.colors == single.colors == [1, 0, 2]
-    assert batched.events == single.events == [("completion", 0, 1, None), ("completion", 2, 2, None)]
 
 
 def test_recolor_refuses_a_neighbor_color():
@@ -649,36 +670,19 @@ def test_assign_smallest_free_each_by_neighbor_colors(around, expected):
     g = Graph(len(around) + 1, [(0, i) for i in range(1, len(around) + 1)])
     pc = PartialColoring(g)
     pc.assign_each([(i, color) for i, color in enumerate(around, 1) if color], "anchor")
-    assert pc.assign_smallest_free_each([0], "greedy", 4) is None
+    pc.assign_smallest_free([0], "greedy")
     assert pc.colors[0] == expected
     assert pc.events[-1] == ("greedy", 0, expected, None)
 
 
-def test_assign_smallest_free_each_stops_at_a_vertex_with_no_free_color():
-    # 1 sees colors 1 and 2 at num_colors = 2; 0 before it is assigned, 4 after it is not
-    g = Graph(5, [(0, 3), (1, 2), (1, 3)])
-    pc = PartialColoring(g)
-    pc.assign_each([(2, 1), (3, 2)], "anchor")
-    assert pc.assign_smallest_free_each([0, 1, 4], "greedy", 2) == 1
-    assert pc.colors == [1, 0, 1, 2, 0]
-    assert pc.events[2:] == [("greedy", 0, 1, None)]
-
-
-@pytest.mark.parametrize(
-    ("vertices", "stopped_at"),
-    [([0, 4, 1, 5], 1), ([4, 0, 4, 1], None), ([], None), ([0, 4, 5], None)],
-    ids=["stuck", "refused", "empty", "whole"],
-)
-def test_assign_smallest_free_each_logs_exactly_what_it_assigned(vertices, stopped_at):
-    # 1 sees colors 1 and 2 at num_colors = 2, so the loop stops there; a
-    # repeated 4 is refused.  Either way, the expanded log replays the colors.
+@pytest.mark.parametrize("vertices", [[], [0, 4, 5]], ids=["empty", "whole"])
+def test_assign_smallest_free_each_logs_exactly_what_it_assigned(vertices):
+    # the expanded log replays the colors, one record for the whole call
     g = Graph(6, [(0, 3), (1, 2), (1, 3)])
     pc = PartialColoring(g)
     pc.assign_each([(2, 1), (3, 2)], "anchor")
-    try:
-        assert pc.assign_smallest_free_each(vertices, "greedy", 2) == stopped_at
-    except InvariantViolation as exc:
-        assert (str(exc), exc.vertex) == ("vertex assigned twice (step=greedy, vertex=4)", 4)
+    pc.assign_smallest_free(vertices, "greedy")
+    assert pc.log[-1][:2] == ("greedy", tuple(vertices))
     replayed = [0] * g.n
     for _, vertex, color, _ in pc.events:  # one positive color per vertex
         assert color > 0 and not replayed[vertex]
@@ -687,42 +691,22 @@ def test_assign_smallest_free_each_logs_exactly_what_it_assigned(vertices, stopp
     assert [step for step, _, _, _ in pc.events] == ["anchor", "anchor"] + ["greedy"] * (len(pc.events) - 2)
 
 
-def test_assign_smallest_free_each_refuses_a_second_assignment():
-    g = path_graph(3)
-    pc = PartialColoring(g)
-    with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=1\)$"):
-        pc.assign_smallest_free_each([1, 0, 1], "greedy", 3)
-    assert pc.colors == [2, 1, 0]
-
-
 def test_assign_smallest_free_takes_the_lowest_absent_color():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     pc = PartialColoring(g)
     pc.assign(1, 1, "anchor")
     pc.assign(3, 3, "anchor")
-    assert pc.assign_smallest_free_each([0], "greedy", 3) is None
+    pc.assign_smallest_free([0], "greedy")
     assert pc.colors[0] == 2
     assert pc.events[-1] == ("greedy", 0, 2, None)
-    with pytest.raises(InvariantViolation, match=r"^vertex assigned twice \(step=greedy, vertex=0\)$"):
-        pc.assign_smallest_free_each([0], "greedy", 3)
-
-
-def test_assign_smallest_free_assigns_nothing_when_every_color_is_taken():
-    g = path_graph(3)
-    pc = PartialColoring(g)
-    pc.assign(0, 1, "anchor")
-    pc.assign(2, 2, "anchor")
-    assert pc.assign_smallest_free_each([1], "completion", 2) == 1
-    assert pc.colors[1] == 0 and len(pc.events) == 2
 
 
 def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
     # anchors 0 (color 1) and 1 (color 2) already see every other color;
     # anchor 0's leftover neighbor 3 has degree m = 2 and sees colors 1 and 2.
     # The premise certificate refuses the state before any assignment: 3 has
-    # a colored neighbor, 4, besides its anchor.  The "no color left" raise
-    # stays as a defensive check, whose stuck path
-    # test_assign_smallest_free_assigns_nothing_when_every_color_is_taken covers.
+    # a colored neighbor, 4, besides its anchor.  Under the premise a
+    # leftover's one colored neighbor is its anchor, so a color is always left.
     g = Graph(6, [(0, 2), (0, 3), (3, 4), (1, 5)])
     anchors = GoodSet((0, 1))
     pc = PartialColoring(g)
@@ -751,15 +735,19 @@ def test_trace_event_fields():
 def test_trace_is_built_from_the_event_log_on_read(builder):
     g = builder()
     result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
-    assert all(type(event) is tuple for event in result.events)
+    expanded = [
+        (step, vertex, color, old)
+        for step, vertices, colors, old in result.log
+        for vertex, color in zip(vertices, colors, strict=True)
+    ]
     trace = result.trace
     assert all(type(event) is TraceEvent for event in trace)
-    assert trace == result.events  # field by field, in assignment order
+    assert list(trace) == expanded  # field by field, in assignment order
     assert Counter(event.step for event in trace if event.recolored_from is None) == Counter(
-        step for step, _, _, old in result.events if old is None
+        step for step, _, _, old in expanded if old is None
     )
     assert [event for event in trace if event.recolored_from is not None] == [
-        event for event in result.events if event[3] is not None
+        event for event in expanded if event[3] is not None
     ]
     replayed = [0] * g.n
     for event in trace:
