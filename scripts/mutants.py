@@ -75,16 +75,7 @@ _GIRTH_BFS = """\
             dist[u] = -1
 """
 
-_GIRTH_ROOT_DELETION = """\
-        live[root] = False
-        leaves = []
-        for v in adj[root]:
-            if live[v]:
-                degree[v] -= 1
-                if degree[v] == 1:
-                    leaves.append(v)
-        _peel(adj, degree, live, leaves)
-"""
+_GIRTH_ROOT_DELETION = "        _peel(adj, degree, live, [root])\n"
 
 MUTANTS = [
     # girth(): one peel, then one BFS per 2-core root, each root deleted after its BFS
@@ -122,12 +113,8 @@ MUTANTS = [
     Mutant(
         "peel-on-degree-zero",
         GRAPH,
-        "            if live[v]:  # u's one live neighbor, if any is left\n"
-        "                degree[v] -= 1\n"
-        "                if degree[v] == 1:\n",
-        "            if live[v]:  # u's one live neighbor, if any is left\n"
-        "                degree[v] -= 1\n"
-        "                if degree[v] == 0:\n",
+        "                degree[v] -= 1\n                if degree[v] == 1:\n",
+        "                degree[v] -= 1\n                if degree[v] == 0:\n",
         ("tests/test_graph.py::test_girth_of_a_long_ring_with_pendant_trees_is_linear",),
     ),
     # the bulk reads of an edge list and of a coloring file
@@ -267,13 +254,63 @@ MUTANTS = [
         "    if False:\n",
         ("tests/test_coloring.py::test_construction_rejects_non_good_set",),
     ),
-    # m(G), and the two conditions of a good set
+    # the certificates of the link passes, one each
+    Mutant(
+        "certificate-distinct-second-anchors",
+        COLORING,
+        "        if len(set(forbidden)) != len(forbidden):\n            raise InvariantViolation(",
+        "        if False:\n            raise InvariantViolation(",
+        ("tests/test_coloring.py::test_link_passes_refuse_colliding_second_anchors",),
+    ),
+    Mutant(
+        "certificate-feasible-derangement",
+        COLORING,
+        "        except ValueError as exc:\n",
+        "        except ZeroDivisionError as exc:\n",
+        ("tests/test_coloring.py::test_link_passes_refuse_an_infeasible_derangement",),
+    ),
+    Mutant(
+        "certificate-pass-four-unencircled",
+        COLORING,
+        "        if option is None:\n",
+        "        if False:\n",
+        ("tests/test_coloring.py::test_link_passes_refuse_an_encircled_pass_four_vertex",),
+    ),
+    Mutant(
+        "certificate-no-link-vertex-left",
+        COLORING,
+        "    if leftovers:\n",
+        "    if False:\n",
+        ("tests/test_coloring.py::test_link_passes_refuse_a_link_vertex_they_leave",),
+    ),
+    Mutant(
+        "certificate-recolor-a-colored-vertex",
+        COLORING,
+        "        if not old:\n",
+        "        if False:\n",
+        ("tests/test_coloring.py::test_recolor_refuses_an_uncolored_vertex",),
+    ),
+    # m(G), the range of a hand-built set, and the two conditions of a good set
     Mutant(
         "density-profile-off-by-one",
         GOODSET,
         "    while m < n and degs[m] >= m:\n",
         "    while m < n and degs[m] > m:\n",
         ("tests/test_density.py",),
+    ),
+    Mutant(
+        "good-set-range-admits-vertex-n",
+        GOODSET,
+        "w[-1] >= g.n):\n",
+        "w[-1] > g.n):\n",
+        ("tests/test_coloring.py::test_construction_refuses_a_member_past_the_last_vertex",),
+    ),
+    Mutant(
+        "good-set-range-admits-negative",
+        GOODSET,
+        "    if w and (w[0] < 0 or w[-1] >= g.n):\n",
+        "    if w and w[-1] >= g.n:\n",
+        ("tests/test_coloring.py::test_construction_refuses_a_negative_member",),
     ),
     Mutant(
         "good-set-condition-a-encirclement",

@@ -247,18 +247,16 @@ def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = No
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    def analyze(path: str) -> AnalysisRecord:
+        g = load_graph(path, args.format)
+        return run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)[0]
+
     if args.batch is not None:
         worst = EXIT_OK
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         for index, path in enumerate(paths):
             try:
-                g = load_graph(str(path), args.format)
-                record, _ = run_pipeline(
-                    g,
-                    compute_chi_b=args.chi_b,
-                    oracle_limit=args.oracle_limit,
-                    force_oracle=args.oracle,
-                )
+                record = analyze(str(path))
                 if not args.json and index:
                     _print()
                 _print_record(record, args.json, extra={"file": path.name})
@@ -276,9 +274,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     _print(f"file {path.name}")
                     _print(f"error {message}")
         return worst
-    g = load_graph(args.input, args.format)
-    record, _ = run_pipeline(g, compute_chi_b=args.chi_b, oracle_limit=args.oracle_limit, force_oracle=args.oracle)
-    _print_record(record, args.json)
+    _print_record(analyze(args.input), args.json)
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ A violation raises InvariantViolation: on a girth->=9 input that is a bug.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from typing import NamedTuple
@@ -64,14 +64,6 @@ class LinkStructure:
 LogRecord = tuple[str, Sequence[int], Sequence[int], int | None]
 
 
-def _expand_log(log: Iterable[LogRecord]) -> Iterator[tuple[str, int, int, int | None]]:
-    """The ``(step, vertex, color, recolored_from)`` event of each vertex of
-    each record, in log order."""
-    return chain.from_iterable(
-        zip(repeat(step), vertices, colors, repeat(recolored_from)) for step, vertices, colors, recolored_from in log
-    )
-
-
 class TraceEvent(NamedTuple):
     """One assignment or recoloring, as ``BResult.trace`` reports it."""
 
@@ -100,7 +92,8 @@ class BResult:
 
     @property
     def trace(self) -> tuple[TraceEvent, ...]:
-        return tuple(map(TraceEvent._make, _expand_log(self.log)))
+        events = (zip(repeat(step), vertices, colors, repeat(old)) for step, vertices, colors, old in self.log)
+        return tuple(map(TraceEvent._make, chain.from_iterable(events)))
 
 
 class PartialColoring:
@@ -112,18 +105,13 @@ class PartialColoring:
 
     Each call that returns appends one record to ``log``: its step, the
     vertices it colored, their colors at the end of the call, and None, or
-    the old color of a recoloring.  ``events`` expands the log into one
-    plain ``(step, vertex, color, recolored_from)`` tuple per vertex."""
+    the old color of a recoloring."""
 
     def __init__(self, g: Graph):
         self._adj = g.adj
         self.colors: list[int] = [0] * g.n
         self.log: list[LogRecord] = []
         self._recolored: set[int] = set()
-
-    @property
-    def events(self) -> list[tuple[str, int, int, int | None]]:
-        return list(_expand_log(self.log))
 
     def _record(self, step: str, vertices: Sequence[int]) -> None:
         """Log the vertices one call assigned, with the colors they have now."""
@@ -466,6 +454,13 @@ def complete_b_vertices(g: Graph, anchors: GoodSet, pc: PartialColoring, links: 
       which (a) excludes, and k >= 3 for W' (case (iii) has m(G) >= 4).
       By (b), each vertex of degree >= k outside W is colored here or by
       the passes; for W' that is x0 alone.
+    * Of the sets ``find_good_set`` returns, only W' can leave such a
+      leftover, x0.  At k = m(G), W0 and case (i)'s swapped set hold every
+      vertex of degree >= m(G), so none is outside W.  Case (ii)'s set
+      leaves one outside, x, next to u; u is an anchor of degree m(G) - 1
+      = k - 1, so it has no slack: its neighbors need k - 1 distinct
+      colors, so the missing colors reach every uncolored neighbor of u,
+      x among them when the passes left it uncolored.
     """
     members = anchors.members
     m = len(members)

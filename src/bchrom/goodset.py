@@ -114,8 +114,16 @@ def find_encircled_vertex(g: Graph, members: Iterable[int], m: int) -> int | Non
 
 
 def check_good_set(g: Graph, members: Iterable[int], k: int) -> GoodSetViolation | None:
-    """None if the set is good for k colors, otherwise the first violated condition."""
+    """None if the set is good for k colors, otherwise the first violated condition.
+
+    A ValueError refuses k < 1, and a member outside the vertex ids 0..n-1,
+    before any adjacency list is read.
+    """
+    if k < 1:
+        raise ValueError(f"a good set needs k >= 1 colors, not k = {k}")
     w = tuple(sorted(set(members)))
+    if w and (w[0] < 0 or w[-1] >= g.n):
+        raise ValueError(f"good-set member {w[0] if w[0] < 0 else w[-1]} is no vertex of this {g.n}-vertex graph")
     if len(w) != k:
         return GoodSetViolation("wrong-size")
     for v in w:

@@ -461,16 +461,15 @@ def _coloring_lines(text: str, g: Graph) -> tuple[int, list[int]]:
 
 
 def _peel(adj: Sequence[Sequence[int]], degree: list[int], live: list[bool], queue: list[int]) -> None:
-    """Delete the vertices of ``queue``, each with at most one live neighbor,
-    and then every live vertex whose live degree drops to 1; ``queue`` grows."""
+    """Delete the vertices of ``queue``, and then every live vertex whose
+    live degree drops to 1; ``queue`` grows."""
     for u in queue:
         live[u] = False
         for v in adj[u]:
-            if live[v]:  # u's one live neighbor, if any is left
+            if live[v]:
                 degree[v] -= 1
                 if degree[v] == 1:
                     queue.append(v)
-                break
 
 
 def girth(g: Graph) -> int | float:
@@ -498,9 +497,9 @@ def girth(g: Graph) -> int | float:
     cycle.  So min(best, girth(H)) = girth(G) holds at every step, and
     best = girth(G) once H is empty.
 
-    Cost: O(n + m) on forests, since each vertex is deleted once and a
-    deleted vertex's scan stops at its one live neighbor.  Each BFS is
-    bounded by the best cycle so far, in a graph that shrinks root by root.
+    Cost: O(n + m) on forests, since each vertex is deleted once and its
+    deletion scans its adjacency list once.  Each BFS is bounded by the
+    best cycle so far, in a graph that shrinks root by root.
     ``dist``/``parent`` are allocated once; after each root only the
     ``dist`` entries that BFS touched are reset, and ``parent`` is written
     when a vertex is reached, before any read.
@@ -553,14 +552,7 @@ def girth(g: Graph) -> int | float:
                             best = candidate
         for u in touched:
             dist[u] = -1
-        live[root] = False
-        leaves = []
-        for v in adj[root]:
-            if live[v]:
-                degree[v] -= 1
-                if degree[v] == 1:
-                    leaves.append(v)
-        _peel(adj, degree, live, leaves)
+        _peel(adj, degree, live, [root])
     return best
 
 

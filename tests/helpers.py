@@ -33,7 +33,7 @@ from bchrom import (
     exact_b_chromatic,
 )
 from bchrom.cli import AnalysisRecord, run_pipeline
-from bchrom.coloring import PartialColoring
+from bchrom.coloring import BResult, PartialColoring
 from bchrom.goodset import DensityProfile, check_good_set, find_encircled_vertex
 from bchrom.graph import ensure_min_girth
 from bchrom.oracle import DEFAULT_ORACLE_LIMIT, ValidityReport, Violation
@@ -129,6 +129,18 @@ def high_degree_leftover_forest() -> Graph:
         (3, 17), (3, 18), (3, 19),
     ]
     return Graph(20, edges)
+
+
+def case_iii_leftover_tree() -> Graph:
+    """Tree where ``find_good_set``'s own set leaves a high-degree leftover:
+    m = 4 and M = {0, 3, 4, 5}, which encircles 1, so case (iii) drops 4
+    and anchors (0, 3, 5) color 3; vertex 4, of degree 5, joins anchor 0's
+    completion batch with color 2."""
+    edges = [
+        (0, 1), (0, 2), (0, 4), (1, 3), (3, 5), (3, 12), (4, 8),
+        (4, 9), (4, 10), (4, 14), (5, 6), (5, 7), (6, 13), (7, 11),
+    ]
+    return Graph(15, edges)
 
 
 def greedy_trap_forest() -> Graph:
@@ -890,6 +902,17 @@ def full_fringe_crowded(g: Graph, members, colors: Sequence[int]) -> int | None:
             if len(anchors) != 1 or others:
                 return u
     return None
+
+
+def log_events(colored: PartialColoring | BResult) -> list[tuple[str, int, int, int | None]]:
+    """The construction log of a ``PartialColoring`` or a ``BResult``
+    expanded by hand: one ``(step, vertex, color, recolored_from)`` tuple
+    per vertex of each record, in log order."""
+    return [
+        (step, vertex, color, old)
+        for step, vertices, colors, old in colored.log
+        for vertex, color in zip(vertices, colors, strict=True)
+    ]
 
 
 def per_pair_complete_b_vertices(

@@ -32,6 +32,7 @@ from bchrom.goodset import check_good_set
 from bchrom.graph import generate_girth_constrained
 
 from helpers import (
+    case_iii_leftover_tree,
     chorded_trees,
     cycle_graph,
     encircled_tree,
@@ -40,6 +41,7 @@ from helpers import (
     full_fringe_crowded,
     greedy_trap_forest,
     high_degree_leftover_forest,
+    log_events,
     naive_link_vertices,
     path_graph,
     per_pair_complete_b_vertices,
@@ -54,7 +56,7 @@ from helpers import (
 
 def last_step(pc: PartialColoring, v: int) -> str:
     """The step of the last logged event that colored or recolored v."""
-    return next(step for step, vertex, _, _ in reversed(pc.events) if vertex == v)
+    return next(step for step, vertex, _, _ in reversed(log_events(pc)) if vertex == v)
 
 
 # ------------------------------------------------------------ link scan
@@ -161,7 +163,7 @@ def test_color_links_anchor_only_when_no_links():
     anchors = GoodSet((0, 1, 2))
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert pc.colors == [1, 2, 3, 0, 0, 0, 0]
-    assert all(step == "anchor" for step, _, _, _ in pc.events)
+    assert all(step == "anchor" for step, _, _, _ in log_events(pc))
 
 
 def test_color_links_nine_cycle_golden():
@@ -210,7 +212,7 @@ def test_steal_pass_golden_trace():
     assert pc.colors[4] == 2 and last_step(pc, 4) == "step3-recolor"
     assert pc.colors[3] == 3 and last_step(pc, 3) == "step3-new"
     assert pc.colors[5] == 1 and last_step(pc, 5) == "step1"
-    recolors = [(vertex, old) for _, vertex, _, old in pc.events if old is not None]
+    recolors = [(vertex, old) for _, vertex, _, old in log_events(pc) if old is not None]
     assert recolors == [(4, 3)]
 
 
@@ -333,7 +335,7 @@ def test_completion_refuses_adjacent_uncolored_anchor_neighbors():
     ) as info:
         complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 3)
-    assert len(pc.events) == 2
+    assert len(log_events(pc)) == 2
     assert full_fringe_clash(g, anchors.members, pc.colors) == (3, 9)
 
 
@@ -437,35 +439,59 @@ def _high_degree_leftover_forests():
     return ((g, GoodSet((0, 1, 2, 3))) for g in (high_degree_leftover_forest(), greedy_trap_forest()))
 
 
+def _case_iii_leftover_tree():
+    """The tree whose case (iii) set leaves the dropped dense vertex 4 to
+    completion, with the set ``find_good_set`` returns."""
+    g = case_iii_leftover_tree()
+    return iter([(g, find_good_set(g, density_profile(g)))])
+
+
 @pytest.mark.parametrize(
     ("family", "counts"),
     [
-        (_chorded_family(0, range(1, 14)), (2288, 0, 0)),
-        (_chorded_family(1, range(1, 14)), (1612, 0, 0)),
-        (_chorded_family(2, range(1, 16)), (5163, 0, 0)),
-        (_high_degree_leftover_forests, (2, 2, 1)),
+        (_chorded_family(0, range(1, 14)), (2288, 0, 0, 0)),
+        (_chorded_family(1, range(1, 14)), (1612, 0, 0, 0)),
+        (_chorded_family(2, range(1, 16)), (5163, 0, 0, 0)),
+        (_high_degree_leftover_forests, (2, 2, 2, 1)),
+        (_case_iii_leftover_tree, (1, 1, 1, 1)),
     ],
-    ids=["trees", "one-chord", "two-chords", "high-degree-leftovers"],
+    ids=["trees", "one-chord", "two-chords", "high-degree-leftovers", "case-iii-leftover"],
 )
 def test_batched_completion_matches_the_per_pair_reference(family, counts):
     """On every tree plus up to two chords at girth >= 9, with n <= 13 (n <=
-    15 with two chords, of which n <= 13 gives only 27), and on the two
-    forests built to leave an anchor a neighbor of degree >= |W| after its
-    missing colors (which no enumerated graph does), the batched completion
-    leaves the colors and the expanded log that the per-pair loop, which
-    checks every assignment and looks up each leftover's color, leaves.
-    ``counts`` pins the graphs, those with such a leftover, and those where
-    the leftover's anchor has color 1, so the leftover takes color 2."""
-    graphs = with_leftover = next_to_color_1 = 0
+    15 with two chords, of which n <= 13 gives only 27), on the two forests
+    built to leave an anchor a neighbor of degree >= |W| after its missing
+    colors with hand-picked anchors, and on the one tree known to leave
+    such a leftover with ``find_good_set``'s own set (case (iii); no
+    enumerated graph does), the batched completion leaves the colors and
+    the expanded log that the per-pair loop, which checks every assignment
+    and looks up each leftover's color, leaves.  ``counts`` pins the graphs,
+    those with such a leftover, the leftovers, and the graphs where a
+    leftover's anchor has color 1, so the leftover takes color 2."""
+    graphs = with_leftover = leftover_count = next_to_color_1 = 0
     for g, anchors in family():
         links = classify_links(g, anchors)
         batched = complete_b_vertices(g, anchors, color_links(g, anchors, links), links)
         reference, leftovers = per_pair_complete_b_vertices(g, anchors, color_links(g, anchors, links))
-        assert (batched.colors, batched.events) == (reference.colors, reference.events), g.adj
+        assert (batched.colors, log_events(batched)) == (reference.colors, log_events(reference)), g.adj
         graphs += 1
         with_leftover += bool(leftovers)
+        leftover_count += len(leftovers)
         next_to_color_1 += any(own == 1 for _, own in leftovers)
-    assert (graphs, with_leftover, next_to_color_1) == counts
+    assert (graphs, with_leftover, leftover_count, next_to_color_1) == counts
+
+
+def test_case_iii_set_leaves_its_dropped_vertex_to_completion():
+    # M = {0, 3, 4, 5} encircles 1, so k = m - 1 = 3 with W' = M - 4; the
+    # oracle agrees that no 4-b-coloring exists, and 4 (degree 5 >= k) is
+    # the one vertex of degree >= k outside W', colored by completion
+    g = case_iii_leftover_tree()
+    profile = density_profile(g)
+    anchors = find_good_set(g, profile)
+    assert (profile.m, profile.dense, anchors.members) == (4, {0, 3, 4, 5}, (0, 3, 5))
+    result = b_coloring_with_good_set(g, anchors)
+    assert result.chi_b == exact_b_chromatic(g, limit=g.n)[0] == 3
+    assert ("completion", 4, 2, None) in log_events(result)
 
 
 def test_assign_refuses_a_neighbor_color():
@@ -475,7 +501,7 @@ def test_assign_refuses_a_neighbor_color():
     with pytest.raises(InvariantViolation, match=r"^edge 0-1 is monochromatic \(step=step1, vertex=1\)$") as info:
         pc.assign(1, 1, "step1")
     assert (info.value.step, info.value.vertex) == ("step1", 1)
-    assert pc.colors[1] == 0 and len(pc.events) == 1
+    assert pc.colors[1] == 0 and len(log_events(pc)) == 1
 
 
 @pytest.mark.parametrize(
@@ -509,7 +535,7 @@ def test_recolor_refuses_a_neighbor_color():
     ) as info:
         pc.recolor(1, 3, "step3-recolor")
     assert (info.value.step, info.value.vertex) == ("step3-recolor", 1)
-    assert pc.colors[1] == 2 and len(pc.events) == 3
+    assert pc.colors[1] == 2 and len(log_events(pc)) == 3
     pc.recolor(1, 4, "step3-recolor")  # the refusal did not use up the one recoloring
     assert pc.colors[1] == 4
 
@@ -522,7 +548,7 @@ def test_recolor_refuses_a_second_recoloring():
     pc.recolor(1, 3, "step3-recolor")
     with pytest.raises(InvariantViolation, match=r"^vertex recolored twice \(step=step3-recolor, vertex=1\)$"):
         pc.recolor(1, 2, "step3-recolor")
-    assert pc.colors[1] == 3 and len(pc.events) == 4
+    assert pc.colors[1] == 3 and len(log_events(pc)) == 4
 
 
 def test_recolor_refuses_an_uncolored_vertex():
@@ -532,7 +558,7 @@ def test_recolor_refuses_an_uncolored_vertex():
     ) as info:
         pc.recolor(1, 2, "step3-recolor")
     assert (info.value.step, info.value.vertex) == ("step3-recolor", 1)
-    assert pc.colors == [0, 0, 0] and pc.events == []
+    assert pc.colors == [0, 0, 0] and log_events(pc) == []
 
 
 def test_completion_checks_that_every_anchor_sees_every_other_color():
@@ -595,7 +621,7 @@ def greedy_outcome(extend, g: Graph, precolored: list[tuple[int, int]], num_colo
     for v, color in precolored:
         pc.assign(v, color, "anchor")
     try:
-        return extend(g, pc, num_colors), pc.events
+        return extend(g, pc, num_colors), log_events(pc)
     except InvariantViolation as exc:
         return str(exc), exc.step, exc.vertex
 
@@ -672,7 +698,7 @@ def test_assign_smallest_free_each_by_neighbor_colors(around, expected):
     pc.assign_each([(i, color) for i, color in enumerate(around, 1) if color], "anchor")
     pc.assign_smallest_free([0], "greedy")
     assert pc.colors[0] == expected
-    assert pc.events[-1] == ("greedy", 0, expected, None)
+    assert log_events(pc)[-1] == ("greedy", 0, expected, None)
 
 
 @pytest.mark.parametrize("vertices", [[], [0, 4, 5]], ids=["empty", "whole"])
@@ -683,12 +709,13 @@ def test_assign_smallest_free_each_logs_exactly_what_it_assigned(vertices):
     pc.assign_each([(2, 1), (3, 2)], "anchor")
     pc.assign_smallest_free(vertices, "greedy")
     assert pc.log[-1][:2] == ("greedy", tuple(vertices))
+    events = log_events(pc)
     replayed = [0] * g.n
-    for _, vertex, color, _ in pc.events:  # one positive color per vertex
+    for _, vertex, color, _ in events:  # one positive color per vertex
         assert color > 0 and not replayed[vertex]
         replayed[vertex] = color
     assert replayed == pc.colors
-    assert [step for step, _, _, _ in pc.events] == ["anchor", "anchor"] + ["greedy"] * (len(pc.events) - 2)
+    assert [step for step, _, _, _ in events] == ["anchor", "anchor"] + ["greedy"] * (len(events) - 2)
 
 
 def test_assign_smallest_free_takes_the_lowest_absent_color():
@@ -698,7 +725,7 @@ def test_assign_smallest_free_takes_the_lowest_absent_color():
     pc.assign(3, 3, "anchor")
     pc.assign_smallest_free([0], "greedy")
     assert pc.colors[0] == 2
-    assert pc.events[-1] == ("greedy", 0, 2, None)
+    assert log_events(pc)[-1] == ("greedy", 0, 2, None)
 
 
 def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
@@ -719,7 +746,7 @@ def test_completion_refuses_a_high_degree_neighbor_with_no_color_left():
     ) as info:
         complete_b_vertices(g, anchors, pc, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("completion", 3)
-    assert pc.colors[3] == 0 and len(pc.events) == 5
+    assert pc.colors[3] == 0 and len(log_events(pc)) == 5
 
 
 def test_trace_event_fields():
@@ -735,11 +762,7 @@ def test_trace_event_fields():
 def test_trace_is_built_from_the_event_log_on_read(builder):
     g = builder()
     result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
-    expanded = [
-        (step, vertex, color, old)
-        for step, vertices, colors, old in result.log
-        for vertex, color in zip(vertices, colors, strict=True)
-    ]
+    expanded = log_events(result)
     trace = result.trace
     assert all(type(event) is TraceEvent for event in trace)
     assert list(trace) == expanded  # field by field, in assignment order
@@ -800,6 +823,24 @@ def test_construction_rejects_non_good_set():
     # and no constructor argument can set the mark
     with pytest.raises(TypeError):
         GoodSet((0, 1, 2), certified_on=g)
+
+
+@pytest.mark.parametrize("member", [3, 5])
+def test_construction_refuses_a_member_past_the_last_vertex(member):
+    # refused before adj[member] is read, which would raise a bare IndexError
+    with pytest.raises(ValueError, match=rf"^good-set member {member} is no vertex of this 3-vertex graph$"):
+        b_coloring_with_good_set(path_graph(3), GoodSet((member,)))
+
+
+def test_construction_refuses_a_negative_member():
+    # adj[-1] would read the last vertex, and the set would be certified and colored
+    with pytest.raises(ValueError, match=r"^good-set member -1 is no vertex of this 2-vertex graph$"):
+        b_coloring_with_good_set(Graph(2, []), GoodSet((-1,)))
+
+
+def test_construction_refuses_an_empty_set():
+    with pytest.raises(ValueError, match=r"^a good set needs k >= 1 colors, not k = 0$"):
+        b_coloring_with_good_set(path_graph(3), GoodSet(()))
 
 
 def _count_good_set_checks(monkeypatch) -> list[str]:
