@@ -156,6 +156,14 @@ MUTANTS = [
         equivalent="the clamp only bounds attempts after every possible edge is placed or refused; "
         "the graphs come out the same, only run time changes",
     ),
+    # the girth gate computes the girth of a graph that stores none yet
+    Mutant(
+        "girth-gate-passes-an-unstored-girth",
+        GRAPH,
+        "    value = girth(g) if g._girth is None else g._girth\n",
+        "    value = ACYCLIC if g._girth is None else g._girth\n",
+        ("tests/test_goodset.py::test_has_good_set_requires_girth_eight",),
+    ),
     Mutant(
         "generate-saturation-one-vertex-short",
         GRAPH,
@@ -246,12 +254,19 @@ MUTANTS = [
         "        if False:\n",
         ("tests/test_coloring.py",),
     ),
-    # the construction checks every set that find_good_set did not certify on its graph
+    # the construction checks every set but the one find_good_set stored on its graph
     Mutant(
         "construction-trusts-any-good-set",
         COLORING,
-        "    if anchors.certified_on is not g:\n",
+        "    if anchors != g._good_set:\n",
         "    if False:\n",
+        ("tests/test_coloring.py::test_construction_rejects_non_good_set",),
+    ),
+    Mutant(
+        "construction-trusts-any-set-when-none-is-stored",
+        COLORING,
+        "    if anchors != g._good_set:\n",
+        "    if g._good_set is not None and anchors != g._good_set:\n",
         ("tests/test_coloring.py::test_construction_rejects_non_good_set",),
     ),
     # the certificates of the link passes, one each
@@ -326,20 +341,20 @@ MUTANTS = [
         "        if False:\n",
         ("tests/test_goodset.py",),
     ),
-    # find_good_set certifies every set it returns
+    # find_good_set checks every set it stores and returns
     Mutant(
         "case-iii-set-unchecked",
         GOODSET,
-        "        members, k = tuple(v for v in first if v != x), m - 1\n",
-        "        return _certified(tuple(v for v in first if v != x), g)\n",
+        "            members, k = tuple(v for v in first if v != x), m - 1\n",
+        "            g._good_set = GoodSet(tuple(v for v in first if v != x))\n            return g._good_set\n",
         ("tests/test_goodset.py::test_case_iii_set_is_checked",),
     ),
     # case (iii) only when M(G) has exactly m(G) members: a tree one leaf from a pivot has m(G) + 1
     Mutant(
         "near-pivot-case-iii",
         GOODSET,
-        "    if len(profile.dense) == m:  # case (iii)\n",
-        "    if len(profile.dense) <= m + 1:  # case (iii)\n",
+        "        if len(profile.dense) == m:  # case (iii)\n",
+        "        if len(profile.dense) <= m + 1:  # case (iii)\n",
         ("tests/test_trees.py::test_planted_pivoted_trees_and_near_misses",),
     ),
     # the CLI's exit codes

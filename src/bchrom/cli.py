@@ -135,7 +135,7 @@ def run_pipeline(
             f"girth {gv} is below 9, outside the constructive theory; pass --oracle for exhaustive search"
         )
     profile = density_profile(g)
-    good = find_good_set(g, profile, girth_value=gv) if gv >= 8 else None
+    good = find_good_set(g) if gv >= 8 else None
     has_good_set = len(good.members) == profile.m if good is not None else None
     record = AnalysisRecord(
         n=g.n,
@@ -150,7 +150,7 @@ def run_pipeline(
         return record, None
 
     if high_girth and not force_oracle:
-        built = b_coloring_with_good_set(g, good, girth_value=gv)
+        built = b_coloring_with_good_set(g, good)
         record.chi_b = built.chi_b
         record.chi_b_method = "construction"
         return record, built
@@ -163,7 +163,7 @@ def run_pipeline(
         return record, None
 
     # the exact search decides chi_b when forced or when the girth theory does not apply
-    record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit, profile=profile)
+    record.chi_b, witness = exact_b_chromatic(g, limit=oracle_limit)
     record.chi_b_method = "oracle"
     basis = check_b_coloring(g, witness, record.chi_b).basis
     if basis is None:

@@ -528,19 +528,19 @@ def greedy_extend(g: Graph, pc: PartialColoring, num_colors: int) -> list[int]:
     return colors
 
 
-def b_coloring_with_good_set(g: Graph, anchors: GoodSet, *, girth_value: int | float | None = None) -> BResult:
+def b_coloring_with_good_set(g: Graph, anchors: GoodSet) -> BResult:
     """Build a b-coloring with k = len(anchors.members) colors whose basis
     is the good set: m(G) colors, or m(G) - 1 from the set
     ``find_good_set`` returns when no good set for m(G) exists.
 
-    A set that ``find_good_set`` certified on this same ``g`` is used as
-    it is; any other set is checked first, and refused with a ValueError
-    when it is not good for k.  The finished coloring is re-validated with
-    the independent checker before being returned.
+    A set equal to the one ``find_good_set`` stored on ``g`` is used as it
+    is, whoever built it; any other set is checked first, and refused with
+    a ValueError when it is not good for k.  The finished coloring is
+    re-validated with the independent checker before being returned.
     """
     k = len(anchors.members)
-    ensure_min_girth(g, 9, girth_value)
-    if anchors.certified_on is not g:
+    ensure_min_girth(g, 9)
+    if anchors != g._good_set:
         violation = check_good_set(g, anchors.members, k)
         if violation is not None:
             raise ValueError(f"anchors are not a good set: {violation.kind}")

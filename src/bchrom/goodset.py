@@ -18,7 +18,7 @@ for m(G); without such a set, M(G) less one vertex is good for m(G) - 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ge
 
@@ -33,11 +33,14 @@ class DensityProfile:
 
 
 def density_profile(g: Graph) -> DensityProfile:
-    """Compute m(G) and M(G); rejects the empty graph.
+    """Compute m(G) and M(G); rejects the empty graph.  The first call
+    computes them and stores them on ``g``; every later call returns them.
 
     A graph with no edges still has m = 1 (every vertex has degree 0 >= 0).
     Maximality guarantees fewer than m + 1 vertices have degree >= m.
     """
+    if g._profile is not None:
+        return g._profile
     n = g.n
     if n == 0:
         raise ValueError("m(G) is undefined for the empty graph")
@@ -47,7 +50,8 @@ def density_profile(g: Graph) -> DensityProfile:
     while m < n and degs[m] >= m:
         m += 1
     dense = frozenset(compress(range(n), map(ge, map(len, g.adj), repeat(m - 1))))
-    return DensityProfile(m=m, dense=dense)
+    g._profile = DensityProfile(m=m, dense=dense)
+    return g._profile
 
 
 @dataclass(frozen=True)
@@ -56,14 +60,9 @@ class GoodSet:
 
     The position of a vertex fixes its anchor color: members[i] is the
     designated b-vertex for color i + 1 in the constructive coloring.
-    ``certified_on`` is the graph ``find_good_set`` checked the set on, and
-    None for any set built by hand; ``b_coloring_with_good_set`` checks a
-    set only when that is not its graph.  The mark is no constructor
-    argument and takes no part in equality or repr.
     """
 
     members: tuple[int, ...]
-    certified_on: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.members, self.members[1:])):
@@ -139,7 +138,7 @@ def check_good_set(g: Graph, members: Iterable[int], k: int) -> GoodSetViolation
     return None
 
 
-def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet:
+def find_good_set(g: Graph) -> GoodSet:
     """Return a good set for m(G) or, when none exists, for m(G) - 1 (girth >= 8 required).
 
     The set's size is its color count: m = m(G) exactly when a good set for
@@ -147,10 +146,11 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
     Return W0 if it is good.  Otherwise W0 encircles u; if |M| = m (M =
     M(G)), return M - x for the lowest-id member x not adjacent to u; else
     return the set one swap away.  Every returned set is checked in full,
-    whatever ``profile`` says, and marked as certified on g, so the
-    construction does not check it again: W0 at m, then the swapped set at
-    m, or M - x at m - 1.  A failed check raises InvariantViolation, naming
-    u when it is not W0's.
+    whatever ``density_profile`` says: W0 at m, then the swapped set at m,
+    or M - x at m - 1.  A failed check raises InvariantViolation, naming u
+    when it is not W0's.  The checked set is stored on ``g``, and every
+    later call returns it; the construction does not check a set equal to
+    it again.
 
     Argument.  The vertices H of degree >= m number at most m and sort
     first, so W0 holds H and (b) holds: W0 can fail only by encircling.
@@ -184,31 +184,27 @@ def find_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | 
       two member neighbors a and b, both in W', and then x-a-u-b is a
       4-cycle.
     """
-    ensure_min_girth(g, 8, girth_value)
+    if g._good_set is not None:
+        return g._good_set
+    ensure_min_girth(g, 8)
+    profile = density_profile(g)
     m = profile.m
-    first = tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[:m]))
+    first = members = tuple(sorted(sorted(profile.dense, key=lambda v: (-len(g.adj[v]), v))[:m]))
     violation = check_good_set(g, first, m)
-    if violation is None:
-        return _certified(first, g)
-    if violation.kind != "encircles":
-        raise InvariantViolation(f"the first {m} dense vertices failed the good-set check as {violation.kind}")
-    u = violation.witness
-    if len(profile.dense) == m:  # case (iii)
-        x = next(v for v in first if v not in g.adj[u])
-        members, k = tuple(v for v in first if v != x), m - 1
-    else:
-        members, k = _swap(g, profile, first, u), m
-    violation = check_good_set(g, members, k)
     if violation is not None:
-        raise InvariantViolation(f"the set for {k} colors failed the good-set check as {violation.kind}", vertex=u)
-    return _certified(members, g)
-
-
-def _certified(members: tuple[int, ...], g: Graph) -> GoodSet:
-    """A GoodSet of members, marked as checked on g."""
-    good = GoodSet(members)
-    object.__setattr__(good, "certified_on", g)
-    return good
+        if violation.kind != "encircles":
+            raise InvariantViolation(f"the first {m} dense vertices failed the good-set check as {violation.kind}")
+        u = violation.witness
+        if len(profile.dense) == m:  # case (iii)
+            x = next(v for v in first if v not in g.adj[u])
+            members, k = tuple(v for v in first if v != x), m - 1
+        else:
+            members, k = _swap(g, profile, first, u), m
+        violation = check_good_set(g, members, k)
+        if violation is not None:
+            raise InvariantViolation(f"the set for {k} colors failed the good-set check as {violation.kind}", vertex=u)
+    g._good_set = GoodSet(members)
+    return g._good_set
 
 
 def _swap(g: Graph, profile: DensityProfile, members: tuple[int, ...], u: int) -> tuple[int, ...]:

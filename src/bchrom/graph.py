@@ -61,7 +61,16 @@ class Graph:
 
     A graph exposes ``n``, ``adj`` (one strictly increasing tuple of
     neighbor ids per vertex) and ``labels`` (the input label of each id),
-    and is immutable afterwards (safe to share between threads).
+    and is immutable afterwards.
+
+    It also keeps three facts derived from it, each stored on first use by
+    the one function that derives it, and None until then: ``_girth``
+    (``girth``), ``_profile`` (``density_profile``) and ``_good_set``
+    (``find_good_set``, which stores only a set it has checked).  Equality
+    ignores them.  Sharing a graph between threads stays safe: each fact is
+    a pure function of ``n``, ``adj`` and ``labels``, so threads that race
+    to store one store equal values.  A stored fact refers to no graph, so
+    no reference cycle runs through one.
 
     The public constructor validates: an edge out of range, a self-loop, a
     duplicate edge (named as (u, v) with u < v, for the lowest such u, and
@@ -71,7 +80,7 @@ class Graph:
     read looks for a repeated neighbor on the adjacency ``_trusted`` built.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj", "labels", "_girth", "_profile", "_good_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[int] | None = None):
         if n < 0:
@@ -94,6 +103,7 @@ class Graph:
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = adj
         self.labels: tuple[int, ...] = label_tuple
+        self._girth = self._profile = self._good_set = None
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[tuple[int, int]], labels: Iterable[int]) -> Graph:
@@ -104,6 +114,7 @@ class Graph:
         g.n = n
         g.adj = _sorted_adjacency(n, edges)
         g.labels = tuple(labels)
+        g._girth = g._profile = g._good_set = None
         return g
 
     def degrees(self) -> list[int]:
@@ -473,7 +484,8 @@ def _peel(adj: Sequence[Sequence[int]], degree: list[int], live: list[bool], que
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or ACYCLIC for forests.
+    """Length of a shortest cycle, or ACYCLIC for forests.  The first call
+    computes it and stores it on ``g``; every later call returns it.
 
     1. Peel vertices of degree <= 1 until only the 2-core is left.  Every
        cycle lies in the 2-core, so a forest stops here.
@@ -504,6 +516,8 @@ def girth(g: Graph) -> int | float:
     ``dist`` entries that BFS touched are reset, and ``parent`` is written
     when a vertex is reached, before any read.
     """
+    if g._girth is not None:
+        return g._girth
     adj = g.adj
     n = g.n
     degree = [len(nbrs) for nbrs in adj]
@@ -511,6 +525,7 @@ def girth(g: Graph) -> int | float:
     leaves = [u for u in range(n) if degree[u] <= 1]
     _peel(adj, degree, live, leaves)
     if len(leaves) == n:
+        g._girth = ACYCLIC
         return ACYCLIC
 
     roots: Sequence[int] = sorted([u for u in range(n) if live[u]], key=degree.__getitem__, reverse=True)
@@ -553,12 +568,17 @@ def girth(g: Graph) -> int | float:
         for u in touched:
             dist[u] = -1
         _peel(adj, degree, live, [root])
+    g._girth = best
     return best
 
 
-def ensure_min_girth(g: Graph, bound: int, girth_value: int | float | None = None) -> None:
-    """Raise PreconditionError unless the graph is acyclic or has girth >= bound."""
-    value = girth(g) if girth_value is None else girth_value
+def ensure_min_girth(g: Graph, bound: int) -> None:
+    """Raise PreconditionError unless the graph is acyclic or has girth >= bound.
+
+    Reads the girth stored on ``g``, and calls ``girth`` only when none is
+    stored yet, so a pipeline that has computed it makes no second call.
+    """
+    value = girth(g) if g._girth is None else g._girth
     if value < bound:
         raise PreconditionError(f"requires girth >= {bound} (or a forest); this graph has girth {value}")
 
@@ -592,6 +612,8 @@ def _saturated(adj: list[set[int]], cap: int) -> bool:
         frontier = ball
         for _ in range(cap):
             frontier = {v for u in frontier for v in adj[u] if v not in ball}
+            if not frontier:  # the ball has stopped growing
+                break
             ball |= frontier
         if len(ball) < n:
             return False

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantViolation, OracleLimitError
-from .goodset import DensityProfile, density_profile
+from .goodset import density_profile
 from .goodset import find_encircled_vertex  # noqa: F401  (unused: bench/tracing.py wraps this binding)
 from .graph import Graph
 
@@ -257,19 +257,14 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
         del extend  # it refers to itself through its closure: a reference cycle only the collector frees
 
 
-def exact_b_chromatic(
-    g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT, profile: DensityProfile | None = None
-) -> tuple[int, list[int]]:
+def exact_b_chromatic(g: Graph, *, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, list[int]]:
     """Largest k admitting a b-coloring, found by scanning down from m(G),
     with the witness the search found at k: the search is deterministic, so
-    it equals what ``find_b_coloring_exact(g, k)`` returns.  ``profile`` is
-    ``g``'s density profile when the caller already has it; without one,
-    it is computed here."""
+    it equals what ``find_b_coloring_exact(g, k)`` returns.  m(G) is the one
+    ``density_profile`` stored on ``g``, or computes and stores now."""
     if g.n == 0:
         raise ValueError("the b-chromatic number is undefined for the empty graph")
-    if profile is None:
-        profile = density_profile(g)
-    for k in range(profile.m, 0, -1):
+    for k in range(density_profile(g).m, 0, -1):
         witness = find_b_coloring_exact(g, k, limit=limit)
         if witness is not None:
             return k, witness

@@ -34,7 +34,7 @@ from bchrom import (
 )
 from bchrom.cli import AnalysisRecord, run_pipeline
 from bchrom.coloring import BResult, PartialColoring
-from bchrom.goodset import DensityProfile, check_good_set, find_encircled_vertex
+from bchrom.goodset import check_good_set, density_profile, find_encircled_vertex
 from bchrom.graph import ensure_min_girth
 from bchrom.oracle import DEFAULT_ORACLE_LIMIT, ValidityReport, Violation
 
@@ -73,6 +73,17 @@ def encircled_tree() -> Graph:
     """
     edges = [(0, 1), (0, 2), (1, 3), (2, 4), (1, 5), (2, 6), (3, 7), (3, 8), (4, 9), (4, 10)]
     return Graph(11, edges)
+
+
+def five_dense_tree() -> Graph:
+    """13-vertex tree with m = 4 and five dense vertices, M(G) = {0, 2, 3, 7, 8}.
+
+    ``find_good_set`` returns (0, 3, 7, 8), and chi_b = 4.  The four dense
+    vertices other than 8 encircle 1, and (0, 2, 7) is a good set for 3
+    colors: a wrong M(G) that leaves 8 out would give 3.
+    """
+    edges = [(0, 1), (0, 7), (0, 12), (1, 2), (2, 3), (2, 6), (3, 4), (3, 5), (7, 8), (7, 11), (8, 9), (8, 10)]
+    return Graph(13, edges)
 
 
 def two_fan_tree() -> Graph:
@@ -787,7 +798,7 @@ def naive_has_good_set(g: Graph, m: int, dense) -> bool:
 # ------------------------------------------------- reference good-set search
 
 
-def backtracking_good_set(g: Graph, profile: DensityProfile, girth_value: int | float | None = None) -> GoodSet | None:
+def backtracking_good_set(g: Graph) -> GoodSet | None:
     """The good-set search that ``find_good_set`` replaced, kept as a reference.
 
     Return a good set, or None when none exists (girth >= 8 required).
@@ -801,7 +812,8 @@ def backtracking_good_set(g: Graph, profile: DensityProfile, girth_value: int | 
     Otherwise the girth-8 characterization promises one, so exhaustion
     indicates a bug.
     """
-    ensure_min_girth(g, 8, girth_value)
+    ensure_min_girth(g, 8)
+    profile = density_profile(g)
     m = profile.m
     if len(profile.dense) == m:
         members = tuple(sorted(profile.dense))

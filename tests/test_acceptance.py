@@ -119,7 +119,7 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
             naive_is_good_set(g, subset, profile.m, profile.dense)
             for subset in combinations(sorted(profile.dense), profile.m)
         )
-        found = find_good_set(g, profile)
+        found = find_good_set(g)
         k = len(found.members)
         assert (k == profile.m) is expected
         assert k in (profile.m, profile.m - 1)
@@ -132,11 +132,11 @@ def test_criterion_3_goodset_characterization_vs_enumeration():
 def test_criterion_4_named_instances():
     """P_5, C_9, the star of stars, and the encircled 11-vertex tree."""
     p5 = path_graph(5)
-    assert len(find_good_set(p5, density_profile(p5)).members) == 3
+    assert len(find_good_set(p5).members) == 3
     assert run_pipeline(p5, compute_chi_b=True)[0].chi_b == 3 == exact_b_chromatic(p5)[0]
 
     c9 = cycle_graph(9)
-    assert len(find_good_set(c9, density_profile(c9)).members) == 3
+    assert len(find_good_set(c9).members) == 3
     assert run_pipeline(c9, compute_chi_b=True)[0].chi_b == 3 == exact_b_chromatic(c9)[0]
 
     sos = star_of_stars()
@@ -145,7 +145,7 @@ def test_criterion_4_named_instances():
     t_enc = encircled_tree()
     profile = density_profile(t_enc)
     assert profile.m == 4
-    assert len(find_good_set(t_enc, profile).members) == 3 == profile.m - 1
+    assert len(find_good_set(t_enc).members) == 3 == profile.m - 1
     record, result = run_pipeline(t_enc, compute_chi_b=True)
     assert record.chi_b == 3 == profile.m - 1
     assert record.chi_b_method == "construction"
@@ -179,7 +179,7 @@ def test_criterion_5_internal_certificates_over_a_sweep():
         if g.n == 0:
             continue
         profile = density_profile(g)
-        anchors = find_good_set(g, profile)
+        anchors = find_good_set(g)
         k = len(anchors.members)
         assert k in (profile.m, profile.m - 1)
         result = b_coloring_with_good_set(g, anchors)

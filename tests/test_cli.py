@@ -15,14 +15,14 @@ import bchrom.coloring
 import bchrom.goodset
 import bchrom.graph
 import bchrom.oracle
-from bchrom import InvariantViolation, PreconditionError, check_b_coloring
+from bchrom import InvariantViolation, PreconditionError, check_b_coloring, exact_b_chromatic
 from bchrom.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL, main, run_pipeline
 from bchrom.coloring import BResult
-from bchrom.goodset import _certified
-from bchrom.graph import to_edge_list
+from bchrom.goodset import GoodSet
+from bchrom.graph import generate_girth_constrained, to_edge_list
 from bchrom.oracle import MAX_ORACLE_LIMIT
 
-from helpers import cycle_graph, encircled_tree, path_graph, petersen_graph, steal_chain_tree
+from helpers import cycle_graph, encircled_tree, five_dense_tree, path_graph, petersen_graph, steal_chain_tree
 
 
 def write_graph(tmp_path, name, text):
@@ -136,17 +136,56 @@ def test_analyze_low_girth_uses_oracle_within_limit(tmp_path, capsys):
 
 
 def test_oracle_path_derives_the_density_profile_once(monkeypatch):
-    calls = []
+    computed = []
+    lookups = []
+    real = bchrom.goodset.density_profile
 
     def counted(g):
-        calls.append(g)
-        return bchrom.goodset.density_profile(g)
+        (lookups if g._profile is not None else computed).append(g)
+        return real(g)
 
-    monkeypatch.setattr(bchrom.cli, "density_profile", counted)
-    monkeypatch.setattr(bchrom.oracle, "density_profile", counted)
+    for module in (bchrom.cli, bchrom.goodset, bchrom.oracle):
+        monkeypatch.setattr(module, "density_profile", counted)
     record, _ = run_pipeline(petersen_graph(), compute_chi_b=True)
     assert (record.chi_b, record.chi_b_method) == (3, "oracle")
-    assert len(calls) == 1
+    # run_pipeline computes the profile; the exact search reads it back
+    assert len(computed) == 1 and len(lookups) == 1
+
+
+def test_threads_sharing_a_graph_get_the_serial_answer():
+    # threads that race to store the girth, the profile and the good set on
+    # one graph store equal values, so each thread's construction trusts the
+    # stored set and gives the serial answer
+    serial = run_pipeline(generate_girth_constrained(300, 9, 320, seed=1), need_coloring=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = generate_girth_constrained(300, 9, 320, seed=1)
+            answers = []
+
+            def answer(g=g):
+                answers.append(run_pipeline(g, need_coloring=True))
+
+            threads = [threading.Thread(target=answer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("force_oracle", [False, True], ids=["construction", "oracle"])
+def test_five_dense_tree_takes_its_facts_from_the_graph(force_oracle):
+    # no caller can hand in m(G) or M(G): the good set and chi_b follow from g alone
+    record, result = run_pipeline(five_dense_tree(), compute_chi_b=True, force_oracle=force_oracle)
+    assert (record.m, record.dense_count, record.good_set) == (4, 5, [0, 3, 7, 8])
+    assert record.chi_b == result.chi_b == 4
+    assert record.chi_b_method == ("oracle" if force_oracle else "construction")
+    assert exact_b_chromatic(five_dense_tree())[0] == 4
 
 
 def test_color_verify_round_trip(tmp_path, capsys):
@@ -404,6 +443,20 @@ def test_generate_with_an_edge_budget_above_every_possible_edge(tmp_path):
     assert main(["generate", "10", "--edges", "1000000000", "-o", str(big)]) == 0
     assert main(["generate", "10", "--edges", "45", "-o", str(full)]) == 0
     assert big.read_text() == full.read_text()
+
+
+def test_generate_with_a_girth_bound_far_above_the_vertex_count_ends_at_once():
+    # a ball that stops growing ends the saturation test's BFS, so a bound of
+    # 10^9 costs what 1000 costs: both are above every cycle 10 vertices close
+    env = {**os.environ, "PYTHONPATH": str(Path(bchrom.__file__).parents[1])}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "bchrom", "generate", "10", "--min-girth", bound, "--edges", "100", "--seed", "3"],
+            capture_output=True, env=env, timeout=20, check=True,
+        ).stdout
+        for bound in ("1000000000", "1000")
+    ]
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 9
 
 
 def test_color_single_vertex(tmp_path):
@@ -754,13 +807,19 @@ def _monochromatic_greedy(g, pc, num_colors):
     return [1] * g.n
 
 
+def _store_leaves(g):
+    g._good_set = GoodSet((7, 8, 9))
+    return g._good_set
+
+
 @pytest.mark.parametrize(
     "module, name, broken",
     [
         (bchrom.cli, "b_coloring_with_good_set", _broken_construction),  # a certificate fails
         (bchrom.coloring, "greedy_extend", _monochromatic_greedy),  # the final check rejects the coloring
-        # leaves, not dense, yet certified: the construction trusts the set, and its completion certificate fails
-        (bchrom.cli, "find_good_set", lambda g, profile, girth_value=None: _certified((7, 8, 9), g)),
+        # leaves, not dense, yet stored as g's good set: the construction trusts the set, and its completion
+        # certificate fails
+        (bchrom.cli, "find_good_set", _store_leaves),
     ],
     ids=["invariant", "invalid-coloring", "bad-good-set"],
 )

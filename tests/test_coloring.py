@@ -37,6 +37,7 @@ from helpers import (
     cycle_graph,
     encircled_tree,
     fallback_pick_tree,
+    five_dense_tree,
     full_fringe_clash,
     full_fringe_crowded,
     greedy_trap_forest,
@@ -93,7 +94,7 @@ def test_links_match_quartic_scan_on_trees(n, seed):
     rng = random.Random(seed)
     g = random_tree(n, rng)
     profile = density_profile(g)
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     links = classify_links(g, anchors)
     assert links.vertices == frozenset(naive_link_vertices(g, anchors.members))
     w = set(anchors.members)
@@ -179,7 +180,7 @@ def test_color_links_requires_girth_nine(monkeypatch):
     # the link passes are sound for girth >= 9 only; C8 has a good set, so
     # only its girth of 8 can be refused, and before color_links runs
     g = cycle_graph(8)
-    anchors = find_good_set(g, density_profile(g))
+    anchors = find_good_set(g)
     assert len(anchors.members) == 3
 
     def unreachable(*args, **kwargs):
@@ -194,7 +195,7 @@ def test_derangement_pass_golden():
     g = two_fan_tree()
     profile = density_profile(g)
     assert profile.m == 4
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     assert anchors.members == (0, 1, 2, 3)
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert last_step(pc, 4) == "step2"
@@ -206,7 +207,7 @@ def test_steal_pass_golden_trace():
     g = steal_chain_tree()
     profile = density_profile(g)
     assert profile.m == 3
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     assert anchors.members == (0, 1, 2)
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert pc.colors[4] == 2 and last_step(pc, 4) == "step3-recolor"
@@ -219,7 +220,7 @@ def test_steal_pass_golden_trace():
 def test_fallback_pass_golden():
     g = fallback_pick_tree()
     profile = density_profile(g)
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     assert anchors.members == (0, 1, 2)
     pc = color_links(g, anchors, classify_links(g, anchors))
     assert pc.colors[3] == 3 and last_step(pc, 3) == "step4"
@@ -365,7 +366,7 @@ def test_stable_set_check_matches_the_full_fringe_scan(chords, sizes, graphs, cl
     count = seen = 0
     for n in sizes:
         for g in chorded_trees(n, chords):
-            anchors = find_good_set(g, density_profile(g))
+            anchors = find_good_set(g)
             links = classify_links(g, anchors)
             for uncolored in ((), links.vertices):
                 pc = color_links(g, anchors, links)
@@ -429,7 +430,7 @@ def test_premise_check_matches_the_full_fringe_scan_on_hand_built_states(n, edge
 def _chorded_family(rank, sizes):
     """Every graph of ``chorded_trees(n, rank)`` for n in sizes, with the
     set ``find_good_set`` returns."""
-    return lambda: ((g, find_good_set(g, density_profile(g))) for n in sizes for g in chorded_trees(n, rank))
+    return lambda: ((g, find_good_set(g)) for n in sizes for g in chorded_trees(n, rank))
 
 
 def _high_degree_leftover_forests():
@@ -443,7 +444,7 @@ def _case_iii_leftover_tree():
     """The tree whose case (iii) set leaves the dropped dense vertex 4 to
     completion, with the set ``find_good_set`` returns."""
     g = case_iii_leftover_tree()
-    return iter([(g, find_good_set(g, density_profile(g)))])
+    return iter([(g, find_good_set(g))])
 
 
 @pytest.mark.parametrize(
@@ -487,7 +488,7 @@ def test_case_iii_set_leaves_its_dropped_vertex_to_completion():
     # the one vertex of degree >= k outside W', colored by completion
     g = case_iii_leftover_tree()
     profile = density_profile(g)
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     assert (profile.m, profile.dense, anchors.members) == (4, {0, 3, 4, 5}, (0, 3, 5))
     result = b_coloring_with_good_set(g, anchors)
     assert result.chi_b == exact_b_chromatic(g, limit=g.n)[0] == 3
@@ -761,7 +762,7 @@ def test_trace_event_fields():
 @pytest.mark.parametrize("builder", [steal_chain_tree, lambda: random_tree(300, random.Random(11))])
 def test_trace_is_built_from_the_event_log_on_read(builder):
     g = builder()
-    result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
+    result = b_coloring_with_good_set(g, find_good_set(g))
     expanded = log_events(result)
     trace = result.trace
     assert all(type(event) is TraceEvent for event in trace)
@@ -796,7 +797,7 @@ def test_trace_is_built_from_the_event_log_on_read(builder):
 def test_full_construction_matches_oracle(builder, expected):
     g = builder()
     profile = density_profile(g)
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     result = b_coloring_with_good_set(g, anchors)
     assert result.chi_b == profile.m == expected
     report = check_b_coloring(g, result.coloring, result.chi_b)
@@ -806,7 +807,7 @@ def test_full_construction_matches_oracle(builder, expected):
 
 def test_full_construction_steal_chain_exact_coloring():
     g = steal_chain_tree()
-    result = b_coloring_with_good_set(g, find_good_set(g, density_profile(g)))
+    result = b_coloring_with_good_set(g, find_good_set(g))
     expected = [1, 2, 3, 3, 2, 1, 2, 1, 1, 2, 1]
     assert result.coloring == expected
 
@@ -815,12 +816,11 @@ def test_construction_rejects_non_good_set():
     g = path_graph(5)
     with pytest.raises(ValueError, match="not a good set"):
         b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
-    # a mark for another graph object is no certificate for this one
-    marked = GoodSet((0, 1, 2))
-    object.__setattr__(marked, "certified_on", path_graph(5))
+    # a graph that stores its good set checks every other set as before
+    assert find_good_set(g) != GoodSet((0, 1, 2))
     with pytest.raises(ValueError, match="not a good set"):
-        b_coloring_with_good_set(g, marked)
-    # and no constructor argument can set the mark
+        b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
+    # and a good set is its members alone: there is no mark to set
     with pytest.raises(TypeError):
         GoodSet((0, 1, 2), certified_on=g)
 
@@ -863,11 +863,29 @@ def _count_good_set_checks(monkeypatch) -> list[str]:
 def test_construction_rechecks_a_set_certified_on_another_graph(monkeypatch):
     calls = _count_good_set_checks(monkeypatch)
     g, twin = steal_chain_tree(), steal_chain_tree()
-    anchors = find_good_set(twin, density_profile(twin))
-    assert anchors.certified_on is twin and anchors == GoodSet(anchors.members)
+    anchors = find_good_set(twin)
+    # twin stores the set; g, an equal graph, stores none
+    assert twin._good_set is anchors and g._good_set is None and g == twin
     calls.clear()
     assert b_coloring_with_good_set(g, anchors).coloring == b_coloring_with_good_set(twin, anchors).coloring
     assert calls == ["bchrom.coloring"]
+
+
+def test_construction_trusts_an_equal_hand_built_set_and_checks_any_other(monkeypatch):
+    calls = _count_good_set_checks(monkeypatch)
+    g = five_dense_tree()
+    stored = find_good_set(g)
+    assert stored.members == (0, 3, 7, 8)
+    calls.clear()
+    # built by hand, equal to the stored set: trusted, no check
+    result = b_coloring_with_good_set(g, GoodSet((0, 3, 7, 8)))
+    assert calls == [] and result.chi_b == 4
+    # another good set for 4 colors on the same graph: checked once, then colored
+    other = GoodSet((0, 2, 3, 8))
+    result = b_coloring_with_good_set(g, other)
+    assert calls == ["bchrom.coloring"]
+    assert check_b_coloring(g, result.coloring, 4).basis == {1: 0, 2: 2, 3: 3, 4: 8}
+    assert g._good_set is stored  # the construction stores nothing
 
 
 def test_run_pipeline_checks_the_good_set_once(monkeypatch):
@@ -920,7 +938,7 @@ def test_construction_properties_on_random_trees(n, seed):
     rng = random.Random(seed)
     g = random_tree(n, rng)
     profile = density_profile(g)
-    anchors = find_good_set(g, profile)
+    anchors = find_good_set(g)
     k = len(anchors.members)  # m(G), or m(G) - 1 when no good set exists
     assert k == profile.m or (k == profile.m - 1 and len(profile.dense) == profile.m)
     result = b_coloring_with_good_set(g, anchors)

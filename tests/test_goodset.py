@@ -116,31 +116,31 @@ def _assert_good_for_m_minus_one(g, found, profile):
 def test_has_good_set_examples():
     t_enc = encircled_tree()
     t_profile = density_profile(t_enc)
-    _assert_good_for_m_minus_one(t_enc, find_good_set(t_enc, t_profile), t_profile)
+    _assert_good_for_m_minus_one(t_enc, find_good_set(t_enc), t_profile)
 
     c9 = cycle_graph(9)
     profile = density_profile(c9)
     assert profile.m == 3
     assert len(profile.dense) == 9
-    assert len(find_good_set(c9, profile).members) == profile.m
+    assert len(find_good_set(c9).members) == profile.m
 
     p5 = path_graph(5)
-    assert len(find_good_set(p5, density_profile(p5)).members) == 3
+    assert len(find_good_set(p5).members) == 3
 
 
 def test_has_good_set_requires_girth_eight():
     c5 = cycle_graph(5)
     with pytest.raises(PreconditionError):
-        find_good_set(c5, density_profile(c5))
+        find_good_set(c5)
     # girth exactly 8 is allowed
     c8 = cycle_graph(8)
-    assert len(find_good_set(c8, density_profile(c8)).members) == 3
+    assert len(find_good_set(c8).members) == 3
 
 
 def test_find_good_set_path_five():
     g = path_graph(5)
     profile = density_profile(g)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     assert len(found.members) == profile.m
     assert check_good_set(g, found.members, profile.m) is None
 
@@ -150,7 +150,7 @@ def test_find_good_set_drops_one_member_for_encircled_tree():
     # lowest-id member not adjacent to 0, and M(G) - x is good for 3 colors
     g = encircled_tree()
     profile = density_profile(g)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     assert found.members == (1, 2, 4)
     (x,) = profile.dense - set(found.members)
     assert x == 3 and x not in g.adj[0]
@@ -169,7 +169,7 @@ def test_characterization_matches_exhaustive_enumeration(n, seed):
     g = random_tree(n, rng)
     profile = density_profile(g)
     expected = naive_has_good_set(g, profile.m, profile.dense)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     if expected:
         assert len(found.members) == profile.m
         assert naive_is_good_set(g, found.members, profile.m, profile.dense)
@@ -183,14 +183,14 @@ def test_more_dense_than_m_implies_good_set(n, seed):
     g = random_tree(n, rng)
     profile = density_profile(g)
     if len(profile.dense) > profile.m:
-        assert len(find_good_set(g, profile).members) == profile.m
+        assert len(find_good_set(g).members) == profile.m
 
 
 def test_find_good_set_agrees_with_enumeration_on_every_subset():
     # spot-check that the search returns a subset the enumerator also accepts
     g = star_of_stars()
     profile = density_profile(g)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     accepted = [
         set(sub)
         for sub in combinations(sorted(profile.dense), profile.m)
@@ -211,7 +211,7 @@ def test_swap_case_two_on_relabelled_path():
     assert profile.m == 3 and profile.dense == frozenset({0, 1, 2, 3})
     assert _first_dense(g, profile) == (0, 1, 2)
     assert naive_encircles(g, {0, 1, 2}, 3, profile.m)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     assert found.members == (1, 2, 3)
     assert naive_is_good_set(g, found.members, profile.m, profile.dense)
 
@@ -223,7 +223,7 @@ def test_swap_case_one_on_relabelled_path():
     assert profile.m == 3 and profile.dense == frozenset({0, 1, 2, 3, 4})
     assert _first_dense(g, profile) == (0, 1, 2)
     assert naive_encircles(g, {0, 1, 2}, 3, profile.m)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     assert found.members == (0, 2, 4)
     assert naive_is_good_set(g, found.members, profile.m, profile.dense)
 
@@ -243,7 +243,7 @@ def test_every_good_set_may_leave_out_a_high_degree_vertex():
     ]
     assert good == [(0, 2, 4), (0, 2, 7)]
     assert all(not high <= set(sub) for sub in good)
-    assert find_good_set(g, profile).members == (0, 2, 4)
+    assert find_good_set(g).members == (0, 2, 4)
 
 
 def _prufer_trees(max_n):
@@ -290,53 +290,62 @@ def test_find_good_set_makes_at_most_two_checks(monkeypatch):
     monkeypatch.setattr(bchrom.goodset, "check_good_set", counted)
     # W0 at m, then the swapped set at m
     g = Graph(7, [(5, 0), (0, 3), (3, 1), (1, 2), (2, 4), (4, 6)])
-    found = find_good_set(g, density_profile(g))
-    assert found.members == (0, 2, 4) and found.certified_on is g
+    found = find_good_set(g)
+    assert found.members == (0, 2, 4) and g._good_set is found
     assert calls == [((0, 1, 2), 3), ((0, 2, 4), 3)]
+    # the stored set comes back with no check
+    calls.clear()
+    assert find_good_set(g) is found and calls == []
     # without a good set for m(G): W0 at m, then M(G) - x at m - 1
     calls.clear()
     t_enc = encircled_tree()
-    found = find_good_set(t_enc, density_profile(t_enc))
-    assert found.members == (1, 2, 4) and found.certified_on is t_enc
+    found = find_good_set(t_enc)
+    assert found.members == (1, 2, 4) and t_enc._good_set is found
     assert calls == [((1, 2, 3, 4), 4), ((1, 2, 4), 3)]
     # W0 good at once: one check
     calls.clear()
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert find_good_set(star, density_profile(star)).members == (0, 1)
+    assert find_good_set(star).members == (0, 1)
     assert calls == [((0, 1), 2)]
 
 
-def test_case_iii_set_is_checked():
+def test_case_iii_set_is_checked(monkeypatch):
     # u = 4 is adjacent to 0, 1 and 2, and 3 hangs off the witness 0, of
     # degree m - 1 = 3; 1, 2 and 3 carry three leaves each.  M(G) is
     # {0, ..., 4}, and W0 = (0, 1, 2, 3) encircles the dense vertex 4.
+    import bchrom.goodset
+
     edges = [(4, 0), (4, 1), (4, 2), (0, 3), (0, 5)]
     edges += [(v, 6 + 3 * i + j) for i, v in enumerate((1, 2, 3)) for j in range(3)]
     g = Graph(15, edges)
     profile = density_profile(g)
     assert profile.m == 4 and profile.dense == frozenset(range(5))
-    assert find_good_set(g, profile).members == (0, 2, 3, 4)  # case (ii)
+    assert find_good_set(g).members == (0, 2, 3, 4)  # case (ii)
     # a profile that leaves out 4 sends W0 to case (iii); M - x = (0, 1, 2)
     # is adjacent to all of 4, so it encircles 4 at m - 1, and is refused
-    short = DensityProfile(4, frozenset(range(4)))
+    monkeypatch.setattr(bchrom.goodset, "density_profile", lambda g: DensityProfile(4, frozenset(range(4))))
     assert check_good_set(g, (0, 1, 2), 3) == GoodSetViolation("encircles", 4)
+    fresh = Graph(15, edges)  # g stores its good set, which find_good_set would return unchecked
     with pytest.raises(InvariantViolation, match="the set for 3 colors failed the good-set check as encircles") as info:
-        find_good_set(g, short)
+        find_good_set(fresh)
     assert info.value.vertex == 4
+    assert fresh._good_set is None  # a refused set is not stored
 
 
-def test_a_set_failing_condition_b_is_refused_whatever_the_profile():
+def test_a_set_failing_condition_b_is_refused_whatever_the_profile(monkeypatch):
     # five stars: centers 0-3 of degree 2, 4 of degree 3.  A profile that
     # leaves out 4 makes W0 = (0, 1, 2), which leaves 4, of degree >= 3,
     # without a neighbor in the set: the full check refuses it, and so does
     # the construction when the set is handed to it unchecked
+    import bchrom.goodset
+
     edges = [(0, 5), (0, 6), (1, 7), (1, 8), (2, 9), (2, 10), (3, 11), (3, 12), (4, 13), (4, 14), (4, 15)]
     g = Graph(16, edges)
     assert density_profile(g) == DensityProfile(3, frozenset(range(5)))
-    assert find_good_set(g, density_profile(g)).members == (0, 1, 4)
-    short = DensityProfile(3, frozenset(range(4)))
+    assert find_good_set(g).members == (0, 1, 4)
+    monkeypatch.setattr(bchrom.goodset, "density_profile", lambda g: DensityProfile(3, frozenset(range(4))))
     with pytest.raises(InvariantViolation, match="the first 3 dense vertices failed the good-set check as uncovered-high-degree"):
-        find_good_set(g, short)
+        find_good_set(Graph(16, edges))
     assert check_good_set(g, (0, 1, 2), 3) == GoodSetViolation("uncovered-high-degree", 4)
     with pytest.raises(ValueError, match="not a good set: uncovered-high-degree"):
         b_coloring_with_good_set(g, GoodSet((0, 1, 2)))
@@ -355,8 +364,8 @@ def test_find_good_set_agrees_with_backtracking_reference(m, seed, u_dense, extr
     forest = relabeled(planted_encircling_forest(m, witnesses, u_dense, extra_stars, rng), rng)
     for g in (forest, random_tree(tree_n, rng)):
         profile = density_profile(g)
-        found = find_good_set(g, profile)
-        reference = backtracking_good_set(g, profile)
+        found = find_good_set(g)
+        reference = backtracking_good_set(g)
         assert (len(found.members) == profile.m) == (reference is not None)
         if reference is not None:
             assert naive_is_good_set(g, found.members, profile.m, profile.dense)

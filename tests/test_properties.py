@@ -67,7 +67,7 @@ def test_characterization_on_generated_high_girth_graphs(n, seed):
     g = generate_girth_constrained(n, 8, n + 2, seed=seed)
     profile = density_profile(g)
     expected = naive_has_good_set(g, profile.m, profile.dense)
-    found = find_good_set(g, profile)
+    found = find_good_set(g)
     assert (len(found.members) == profile.m) is expected
     if not expected:
         assert len(found.members) == profile.m - 1
