@@ -186,6 +186,20 @@ MUTANTS = [
         "",
         ("tests/test_oracle.py",),
     ),
+    Mutant(
+        "starvation-counts-an-adjacent-member",
+        ORACLE,
+        "not nbr[b] >> c & 1 and ",
+        "",
+        ("tests/test_oracle.py::test_prune_soundness_small_sweep",),
+    ),
+    Mutant(
+        "forward-check-one-repeat-too-many",
+        ORACLE,
+        "len(nbrs) - k + 1",
+        "len(nbrs) - k + 2",
+        ("tests/test_oracle.py::test_exact_values_for_named_instances",),
+    ),
     # the greedy fill: its one check before the batch, and the smallest free color it picks
     Mutant(
         "greedy-precheck-admits-degree-k",

@@ -4,14 +4,17 @@ Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
 never used to check itself.  Three exceptions reuse package code on purpose.
 The set-based exact search, the oracle's search before its bitmask kernel,
-prunes through ``find_encircled_vertex`` of ``bchrom.goodset``, which the
-kernel does not call; the unpruned search leaves out only that prune.  The
-backtracking good-set search reuses ``check_good_set`` at its leaves: it is
-the reference for the selection rule of ``find_good_set``, not for the
-check.  The used-set greedy records through ``PartialColoring.assign``: it
-is the reference for the one-scan color choice of ``greedy_extend``, not
-for the record.  ``disagreement`` is no reference: it compares the
-pipeline with the exact search, both package code, and with the pivot rule.
+keeps the encirclement prune the kernel dropped: it skips every basis that
+``find_encircled_vertex`` of ``bchrom.goodset`` finds encircling a vertex,
+so matching the kernel's witness checks that skipping those bases never
+changes the first one.  The unpruned search is the kernel's search without
+its starvation prune.  The backtracking good-set search reuses
+``check_good_set`` at its leaves: it is the reference for the selection
+rule of ``find_good_set``, not for the check.  The used-set greedy records
+through ``PartialColoring.assign``: it is the reference for the one-scan
+color choice of ``greedy_extend``, not for the record.  ``disagreement`` is
+no reference: it compares the pipeline with the exact search, both package
+code, and with the pivot rule.
 """
 
 from __future__ import annotations
@@ -700,10 +703,13 @@ def set_based_extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int
 
 def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
     """The exact search on Python sets that the bitmask kernel replaced: the
-    same bases in the same order, the same encirclement prune and the same
-    extension order, so it must return the kernel's witness.  The kernel
-    also skips starved bases (see ``starved_basis``), which hold no
-    b-coloring, so skipping them cannot change the first one found."""
+    same bases in the same order and the same extension order, so it must
+    return the kernel's witness.  It keeps the encirclement prune the
+    kernel dropped, and the kernel skips starved bases (see
+    ``starved_basis``).  Each skips only bases that hold no b-coloring, so
+    neither changes the first one found: a match with the kernel checks
+    the encirclement lemma, that a basis encircling an outside vertex with
+    witness degree k - 1 holds no k-b-coloring."""
     if g.n > limit:
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:
@@ -735,8 +741,9 @@ def starved_basis(g: Graph, basis: tuple[int, ...]) -> bool:
 
 
 def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:
-    """The set-based exact search without its encirclement prune: every
-    candidate basis is extended, so it shows what the prune may skip."""
+    """The kernel's search without its starvation prune: every candidate
+    basis is extended, in the kernel's order, so it shows what that prune
+    may skip."""
     if k > g.n:
         return None
     eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]

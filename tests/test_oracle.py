@@ -200,14 +200,16 @@ def test_oracle_limit_above_the_recursion_cap_is_a_value_error():
 
 def test_encircled_basis_never_witnesses_m_colors():
     # the dense set of the encircled tree has size m = 4 and encircles
-    # vertex 0, so it cannot be a basis; exhaustive search over the same
-    # basis (prune disabled) reaches the same dead end
+    # vertex 0, so it cannot be a basis: the exact search, which has no
+    # encirclement test, refutes it by exhaustion, and so does the search
+    # without the starvation prune
     g = encircled_tree()
     assert find_b_coloring_exact(g, 4) is None
     assert find_b_coloring_unpruned(g, 4) is None
 
 
 def test_prune_soundness_small_sweep():
+    # the starvation prune changes no value
     rng = random.Random(20240)
     for _ in range(60):
         n = rng.randint(1, 8)
@@ -218,6 +220,7 @@ def test_prune_soundness_small_sweep():
 
 
 def assert_prune_keeps_witness(g: Graph, k: int) -> None:
+    # the starvation prune skips only bases that hold no b-coloring
     pruned = find_b_coloring_exact(g, k)
     assert pruned == by_vertex_id(find_b_coloring_unpruned(g, k), g.n)
 
@@ -263,7 +266,8 @@ def test_starvation_skips_a_basis_that_encircles_nothing():
     # K_{2,3} with parts {0, 1, 2} and {3, 4}, k = 3, basis (0, 3, 4): every
     # neighbor of 3 outside the basis is adjacent to 4, so 3 sees no vertex
     # that could carry 4's color.  Nothing outside is encircled (1 and 2 have
-    # no neighbor of degree 2), so only the starvation test skips it.
+    # no neighbor of degree 2), so the reference's encirclement prune keeps
+    # it, and the starvation prune skips it.
     g = Graph(5, [(u, v) for u in (0, 1, 2) for v in (3, 4)])
     basis = (0, 3, 4)
     assert starved_basis(g, basis)
@@ -274,6 +278,8 @@ def test_starvation_skips_a_basis_that_encircles_nothing():
 
 
 def assert_kernel_matches_the_set_based_search(g: Graph, limit: int = 14) -> None:
+    # the reference skips the bases that encircle a vertex and the kernel
+    # extends them, so a match means none of them held the first witness
     for k in range(1, density_profile(g).m + 1):
         found = find_b_coloring_exact(g, k, limit=limit)
         assert found == by_vertex_id(set_based_find_b_coloring_exact(g, k, limit=limit), g.n), k
