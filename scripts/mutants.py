@@ -164,6 +164,14 @@ MUTANTS = [
         "    value = ACYCLIC if g._girth is None else g._girth\n",
         ("tests/test_goodset.py::test_has_good_set_requires_girth_eight",),
     ),
+    # the generator's two-sided distance test stops when the balls' radii sum to the cap
+    Mutant(
+        "two-sided-distance-sum-reaches-cap-plus-one",
+        GRAPH,
+        "    for _ in range(cap):\n        if len(frontier) > len(other_frontier):\n",
+        "    for _ in range(cap + 1):\n        if len(frontier) > len(other_frontier):\n",
+        ("tests/test_graph.py::test_two_sided_distance_test_matches_the_one_sided_bfs",),
+    ),
     Mutant(
         "generate-saturation-one-vertex-short",
         GRAPH,
@@ -198,7 +206,15 @@ MUTANTS = [
         ORACLE,
         "len(nbrs) - k + 1",
         "len(nbrs) - k + 2",
-        ("tests/test_oracle.py::test_exact_values_for_named_instances",),
+        ("tests/test_oracle.py::test_returned_colorings_always_validate",),
+    ),
+    # the bases in find_good_set's rank, so W0 is tried first at m(G)
+    Mutant(
+        "basis-rank-ascending-degree",
+        ORACLE,
+        "key=rank.__getitem__)",
+        "key=lambda v: (len(adj[v]), v))",
+        ("tests/test_oracle.py::test_the_witness_at_m_has_the_construction_basis_where_w0_is_good",),
     ),
     # the greedy fill: its one check before the batch, and the smallest free color it picks
     Mutant(

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import re
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -584,21 +583,29 @@ def ensure_min_girth(g: Graph, bound: int) -> None:
 
 
 def _within_distance(adj: list[set[int]], source: int, target: int, cap: int) -> bool:
-    """BFS out to depth ``cap`` >= 1 from ``source`` != ``target``; True if
-    target is reached that soon."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > cap:
-            break
-        for v in adj[u]:
-            if v not in dist:
-                if v == target:
-                    return True
-                dist[v] = d
-                queue.append(v)
+    """True if ``source`` != ``target`` are within distance ``cap`` >= 1.
+
+    One ball grows around each end, a level at a time, the one with the
+    smaller frontier next, until their radii sum to ``cap``.  On a shortest
+    path of length d <= cap, the vertex at distance a from source is at
+    distance d - a from target, so the step that brings the radii's sum to
+    d reaches a vertex of the other ball."""
+    ball, other = {source}, {target}
+    frontier, other_frontier = [source], [target]
+    for _ in range(cap):
+        if len(frontier) > len(other_frontier):
+            ball, other, frontier, other_frontier = other, ball, other_frontier, frontier
+        grown = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in ball:  # the balls stay disjoint until they meet, so only a new vertex can be in the other
+                    if v in other:
+                        return True
+                    ball.add(v)
+                    grown.append(v)
+        if not grown:  # source's or target's component is exhausted, and holds no path between them
+            return False
+        frontier = grown
     return False
 
 

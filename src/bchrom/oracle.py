@@ -103,14 +103,25 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
     the color of each vertex id.
 
     Iterates over candidate bases (k vertices of degree >= k - 1, in
-    ``combinations`` order; the i-th smallest is pinned to color i + 1,
-    which is lossless up to renaming colors) and backtracks over the
-    remaining vertices, sorted by (-basis neighbors, -degree, id), trying
-    colors 1..k, with a counting forward check: a basis vertex b can afford
-    deg(b) - (k - 1) neighbors whose color it already sees, and a branch
-    that needs one more is cut.  Every leaf is then a b-coloring, as each
-    basis vertex sees at least k - 1 distinct colors around it.  The
-    witness is the first b-coloring in this order.
+    ``combinations`` order over those vertices ranked by (-degree, id), the
+    rank ``find_good_set`` takes W0 in; the i-th member of a basis in that
+    rank is pinned to color i + 1, which is lossless up to renaming colors)
+    and backtracks over the remaining vertices, sorted by (-basis
+    neighbors, -degree, id), trying colors 1..k, with a counting forward
+    check: a basis vertex b can afford deg(b) - (k - 1) neighbors whose
+    color it already sees, and a branch that needs one more is cut.  Every
+    leaf is then a b-coloring, as each basis vertex sees at least k - 1
+    distinct colors around it.  The witness is the first b-coloring in this
+    order.
+
+    Every basis is tried, so the order of the bases decides which witness
+    is found, never whether one is.  Argument that it is the construction's
+    basis where there is one: at k = m(G) the candidates are the dense
+    vertices, so on a graph of girth >= 9 whose W0, its first m(G) dense
+    vertices by (-degree, id), is good, the first basis tried is W0.  The
+    construction builds an m(G)-b-coloring with basis W0, so W0 is not
+    starved, renaming its colors pins W0's members as above, and the search
+    exhausts W0 before any later basis: the witness has basis W0.
 
     One test skips a candidate basis W at every k: starvation, a property
     that no basis of a b-coloring has, so it does not change the witness.
@@ -143,13 +154,14 @@ def find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT
     if k < 1:
         raise ValueError("k must be positive")
     n, adj = g.n, g.adj
-    eligible = [v for v in range(n) if len(adj[v]) >= k - 1]
+    # the sort key (-degree, id) as one integer: the bases' rank, and, less n * n
+    # per basis neighbor, the extension order (-basis neighbors, -degree, id)
+    rank = [(n - 1 - len(adj[v])) * n + v for v in range(n)]
+    eligible = sorted([v for v in range(n) if len(adj[v]) >= k - 1], key=rank.__getitem__)
     if len(eligible) < k:
         return None
     nbr = [sum(1 << u for u in nbrs) for nbrs in adj]
     witnesses = sum(1 << v for v in range(n) if len(adj[v]) == k - 1)
-    # the sort key (-basis neighbors, -degree, id) as one integer, less n * n per basis neighbor
-    rank = [(n - 1 - len(adj[v])) * n + v for v in range(n)]
     colors = range(k)
     near = [0] * k  # per color (0-based): the neighbors of its class
     slack = [len(nbrs) - k + 1 for nbrs in adj]  # repeats a basis vertex can still afford

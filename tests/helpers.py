@@ -4,17 +4,18 @@ Everything here re-derives expected values straight from the definitions
 (quantifier-by-quantifier, brute force where needed) so the package code is
 never used to check itself.  Three exceptions reuse package code on purpose.
 The set-based exact search, the oracle's search before its bitmask kernel,
-keeps the encirclement prune the kernel dropped: it skips every basis that
+tries the same bases in the same rank order, (-degree, id), and keeps the
+encirclement prune the kernel dropped: it skips every basis that
 ``find_encircled_vertex`` of ``bchrom.goodset`` finds encircling a vertex,
 so matching the kernel's witness checks that skipping those bases never
 changes the first one.  The unpruned search is the kernel's search without
-its starvation prune.  The backtracking good-set search reuses
-``check_good_set`` at its leaves: it is the reference for the selection
-rule of ``find_good_set``, not for the check.  The used-set greedy records
-through ``PartialColoring.assign``: it is the reference for the one-scan
-color choice of ``greedy_extend``, not for the record.  ``disagreement`` is
-no reference: it compares the pipeline with the exact search, both package
-code, and with the pivot rule.
+its starvation prune, over the same bases in the same rank order.  The
+backtracking good-set search reuses ``check_good_set`` at its leaves: it is
+the reference for the selection rule of ``find_good_set``, not for the
+check.  The used-set greedy records through ``PartialColoring.assign``: it
+is the reference for the one-scan color choice of ``greedy_extend``, not for
+the record.  ``disagreement`` is no reference: it compares the pipeline with
+the exact search, both package code, and with the pivot rule.
 """
 
 from __future__ import annotations
@@ -578,6 +579,26 @@ def all_roots_girth(g: Graph) -> int | float:
     return best
 
 
+def one_sided_within_distance(adj: Sequence[set[int]], source: int, target: int, cap: int) -> bool:
+    """Reference for the generator's distance test: BFS out to depth ``cap``
+    >= 1 from ``source`` != ``target`` alone; True if target is reached that
+    soon."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        if d > cap:
+            break
+        for v in adj[u]:
+            if v not in dist:
+                if v == target:
+                    return True
+                dist[v] = d
+                queue.append(v)
+    return False
+
+
 def fstring_format_coloring_file(
     g: Graph, coloring: Sequence[int] | Mapping[int, int], k: int, basis: dict[int, int]
 ) -> list[str]:
@@ -703,8 +724,8 @@ def set_based_extend_basis(g: Graph, basis: tuple[int, ...], k: int) -> dict[int
 
 def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int] | None:
     """The exact search on Python sets that the bitmask kernel replaced: the
-    same bases in the same order and the same extension order, so it must
-    return the kernel's witness.  It keeps the encirclement prune the
+    same bases in the same rank order, (-degree, id), and the same
+    extension order, so it must return the kernel's witness.  It keeps the encirclement prune the
     kernel dropped, and the kernel skips starved bases (see
     ``starved_basis``).  Each skips only bases that hold no b-coloring, so
     neither changes the first one found: a match with the kernel checks
@@ -714,7 +735,7 @@ def set_based_find_b_coloring_exact(g: Graph, k: int, *, limit: int = DEFAULT_OR
         raise OracleLimitError(f"graph has {g.n} vertices; the exact search is capped at {limit}")
     if k < 1:
         raise ValueError("k must be positive")
-    eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+    eligible = sorted((v for v in range(g.n) if len(g.adj[v]) >= k - 1), key=lambda v: (-len(g.adj[v]), v))
     if len(eligible) < k:
         return None
     for basis in combinations(eligible, k):
@@ -742,11 +763,11 @@ def starved_basis(g: Graph, basis: tuple[int, ...]) -> bool:
 
 def find_b_coloring_unpruned(g: Graph, k: int) -> dict[int, int] | None:
     """The kernel's search without its starvation prune: every candidate
-    basis is extended, in the kernel's order, so it shows what that prune
-    may skip."""
+    basis is extended, the same bases in the same rank order, (-degree,
+    id), as the kernel's, so it shows what that prune may skip."""
     if k > g.n:
         return None
-    eligible = [v for v in range(g.n) if len(g.adj[v]) >= k - 1]
+    eligible = sorted((v for v in range(g.n) if len(g.adj[v]) >= k - 1), key=lambda v: (-len(g.adj[v]), v))
     for basis in combinations(eligible, k):
         result = set_based_extend_basis(g, basis, k)
         if result is not None:

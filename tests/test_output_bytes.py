@@ -1,6 +1,8 @@
 """Byte-identity guard for `bchrom color`: the sha256 of its stdout, with and
-without --trace, on four fixed inputs, one of them colored by the exact search.  A change to how the coloring is built
-or written that moves a single byte of either output fails here."""
+without --trace, on five fixed inputs, two of them colored by the exact
+search.  A change to how the coloring is built or written that moves a
+single byte of either output fails here.  So does a change to the graphs
+`bchrom generate` writes, pinned at 5,000 vertices."""
 
 import hashlib
 import random
@@ -39,8 +41,21 @@ _PETERSEN_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6), (2, 7
                    (5, 7), (7, 9), (6, 9), (6, 8), (5, 8)]
 PETERSEN = "".join(f"{_PETERSEN_LABELS[u]} {_PETERSEN_LABELS[v]}\n" for u, v in _PETERSEN_EDGES)
 
+
+def _dense_graph() -> str:
+    """A seeded G(12, 1/2) with degrees 2 to 8: unlike Petersen's, its
+    degrees are unequal, so the exact search's basis rank, (-degree, id),
+    is not the id order."""
+    rng = random.Random(36)
+    return "".join(f"{u} {v}\n" for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5)
+
+
 # input -> (sha256 of `color` stdout, sha256 of `color --trace` stdout)
 DIGESTS = {
+    "dense-oracle": (
+        "6118a53e6d24083e79e4c76d91876a12e44d5e095c2ad922bf103f2d3a6aec33",
+        "6118a53e6d24083e79e4c76d91876a12e44d5e095c2ad922bf103f2d3a6aec33",
+    ),
     "encircled-tree": (
         "e4a1f91128e8721c692a27c24068cb067bc5bc88de097f78811d860aa2bec346",
         "3cc2d3ff412ec0f8bcd3c1f4cf3c5447eb5c39929eb6bbf3e72263d58a0b1672",
@@ -67,6 +82,8 @@ def _input_text(name, tmp_path):
         return _generated_girth_nine(tmp_path), []
     if name == "petersen-oracle":
         return PETERSEN, ["--oracle"]
+    if name == "dense-oracle":
+        return _dense_graph(), ["--oracle"]
     return ENCIRCLED_TREE, ["--oracle-limit", "5"]
 
 
@@ -81,3 +98,18 @@ def test_color_output_bytes_are_pinned(name, tmp_path, capsys):
         assert main(["color", str(path), *extra, *trace]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert tuple(digests) == DIGESTS[name]
+
+
+# name -> (the arguments that follow `generate 5000 --edges 10000 --seed 1`, sha256 of the file written)
+GENERATED = {
+    "girth-nine": ([], "dbad51deb12b2ffea5f2c4f81ca225a10a712c6390bf10f5b242cd74a16216a4"),
+    "girth-seven": (["--min-girth", "7"], "63dc630e2b4ddea8e4000c1b1cc7b904c1f07c6becdc26feca65eced1dc43fad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generate_output_bytes_are_pinned(name, tmp_path):
+    extra, digest = GENERATED[name]
+    path = tmp_path / "g.txt"
+    assert main(["generate", "5000", "--edges", "10000", "--seed", "1", *extra, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
