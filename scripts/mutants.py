@@ -310,9 +310,17 @@ MUTANTS = [
     Mutant(
         "certificate-feasible-derangement",
         COLORING,
-        "        except ValueError as exc:\n",
-        "        except ZeroDivisionError as exc:\n",
+        "        if not {colors[x] for x in star}.isdisjoint(forbidden):",
+        "        if False:",
         ("tests/test_coloring.py::test_link_passes_refuse_an_infeasible_derangement",),
+    ),
+    # pass 2 gives each target the forbidden color after its own
+    Mutant(
+        "step2-rotation-unshifted",
+        COLORING,
+        "cycle[1:] + cycle[:1]",
+        "cycle",
+        ("tests/test_coloring.py::test_derangement_pass_golden",),
     ),
     Mutant(
         "certificate-pass-four-unencircled",
@@ -386,6 +394,21 @@ MUTANTS = [
         "        if len(profile.dense) == m:  # case (iii)\n",
         "        if len(profile.dense) <= m + 1:  # case (iii)\n",
         ("tests/test_trees.py::test_planted_pivoted_trees_and_near_misses",),
+    ),
+    # a DIMACS file has one problem line, and text-mode batch records are apart by one blank line
+    Mutant(
+        "dimacs-second-problem-line-accepted",
+        GRAPH,
+        "            if n is not None:\n                raise ParseError(\"duplicate problem line\", lineno)\n",
+        "",
+        ("tests/test_graph.py::test_dimacs_edge_count_must_match_the_edge_lines",),
+    ),
+    Mutant(
+        "batch-text-drops-the-blank-line",
+        CLI,
+        "                if not args.json and index:\n                    _print()\n",
+        "",
+        ("tests/test_cli.py::test_batch_mode_text_separates_two_records_by_one_blank_line",),
     ),
     # the CLI's exit codes
     Mutant(

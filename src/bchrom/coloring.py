@@ -219,33 +219,6 @@ def classify_links(g: Graph, anchors: GoodSet) -> LinkStructure:
     return LinkStructure(vertices=frozenset(link), chained=chained, multi_anchored=multi, anchors_of=anchors_of)
 
 
-def derange_assign(targets: Sequence[tuple[int, int]], palette: Sequence[int]) -> dict[int, int]:
-    """Injective palette assignment where no target gets its forbidden color.
-
-    targets is an ordered list of (vertex, forbidden color).  The forbidden
-    colors must be distinct members of the palette and there must be at least
-    as many palette colors as targets.  Construction: lay out the forbidden
-    colors in target order, append the unused palette colors, and shift the
-    sequence cyclically by one.
-    """
-    palette = list(palette)
-    if len(palette) < 2:
-        raise ValueError("palette must have at least two colors")
-    if len(set(palette)) != len(palette):
-        raise ValueError("palette colors must be distinct")
-    if len(targets) > len(palette):
-        raise ValueError("more targets than palette colors")
-    forbidden = [f for _, f in targets]
-    if len(set(forbidden)) != len(forbidden):
-        raise ValueError("forbidden colors must be distinct")
-    if any(f not in palette for f in forbidden):
-        raise ValueError("every forbidden color must belong to the palette")
-    taken = set(forbidden)
-    sequence = forbidden + [c for c in palette if c not in taken]
-    size = len(sequence)
-    return {v: sequence[(j + 1) % size] for j, (v, _) in enumerate(targets)}
-
-
 def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColoring:
     """Anchor W and run the four link-coloring passes, each to exhaustion.
 
@@ -254,10 +227,11 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
 
     1. A link vertex x with a link neighbor x' takes the color of one of
        x' own anchors.
-    2. Per anchor v_i, the doubly anchored neighbors x_1..x_q (q > 1) take
-       the colors of their second anchors, deranged so x_j avoids the color
-       of its own second anchor; vertices already colored keep their color
-       and their palette entry is dropped.
+    2. Per anchor v_i with doubly anchored neighbors x_1..x_q (q > 1), x_j
+       is forbidden the color of its second anchor.  List the forbidden
+       colors of the uncolored members, then those of the members pass 1
+       colored, which keep their color; each uncolored member takes the
+       color after its own in that list, cyclically.
     3. A still-uncolored doubly anchored x next to an anchor v_i that has a
        chained link neighbor y steals y's color; y moves to the color of
        another anchor of x.  This is the only recoloring, and it happens at
@@ -287,10 +261,10 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
       9 runs through x and y.
     * Distinct second-anchor colors around v_i: girth alone.  Two
       neighbors of v_i with a common second anchor close a 4-cycle.
-    * A feasible derangement: girth alone.  A colored member of the star
-      has neither its own forbidden color (properness) nor another's (a
-      cycle shorter than 9), so the palette is every forbidden color: at
-      least two, and one for each target.
+    * No colored member of a star holds a forbidden color of the star:
+      girth alone.  Not its own (properness), nor another's (a cycle
+      shorter than 9).  So each uncolored member takes the forbidden color
+      of another member, one that no colored member holds.
     * At most one recoloring per vertex: no girth and no k.  An x that
       pass 2 left uncolored is the only doubly anchored neighbor of each of
       its anchors, and the y it steals from has no anchor but v_i, or it
@@ -334,16 +308,14 @@ def color_links(g: Graph, anchors: GoodSet, links: LinkStructure) -> PartialColo
         forbidden = [anchor_color[next(v for v in anchors_of[x] if v != v_i)] for x in star]
         if len(set(forbidden)) != len(forbidden):
             raise InvariantViolation("second-anchor colors collide around an anchor", step="step2", vertex=v_i)
-        pinned = {colors[x] for x in star if colors[x]}
-        palette = [c for c in forbidden if c not in pinned]
-        targets = [(x, f) for x, f in zip(star, forbidden) if not colors[x]]
+        if not {colors[x] for x in star}.isdisjoint(forbidden):  # an uncolored member holds 0, no color
+            raise InvariantViolation("a colored neighbor holds a second-anchor color", step="step2", vertex=v_i)
+        targets = [x for x in star if not colors[x]]
         if not targets:
             continue
-        try:
-            assignment = derange_assign(targets, palette)
-        except ValueError as exc:
-            raise InvariantViolation(f"derangement infeasible: {exc}", step="step2", vertex=v_i) from exc
-        pc.assign_each([(x, assignment[x]) for x, _ in targets], "step2")
+        cycle = [f for x, f in zip(star, forbidden) if not colors[x]]
+        cycle += [f for x, f in zip(star, forbidden) if colors[x]]
+        pc.assign_each(zip(targets, cycle[1:] + cycle[:1]), "step2")
 
     # pass 3: steal a chained neighbor's color, then move that neighbor
     first_chained: dict[int, int] = {}  # anchor -> its lowest chained neighbor

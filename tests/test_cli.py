@@ -673,6 +673,16 @@ def test_batch_mode_text_separates_files_and_reports_errors(tmp_path, capsys):
     assert blocks[1] == "file b_bad.txt\nerror error: line 1: self-loop at vertex 0\n"
 
 
+def test_batch_mode_text_separates_two_records_by_one_blank_line(tmp_path, capsys):
+    write_graph(tmp_path, "a_p5.txt", P5_TEXT)
+    write_graph(tmp_path, "b_c9.txt", C9_TEXT)
+    assert main(["analyze", "--batch", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("") == 1
+    blank = lines.index("")
+    assert lines[0] == "file a_p5.txt" and lines[blank + 1] == "file b_c9.txt"
+
+
 def test_analyze_without_a_graph_or_a_batch_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", "--chi-b"])

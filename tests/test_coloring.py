@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +24,6 @@ from bchrom.coloring import (
     classify_links,
     color_links,
     complete_b_vertices,
-    derange_assign,
     greedy_extend,
 )
 from bchrom.goodset import check_good_set
@@ -107,55 +105,6 @@ def test_links_match_quartic_scan_on_trees(n, seed):
     }
 
 
-# -------------------------------------------------------- derangement
-
-
-def test_derange_two_targets():
-    assert derange_assign([(10, 2), (11, 3)], [2, 3]) == {10: 3, 11: 2}
-
-
-def test_derange_single_target_with_spare_color():
-    assert derange_assign([(10, 2)], [2, 5]) == {10: 5}
-
-
-def test_derange_three_targets_cyclic_shift():
-    result = derange_assign([(1, 4), (2, 5), (3, 6)], [4, 5, 6])
-    assert result == {1: 5, 2: 6, 3: 4}
-    # brute force: exactly two of the six permutations avoid all forbidden pairs
-    valid = [
-        perm
-        for perm in permutations([4, 5, 6])
-        if perm[0] != 4 and perm[1] != 5 and perm[2] != 6
-    ]
-    assert len(valid) == 2
-    assert tuple(result[v] for v in (1, 2, 3)) in valid
-
-
-def test_derange_rejects_bad_input():
-    with pytest.raises(ValueError):
-        derange_assign([(1, 2)], [2])  # palette too small
-    with pytest.raises(ValueError):
-        derange_assign([(1, 2), (2, 2)], [2, 3])  # forbidden collide
-    with pytest.raises(ValueError):
-        derange_assign([(1, 7)], [2, 3])  # forbidden outside palette
-    with pytest.raises(ValueError):
-        derange_assign([(1, 2), (2, 3), (3, 4)], [2, 3])  # too many targets
-
-
-@given(st.integers(2, 8), st.integers(0, 2**30))
-def test_derange_properties(size, seed):
-    rng = random.Random(seed)
-    palette = rng.sample(range(1, 20), size)
-    count = rng.randint(1, size)
-    targets = [(100 + j, palette[j]) for j in range(count)]
-    result = derange_assign(targets, palette)
-    values = list(result.values())
-    assert len(set(values)) == len(values)
-    assert set(values) <= set(palette)
-    for vertex, forbidden in targets:
-        assert result[vertex] != forbidden
-
-
 # ------------------------------------------------------- link coloring
 
 
@@ -203,6 +152,26 @@ def test_derangement_pass_golden():
     assert pc.colors[4] == 3 and pc.colors[5] == 2
 
 
+def test_derangement_pass_shifts_a_star_of_three():
+    # anchor 0 (color 1) has the uncolored doubly anchored neighbors 4, 5
+    # and 6, forbidden colors 2, 3 and 4: each takes the next one, cyclically
+    g = Graph(7, [(0, 4), (4, 1), (0, 5), (5, 2), (0, 6), (6, 3)])
+    anchors = GoodSet((0, 1, 2, 3))
+    pc = color_links(g, anchors, classify_links(g, anchors))
+    assert pc.log[-1] == ("step2", (4, 5, 6), (3, 4, 2), None)
+
+
+def test_derangement_pass_gives_a_target_a_colored_members_forbidden_color():
+    # around anchor 0, 4 sees anchor 1 (color 2) and 5 sees anchor 2 (color
+    # 3); pass 1 gives 5, chained through 6 to anchor 3, the color 4, so
+    # the one target 4 takes 5's forbidden color 3
+    g = Graph(7, [(0, 4), (4, 1), (0, 5), (5, 2), (5, 6), (6, 3)])
+    anchors = GoodSet((0, 1, 2, 3))
+    pc = color_links(g, anchors, classify_links(g, anchors))
+    assert last_step(pc, 5) == "step1" and pc.colors[5] == 4
+    assert pc.log[-1] == ("step2", (4,), (3,), None)
+
+
 def test_steal_pass_golden_trace():
     g = steal_chain_tree()
     profile = density_profile(g)
@@ -244,13 +213,28 @@ def test_link_passes_refuse_colliding_second_anchors():
 
 def test_link_passes_refuse_an_infeasible_derangement():
     # anchors 0, 1, 2; 3 sees 0 and 1, 4 sees 0 and 2, and 5 joins 3 to 2, so
-    # pass 1 gives 3 the color of 5's anchor 2, which is 4's forbidden color:
-    # around anchor 0 one palette color is left for the one target
+    # pass 1 gives 3 the color of 5's anchor 2, which is 4's forbidden color
     g = Graph(6, [(0, 3), (1, 3), (0, 4), (2, 4), (3, 5), (2, 5)])
     anchors = GoodSet((0, 1, 2))
     with pytest.raises(
         InvariantViolation,
-        match=r"^derangement infeasible: palette must have at least two colors \(step=step2, vertex=0\)$",
+        match=r"^a colored neighbor holds a second-anchor color \(step=step2, vertex=0\)$",
+    ) as info:
+        color_links(g, anchors, classify_links(g, anchors))
+    assert (info.value.step, info.value.vertex) == ("step2", 0)
+
+
+def test_link_passes_refuse_a_colored_member_with_another_colored_members_forbidden_color():
+    # around anchor 0, pass 1 colors 5 (seeing anchor 1) with 3 through 6 and
+    # anchor 2, and 7 (seeing anchor 2) with 5 through 8 and anchor 4: 5
+    # holds 7's forbidden color, and the one target 9 would still find two
+    # colors, 2 and 4, that no colored member holds
+    edges = [(0, 5), (1, 5), (5, 6), (2, 6), (0, 7), (2, 7), (7, 8), (4, 8), (0, 9), (3, 9)]
+    g = Graph(10, edges)
+    anchors = GoodSet((0, 1, 2, 3, 4))
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^a colored neighbor holds a second-anchor color \(step=step2, vertex=0\)$",
     ) as info:
         color_links(g, anchors, classify_links(g, anchors))
     assert (info.value.step, info.value.vertex) == ("step2", 0)
@@ -370,6 +354,8 @@ def test_stable_set_check_matches_the_full_fringe_scan(chords, sizes, graphs, cl
             links = classify_links(g, anchors)
             for uncolored in ((), links.vertices):
                 pc = color_links(g, anchors, links)
+                for step, _, step_colors, _ in pc.log:
+                    assert step != "step2" or len(set(step_colors)) == len(step_colors), (g.adj, step_colors)
                 for x in uncolored:
                     pc.colors[x] = 0
                 expected = full_fringe_clash(g, anchors.members, pc.colors)

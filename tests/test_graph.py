@@ -139,6 +139,7 @@ def test_dimacs_refuses_an_edge_line_with_the_wrong_field_count():
         ("p edge 3 -1\ne 1 2\n", "line 1: problem line declares -1 edges, a negative count"),
         ("p edge 3 2\ne 1 2\n", "line 1: problem line declares 2 edges, the file has 1"),
         ("p banana 3 1\ne 1 2\n", "line 1: problem line must read 'p edge <n> <m>'"),
+        ("p edge 2 1\np edge 3 1\ne 1 2\n", "line 2: duplicate problem line"),
     ],
 )
 def test_dimacs_edge_count_must_match_the_edge_lines(text, message):
