@@ -150,11 +150,27 @@ MUTANTS = [
     Mutant(
         "generate-attempt-clamp-doubled",
         GRAPH,
-        "        attempts_left = 50 * max(min(edge_budget, n * (n - 1) // 2), n)\n",
+        "        attempts_left = 50 * max(budget, n)\n",
         "        attempts_left = 50 * max(min(edge_budget, n * (n - 1)), n)\n",
         ("tests/test_graph.py",),
         equivalent="the clamp only bounds attempts after every possible edge is placed or refused; "
         "the graphs come out the same, only run time changes",
+    ),
+    # the edge-budget cap, on the budget clamped to the edges n vertices can have
+    Mutant(
+        "generate-cap-on-the-raw-budget",
+        GRAPH,
+        "    if budget > MAX_EDGES:\n",
+        "    if edge_budget > MAX_EDGES:\n",
+        ("tests/test_cli.py::test_generate_with_an_edge_budget_above_every_possible_edge",),
+    ),
+    Mutant(
+        "generate-without-the-edge-cap",
+        GRAPH,
+        "    if budget > MAX_EDGES:\n"
+        '        raise ValueError(f"edge budget {edge_budget} is above the limit {MAX_EDGES}")\n',
+        "",
+        ("tests/test_graph.py::test_generator_refuses_an_edge_budget_above_the_limit",),
     ),
     # the girth gate computes the girth of a graph that stores none yet
     Mutant(
@@ -406,7 +422,7 @@ MUTANTS = [
     Mutant(
         "batch-text-drops-the-blank-line",
         CLI,
-        "                if not args.json and index:\n                    _print()\n",
+        "            if not args.json and index:\n                _print()\n",
         "",
         ("tests/test_cli.py::test_batch_mode_text_separates_two_records_by_one_blank_line",),
     ),

@@ -236,14 +236,17 @@ def _write_output(blocks: list[str], path: str | None) -> None:
             out.writelines(blocks)
 
 
-def _print_record(record: AnalysisRecord, as_json: bool, extra: dict | None = None) -> None:
+def _print_record(record: AnalysisRecord | None, as_json: bool, extra: dict | None = None) -> None:
+    """Print ``extra`` and then the record's fields, as one JSON object or as
+    "key value" lines; ``extra`` alone when there is no record."""
     extra = extra or {}
     if as_json:
-        _print(json.dumps({**extra, **record.to_json_dict()}))
+        _print(json.dumps({**extra, **record.to_json_dict()} if record else extra))
     else:
         for key, value in extra.items():
             _print(f"{key} {value}")
-        _print("\n".join(record.to_lines()))
+        if record:
+            _print("\n".join(record.to_lines()))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -255,24 +258,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         worst = EXIT_OK
         paths = sorted(p for p in Path(args.batch).iterdir() if p.is_file())
         for index, path in enumerate(paths):
+            if not args.json and index:
+                _print()
             try:
-                record = analyze(str(path))
-                if not args.json and index:
-                    _print()
-                _print_record(record, args.json, extra={"file": path.name})
+                _print_record(analyze(str(path)), args.json, extra={"file": path.name})
             except BrokenPipeError:
                 raise
             except _REPORTED_ERRORS as exc:
                 code, prefix = _exit_status(exc)
                 worst = max(worst, code)
-                message = f"{prefix}: {exc}"  # the line the file alone would print on stderr
-                if args.json:
-                    _print(json.dumps({"file": path.name, "error": message}))
-                else:
-                    if index:
-                        _print()
-                    _print(f"file {path.name}")
-                    _print(f"error {message}")
+                # the error is the line the file alone would print on stderr
+                _print_record(None, args.json, {"file": path.name, "error": f"{prefix}: {exc}"})
         return worst
     _print_record(analyze(args.input), args.json)
     return EXIT_OK

@@ -26,6 +26,14 @@ ACYCLIC = math.inf
 #: able to allocate an unbounded graph.
 MAX_VERTICES = 10**6
 
+#: Largest edge budget ``generate_girth_constrained`` takes, once clamped to
+#: the n(n - 1)/2 edges n vertices can have: 2 * MAX_VERTICES, the 2n edges
+#: of README's timings at the vertex limit.  A plain edge list of
+#: MAX_VERTICES vertices and this many edges is about 28 MB, within
+#: MAX_INPUT_BYTES, which holds about 2.4 * 10^6 such lines: a budget far
+#: above it asks for a graph no reader loads, and can exhaust memory building it.
+MAX_EDGES = 2 * MAX_VERTICES
+
 #: Largest input file, in bytes, the command line reads: 32 MiB, about twice
 #: a plain edge list of MAX_VERTICES vertices and as many edges.  A larger
 #: regular file is refused before it is read; of a device or a FIFO, at most
@@ -99,10 +107,7 @@ class Graph:
             raise ValueError("labels must cover every vertex")
         if len(set(label_tuple)) != n:
             raise ValueError("labels must be distinct")
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = adj
-        self.labels: tuple[int, ...] = label_tuple
-        self._girth = self._profile = self._good_set = None
+        self._fill(n, adj, label_tuple)
 
     @classmethod
     def _trusted(cls, n: int, edges: Iterable[tuple[int, int]], labels: Iterable[int]) -> Graph:
@@ -110,11 +115,13 @@ class Graph:
         ids in range, no self-loop, no duplicate edge, one distinct label per
         vertex."""
         g = cls.__new__(cls)
-        g.n = n
-        g.adj = _sorted_adjacency(n, edges)
-        g.labels = tuple(labels)
-        g._girth = g._profile = g._good_set = None
+        g._fill(n, _sorted_adjacency(n, edges), tuple(labels))
         return g
+
+    def _fill(self, n: int, adj: tuple[tuple[int, ...], ...], labels: tuple[int, ...]) -> None:
+        """Set every slot: the graph, and no stored fact yet."""
+        self.n, self.adj, self.labels = n, adj, labels
+        self._girth = self._profile = self._good_set = None
 
     def degrees(self) -> list[int]:
         return list(map(len, self.adj))
@@ -640,8 +647,9 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
     a row, it also stops if the graph is saturated, every two vertices
     within distance min_girth - 2: every later proposal would be refused,
     so the graph is the one the whole attempt budget gives.  At most
-    MAX_VERTICES vertices; a negative vertex count or edge budget is a
-    ValueError.
+    MAX_VERTICES vertices and an edge budget, clamped to n(n - 1)/2, of at
+    most MAX_EDGES, each refused before any vertex is allocated; a negative
+    vertex count or edge budget is a ValueError.
     """
     if min_girth < 3:
         raise ValueError("min_girth must be at least 3")
@@ -651,12 +659,15 @@ def generate_girth_constrained(n: int, min_girth: int, edge_budget: int, seed: i
         raise ValueError(f"vertex count {n} is above the limit {MAX_VERTICES}")
     if edge_budget < 0:
         raise ValueError("edge budget must be nonnegative")
+    budget = min(edge_budget, n * (n - 1) // 2)  # no more edges than n vertices can have
+    if budget > MAX_EDGES:
+        raise ValueError(f"edge budget {edge_budget} is above the limit {MAX_EDGES}")
     rng = random.Random(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
     edges: list[tuple[int, int]] = []
     if n >= 2:
         cap = min_girth - 2  # reject when dist(u, v) <= cap
-        attempts_left = 50 * max(min(edge_budget, n * (n - 1) // 2), n)
+        attempts_left = 50 * max(budget, n)
         refused = 0  # proposals refused since the last edge was kept
         while len(edges) < edge_budget and attempts_left > 0:
             attempts_left -= 1

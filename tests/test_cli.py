@@ -392,6 +392,13 @@ def test_generate_refuses_more_vertices_than_the_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_an_edge_budget_above_the_limit(tmp_path, capsys):
+    out = tmp_path / "dense.txt"
+    assert main(["generate", "1000000", "--edges", "100000000000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: edge budget 100000000000 is above the limit 2000000\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("argv", "option"),
     [

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import random
 import re
+import tracemalloc
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import bchrom.graph
 from bchrom import ACYCLIC, Graph, ParseError, girth, parse_dimacs, parse_edge_list
 from bchrom.graph import (
+    MAX_EDGES,
     _within_distance,
     format_coloring_file,
     generate_girth_constrained,
@@ -650,6 +652,24 @@ def test_generator_rejects_negative_counts():
         generate_girth_constrained(-1, 9, 4, seed=0)
     with pytest.raises(ValueError, match="^edge budget must be nonnegative$"):
         generate_girth_constrained(5, 9, -3, seed=0)
+
+
+def test_generator_refuses_an_edge_budget_above_the_limit(monkeypatch):
+    # the budget is clamped to the n(n - 1)/2 edges n vertices can have, then capped
+    with monkeypatch.context() as patch:
+        patch.setattr(bchrom.graph, "MAX_EDGES", 3)
+        with pytest.raises(ValueError, match="^edge budget 4 is above the limit 3$"):
+            generate_girth_constrained(4, 3, 4, seed=0)
+        assert generate_girth_constrained(3, 3, 4, seed=0).edge_count == 3  # clamped to 3, at the cap
+    # the refusal comes before the vertex sets: 10^6 of them would take about 200 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^edge budget {MAX_EDGES + 1} is above the limit {MAX_EDGES}$"):
+            generate_girth_constrained(10**6, 3, MAX_EDGES + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_generator_girth_postcondition_sweep():
